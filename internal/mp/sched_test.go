@@ -351,45 +351,93 @@ func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalenceRandomPrograms fuzzes both backends with random
-// deterministic charge/exchange schedules.
+// TestSchedulerEquivalenceRandomPrograms fuzzes every backend with random
+// charge/exchange schedules under three option sets, one per replay path:
+// an RNG-drawing net (the general loop drawing per op), a deterministic
+// net (the fused loop; steps that receive from both neighbours fuse into
+// two-receive macros, which park between their receives), and the
+// deterministic net with seeded random delays and a probe (the general
+// loop, perturbed). The trace backend replays its recording; every rank's
+// clock and the probe's clock/idle rows must match the goroutine backend
+// bit for bit.
 func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
+	const n, steps = 6, 15
+	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
 	for trial := 0; trial < 10; trial++ {
 		seed := int64(1000 + trial)
 		prog := func(c *Comm) error {
 			rng := rand.New(rand.NewSource(seed + int64(c.Rank())))
-			n := c.Size()
-			for i := 0; i < 15; i++ {
+			shape := rand.New(rand.NewSource(seed)) // identical on every rank
+			next := (c.Rank() + 1) % n
+			prev := (c.Rank() + n - 1) % n
+			for i := 0; i < steps; i++ {
+				both := shape.Intn(2) == 0
 				c.ChargeExact(rng.Float64() * 1e-3)
-				next := (c.Rank() + 1) % n
-				prev := (c.Rank() + n - 1) % n
-				c.SendN(next, i, 64+rng.Intn(4096), nil)
-				c.RecvN(prev, i)
+				c.SendN(next, 2*i, 64+rng.Intn(4096), nil)
+				if both {
+					c.SendN(prev, 2*i+1, 64+rng.Intn(4096), nil)
+				}
+				c.RecvN(prev, 2*i)
+				if both {
+					c.RecvN(next, 2*i+1)
+				}
 				if i%5 == 0 {
 					c.Barrier()
 				}
 			}
 			return nil
 		}
-		spans := make([]float64, len(schedulers))
-		for bi, sched := range schedulers {
-			w, err := NewWorld(6, Options{
-				Net:       alphaBeta{alpha: 1e-5, beta: 2e-9},
-				Seed:      seed,
-				Scheduler: sched,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Run(prog); err != nil {
-				t.Fatal(err)
-			}
-			spans[bi] = w.Makespan()
+		drng := rand.New(rand.NewSource(seed))
+		delays := make([]Delay, 4)
+		for i := range delays {
+			delays[i] = Delay{Rank: drng.Intn(n), Op: drng.Intn(4 * steps), Seconds: drng.Float64() * 2e-3}
 		}
-		for bi := 1; bi < len(spans); bi++ {
-			if spans[0] != spans[bi] {
-				t.Fatalf("trial %d: makespan %s %v vs %s %v",
-					trial, schedulers[0], spans[0], schedulers[bi], spans[bi])
+		sets := []struct {
+			name  string
+			opts  Options
+			probe bool
+		}{
+			{"rng", Options{Net: alphaBeta{alpha: 1e-5, beta: 2e-9}, Seed: seed}, false},
+			{"det", Options{Net: det}, false},
+			{"det+delays+probe", Options{Net: det, Delays: delays}, true},
+		}
+		for _, set := range sets {
+			var ref *World
+			var refProbe *RunProbe
+			for _, sched := range schedulers {
+				opts := set.opts
+				opts.Scheduler = sched
+				if set.probe {
+					opts.Probe = &RunProbe{}
+				}
+				w, err := NewWorld(n, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Run(prog); err != nil {
+					t.Fatal(err)
+				}
+				if sched == SchedulerTrace {
+					// The first Run recorded; compare the replay.
+					w.Reset()
+					if err := w.Run(prog); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ref == nil {
+					ref, refProbe = w, opts.Probe
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if ref.Clock(i) != w.Clock(i) {
+						t.Fatalf("trial %d %s: rank %d clock %s %v vs %s %v",
+							trial, set.name, i, schedulers[0], ref.Clock(i), sched, w.Clock(i))
+					}
+				}
+				if set.probe {
+					requireSameProbe(t, fmt.Sprintf("trial %d %s", trial, set.name),
+						schedulers[0]+" vs "+sched, refProbe, opts.Probe)
+				}
 			}
 		}
 	}

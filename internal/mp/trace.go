@@ -465,10 +465,9 @@ type Replayer struct {
 	// Probe), in parallel slices rather than rrank so the unperturbed hot
 	// path — and its zero-allocation guarantee — is untouched. collGen
 	// mirrors the live backends' collective generation counter for probe
-	// rows. perturbed routes replay through the instrumented loop; the
-	// plain hot loop never looks at any of this state. failing gates the
-	// fail-stop machinery (fqs cursors, ckpts rewind targets) within it.
-	perturbed bool
+	// rows. Only the general loop reads this state; the fused loop never
+	// runs a perturbed replay. failing gates the fail-stop machinery (fqs
+	// cursors, ckpts rewind targets) within it.
 	injecting bool
 	failing   bool
 	dqs       [][]Delay
@@ -479,10 +478,10 @@ type Replayer struct {
 	collGen   int
 
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
-	// fused hot loop (deterministic costs, no perturbation); cycOn tracks
-	// a detected cycle through its boundaries; the stat counters feed
-	// Stats(). The plan memo fields cache last-cycle boundary clocks of
-	// completed replays keyed by their exact inputs.
+	// fused loop (deterministic costs, no perturbation) over the general
+	// loop; cycOn tracks a detected cycle through its boundaries; the stat
+	// counters feed Stats(). The plan memo fields cache last-cycle
+	// boundary clocks of completed replays keyed by their exact inputs.
 	fusedPath bool
 	cycOn     bool
 	cycErr    error
@@ -691,7 +690,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.collGen = 0
 	r.injecting = len(opts.Delays) > 0 || len(opts.Fails) > 0
 	r.failing = len(opts.Fails) > 0
-	r.perturbed = r.injecting || opts.Probe != nil || opts.Noise != nil
 	r.dqs = nil
 	r.fqs = nil
 	if r.injecting {
@@ -727,8 +725,8 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	}
 	// Steady-state cycle gating: the fused loop (and with it extrapolation)
 	// runs only when costs are deterministic and nothing perturbs the
-	// replay; every other combination replays exactly as before.
-	r.fusedPath = r.det && !r.perturbed
+	// replay; every other combination takes the general loop.
+	r.fusedPath = r.det && !r.injecting && opts.Probe == nil && opts.Noise == nil
 	r.cycOn = false
 	r.cycErr = nil
 	r.cycVirt, r.cycDone, r.cycRec, r.cycGen = 0, 0, 0, 0
@@ -881,208 +879,70 @@ func (r *Replayer) deliver(dst int, k uint64, avail, aux float64) {
 	}
 }
 
-// runRank dispatches one rank to the loop its replay mode needs:
-// perturbed replays (delays, noise, fail-stop, probes) take the
-// instrumented loop; deterministic-cost unperturbed replays take the
-// fused loop (macro dispatch + steady-state extrapolation, tracecycle.go);
-// RNG-drawing unperturbed replays keep the scalar loop, whose per-op draw
-// order is the recorded program order.
-func (r *Replayer) runRank(id int) {
-	if r.perturbed {
-		r.runRankPerturbed(id)
-		return
+// reduce enters rank id into the open collective generation at clock.
+// Until the last participant arrives it queues id as a waiter and returns
+// closed == false (the caller parks the rank in rBlockedColl); the last
+// arriver closes the generation and gets its completion clock — the
+// latest arrival plus the reduction of words float64s, priced exactly as
+// the live backends price it.
+func (r *Replayer) reduce(id int, clock float64, words int32) (done float64, closed bool) {
+	if r.collArrived == 0 || clock > r.collMax {
+		r.collMax = clock
 	}
+	r.collArrived++
+	if r.collArrived < r.t.n {
+		r.collWaiters = append(r.collWaiters, int32(id))
+		return 0, false
+	}
+	r.collArrived = 0
+	done = r.collMax
+	if net := r.opts.Net; net != nil {
+		bytes := 8 * int(words)
+		if r.det {
+			if r.redMemo.bytes != bytes {
+				r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(r.t.n, bytes, nil)}
+			}
+			done += r.redMemo.sec
+		} else {
+			done += net.ReduceCost(r.t.n, bytes, r.collRngStream())
+		}
+	}
+	return done, true
+}
+
+// release hands a closed generation's completion clock to every parked
+// participant and wakes them; each consumes it when its reduce op
+// re-executes (rrank.collResolved).
+func (r *Replayer) release(done float64) {
+	for _, wid := range r.collWaiters {
+		wr := &r.rk[wid]
+		wr.collDone = done
+		wr.collResolved = true
+		r.wake(int(wid))
+	}
+	r.collWaiters = r.collWaiters[:0]
+}
+
+// runRank runs one rank until it blocks or finishes, on the fused loop
+// when the replay takes the fused path (deterministic costs, nothing
+// perturbed: macro dispatch and steady-state extrapolation, tracecycle.go)
+// and on the general loop otherwise.
+func (r *Replayer) runRank(id int) {
 	if r.fusedPath {
 		r.runRankFused(id)
-		return
+	} else {
+		r.runRankGeneral(id)
 	}
-	r.runRankScalar(id)
 }
 
-// runRankScalar executes one rank's script ops until the rank blocks or
-// finishes: the replay hot loop for RNG-drawing cost models, every arm
-// straight array arithmetic.
-func (r *Replayer) runRankScalar(id int) {
-	t := r.t
-	net := r.opts.Net
-	det := r.det
-	cnet, ns := r.cnet, r.ns
-	lits, charges := t.lits, r.charges
-	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
-	self := &r.rk[id]
-	clock := self.clock
-	sp, op := self.spos, self.opos
-	sEnd := t.sstart[id+1]
-	var chunk []top
-	if sp < sEnd {
-		c := t.script[sp]
-		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-	}
-	for {
-		if int(op) >= len(chunk) {
-			if sp >= sEnd {
-				break
-			}
-			sp++
-			op = 0
-			if sp >= sEnd {
-				break
-			}
-			c := t.script[sp]
-			chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-			continue
-		}
-		o := &chunk[op]
-		switch o.kind {
-		case topChargeParam, topCkpt:
-			// Checkpoints charge like exact parametric ops here: failures
-			// are impossible on the unperturbed path, so the rewind point
-			// needs no tracking and the loop stays allocation-free.
-			if s := charges[o.arg0]; s > 0 {
-				clock += s
-			}
-		case topChargeLit:
-			clock += lits[o.arg0]
-		case topChargeNoisy:
-			s := lits[o.arg0]
-			if n := r.opts.Noise; n != nil {
-				s = n.Perturb(s, r.rng(id))
-			}
-			clock += s
-		case topSendLit, topSendParam:
-			u := int(o.arg2)
-			if o.kind == topSendParam {
-				u += len(t.sizes)
-			}
-			dst := id + int(o.arg0)
-			start := clock
-			avail := start
-			var aux float64 // unread when net == nil
-			if net != nil {
-				ui := u // class-resolved table index: cls*ns + size index
-				if cnet != nil {
-					ui += cnet.ClassOf(id, dst) * ns
-				}
-				if det {
-					clock = start + sendSec[ui]
-					avail = start + availSec[ui]
-					aux = recvSec[ui]
-				} else {
-					rng := r.rng(id)
-					b := int(r.bytes[u])
-					if cnet != nil {
-						cls := ui / ns
-						clock = start + cnet.SendOverheadClass(cls, b, rng)
-						avail = start + cnet.TransitClass(cls, b, rng)
-					} else {
-						clock = start + net.SendOverhead(b, rng)
-						avail = start + net.Transit(b, rng)
-					}
-					aux = float64(ui)
-				}
-			}
-			r.deliver(dst, qkey(id, int(o.arg1)), avail, aux)
-		case topRecv:
-			k := qkey(id+int(o.arg0), int(o.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
-			if st.head >= int32(len(st.msgs)) {
-				// Park: save the cursor at this op; when woken, the outer
-				// loop re-enters runRank and the receive re-executes with
-				// the message queued.
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = evBlocked
-				self.wantKey = k
-				return
-			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
-			if m.avail > clock {
-				clock = m.avail
-			}
-			if net != nil {
-				if det {
-					clock += m.aux
-				} else {
-					ui := int(m.aux)
-					if cnet != nil {
-						clock += cnet.RecvOverheadClass(ui/ns, int(r.bytes[ui%ns]), r.rng(id))
-					} else {
-						clock += net.RecvOverhead(int(r.bytes[ui]), r.rng(id))
-					}
-				}
-			}
-		case topReduce:
-			if self.collResolved {
-				self.collResolved = false
-				clock = self.collDone
-				break
-			}
-			if r.collArrived == 0 {
-				r.collMax = clock
-			} else if clock > r.collMax {
-				r.collMax = clock
-			}
-			r.collArrived++
-			if r.collArrived < t.n {
-				// Park inside the collective; the closing rank resolves the
-				// generation into collDone/collResolved, and the re-executed
-				// op consumes it on resume.
-				r.collWaiters = append(r.collWaiters, int32(id))
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = rBlockedColl
-				return
-			}
-			// Last participant closes the generation and prices the
-			// collective exactly as the live backends do.
-			done := r.collMax
-			if net != nil {
-				bytes := 8 * int(o.arg0)
-				if det {
-					if r.redMemo.bytes != bytes {
-						r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(t.n, bytes, nil)}
-					}
-					done += r.redMemo.sec
-				} else {
-					done += net.ReduceCost(t.n, bytes, r.collRngStream())
-				}
-			}
-			r.collArrived = 0
-			for _, wid := range r.collWaiters {
-				wr := &r.rk[wid]
-				wr.collDone = done
-				wr.collResolved = true
-				r.wake(int(wid))
-			}
-			r.collWaiters = r.collWaiters[:0]
-			clock = done
-		case topMark:
-			r.marks[o.arg0] = clock
-		}
-		op++
-	}
-	self.clock = clock
-	self.spos, self.opos = sp, 0
-	self.status = evDone
-	r.doneCount++
-}
-
-// runRankPerturbed is runRank with fault injection, compute noise and
-// probe accounting woven into every arm. It is deliberately a separate
-// copy of the hot loop: keeping the cursor/accumulator bookkeeping out
-// of the plain path keeps unperturbed replays at their recorded cost,
-// while this loop pays for exactly what a perturbation study uses.
-// Clocks follow the same schedule law, so a perturbed replay is still
+// runRankGeneral executes one rank's scalar script ops until the rank
+// blocks or finishes. It serves every replay off the fused path: RNG-drawing
+// cost models (which draw per op in recorded program order) and perturbed
+// replays, with fault injection, compute noise and probe accounting woven
+// into the arms. With all of those off it reduces to plain array
+// arithmetic. Clocks follow the event scheduler's law, so every replay is
 // bit-identical to the live backends under the same options.
-func (r *Replayer) runRankPerturbed(id int) {
+func (r *Replayer) runRankGeneral(id int) {
 	t := r.t
 	net := r.opts.Net
 	noise := r.opts.Noise
@@ -1123,6 +983,8 @@ func (r *Replayer) runRankPerturbed(id int) {
 		c := t.script[sp]
 		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
 	}
+	status := evDone
+run:
 	for {
 		if int(op) >= len(chunk) {
 			if sp >= sEnd {
@@ -1223,23 +1085,11 @@ func (r *Replayer) runRankPerturbed(id int) {
 				st = r.streamSlow(id, k)
 			}
 			if st.head >= int32(len(st.msgs)) {
-				// Park: save the cursor at this op; when woken, the outer
-				// loop re-enters runRank and the receive re-executes with
-				// the message queued.
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = evBlocked
-				self.wantKey = k
-				if inj {
-					r.dqs[id], r.opns[id] = dq, opn
-				}
-				if failing {
-					r.fqs[id], r.ckpts[id] = fq, lastCkpt
-				}
-				if probe != nil {
-					r.idles[id] = idle
-				}
-				return
+				// Park at this op; when woken, the outer loop re-enters
+				// runRank and the receive re-executes with the message
+				// queued.
+				status, self.wantKey = evBlocked, k
+				break run
 			}
 			m := st.msgs[st.head]
 			st.head++
@@ -1280,54 +1130,15 @@ func (r *Replayer) runRankPerturbed(id int) {
 			if probe != nil {
 				probe.record(r.collGen, id, clock, idle)
 			}
-			if r.collArrived == 0 {
-				r.collMax = clock
-			} else if clock > r.collMax {
-				r.collMax = clock
-			}
-			r.collArrived++
-			if r.collArrived < t.n {
+			done, closed := r.reduce(id, clock, o.arg0)
+			if !closed {
 				// Park inside the collective; the closing rank resolves the
-				// generation into collDone/collResolved, and the re-executed
-				// op consumes it on resume.
-				r.collWaiters = append(r.collWaiters, int32(id))
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = rBlockedColl
-				if inj {
-					r.dqs[id], r.opns[id] = dq, opn
-				}
-				if failing {
-					r.fqs[id], r.ckpts[id] = fq, lastCkpt
-				}
-				if probe != nil {
-					r.idles[id] = idle
-				}
-				return
+				// generation and the re-executed op consumes it on resume.
+				status = rBlockedColl
+				break run
 			}
-			// Last participant closes the generation and prices the
-			// collective exactly as the live backends do.
-			done := r.collMax
-			if net != nil {
-				bytes := 8 * int(o.arg0)
-				if det {
-					if r.redMemo.bytes != bytes {
-						r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(t.n, bytes, nil)}
-					}
-					done += r.redMemo.sec
-				} else {
-					done += net.ReduceCost(t.n, bytes, r.collRngStream())
-				}
-			}
-			r.collArrived = 0
 			r.collGen++
-			for _, wid := range r.collWaiters {
-				wr := &r.rk[wid]
-				wr.collDone = done
-				wr.collResolved = true
-				r.wake(int(wid))
-			}
-			r.collWaiters = r.collWaiters[:0]
+			r.release(done)
 			if probe != nil {
 				idle += done - clock
 			}
@@ -1341,9 +1152,12 @@ func (r *Replayer) runRankPerturbed(id int) {
 		}
 	}
 	self.clock = clock
-	self.spos, self.opos = sp, 0
-	self.status = evDone
-	r.doneCount++
+	self.spos, self.opos = sp, op
+	self.status = status
+	if status == evDone {
+		self.opos = 0
+		r.doneCount++
+	}
 	if inj {
 		r.dqs[id], r.opns[id] = dq, opn
 	}

@@ -13,7 +13,6 @@ package mp
 // encode→decode→encode is byte-identical.
 
 import (
-	"errors"
 	"fmt"
 
 	"pacesweep/internal/artifact"
@@ -22,33 +21,23 @@ import (
 const (
 	// traceMagic identifies a compiled-trace artifact.
 	traceMagic = "PACETRC\x00"
-	// TraceCodecVersion is the current trace artifact version. Bump it on
-	// any change to the op kind table, the chunk layout or the replay
-	// parameter conventions; decoders refuse other versions except the
-	// explicit back-compat set below.
+	// TraceCodecVersion is the trace artifact version, the only one that
+	// decodes. Bump it on any change to the op kind table, the chunk
+	// layout, the cycle block or the replay parameter conventions; an
+	// artifact of any other version fails with ErrVersionMismatch and the
+	// artifact store treats it like corruption (quarantine, recompile,
+	// republish) — the store is a refillable cache.
 	//
 	// v2 appends optional steady-state cycle metadata (detection results;
-	// see tracecycle.go) after the v1 fields. v1 artifacts still decode:
-	// the cycle is recomputed live, and replays are bit-identical either
-	// way — the metadata only saves the detection pass.
+	// see tracecycle.go) after the scalar tables.
 	TraceCodecVersion uint16 = 2
-	// traceCodecV1 is the pre-cycle-metadata version, decoded for
-	// backwards compatibility with persisted artifacts.
-	traceCodecV1 uint16 = 1
 )
 
 // EncodeBinary serialises the trace into a self-describing, checksummed
 // artifact. The encoding is deterministic: one trace always produces
 // identical bytes.
 func (t *Trace) EncodeBinary() []byte {
-	return t.encodeBinary(TraceCodecVersion)
-}
-
-// encodeBinary writes the requested codec version; v1 stops before the
-// cycle block. Kept separate so the round-trip tests can produce genuine
-// legacy payloads.
-func (t *Trace) encodeBinary(version uint16) []byte {
-	e := artifact.NewEncoder(traceMagic, version)
+	e := artifact.NewEncoder(traceMagic, TraceCodecVersion)
 	e.U32(uint32(t.n))
 	e.U32(uint32(t.nmarks))
 	e.I32(t.maxChPar)
@@ -81,13 +70,10 @@ func (t *Trace) encodeBinary(version uint16) []byte {
 	for _, v := range t.sizes {
 		e.I32(v)
 	}
-	// v2 cycle metadata: the scalar detection results. Fused programs and
+	// Cycle metadata: the scalar detection results. Fused programs and
 	// cursor fused-indices are always recomputed locally (they are pure
 	// functions of the scalar tables), so the artifact stays
 	// layout-independent of the fusion scheme.
-	if version < TraceCodecVersion {
-		return e.Finish()
-	}
 	if !t.cyc.detected {
 		e.U8(0)
 		return e.Finish()
@@ -117,18 +103,12 @@ func (t *Trace) encodeBinary(version uint16) []byte {
 // bounds. Corruption fails with artifact.ErrChecksum (or ErrTruncated /
 // ErrFormat); a partial Trace is never returned.
 //
-// Both codec versions decode: v2 carries optional cycle metadata (itself
+// Only TraceCodecVersion decodes; any other version is
+// artifact.ErrVersionMismatch. The optional cycle metadata is itself
 // validated before use — corrupt metadata is ErrFormat, never a bad
-// cursor), v1 artifacts recompute the detection live. Either way the
-// decoded trace replays bit-identically to its source.
+// cursor — and the decoded trace replays bit-identically to its source.
 func DecodeTrace(data []byte) (*Trace, error) {
-	legacy := false
 	d, err := artifact.NewDecoder(data, traceMagic, TraceCodecVersion)
-	if errors.Is(err, artifact.ErrVersionMismatch) {
-		if d1, err1 := artifact.NewDecoder(data, traceMagic, traceCodecV1); err1 == nil {
-			d, err, legacy = d1, nil, true
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -179,28 +159,25 @@ func DecodeTrace(data []byte) (*Trace, error) {
 		}
 	}
 	var meta *traceCycleMeta
-	if !legacy {
-		if d.U8() != 0 {
-			m := traceCycleMeta{
-				period: int(d.U32()), prefix: int(d.U32()),
-				cycles: int(d.U32()), gens: int(d.U32()),
-				nclass: int(d.U32()),
-			}
-			if m.nclass > 0 && m.nclass <= t.n {
-				m.classOf = make([]int32, t.n)
-				for i := range m.classOf {
-					m.classOf[i] = d.I32()
-				}
-				m.cursors = make([]int32, 4*m.nclass)
-				for i := range m.cursors {
-					m.cursors[i] = d.I32()
-				}
-				meta = &m
-			} else {
-				return nil, fmt.Errorf("%w: trace cycle metadata declares %d classes of %d ranks",
-					artifact.ErrFormat, m.nclass, t.n)
-			}
+	if d.U8() != 0 {
+		m := traceCycleMeta{
+			period: int(d.U32()), prefix: int(d.U32()),
+			cycles: int(d.U32()), gens: int(d.U32()),
+			nclass: int(d.U32()),
 		}
+		if m.nclass <= 0 || m.nclass > t.n {
+			return nil, fmt.Errorf("%w: trace cycle metadata declares %d classes of %d ranks",
+				artifact.ErrFormat, m.nclass, t.n)
+		}
+		m.classOf = make([]int32, t.n)
+		for i := range m.classOf {
+			m.classOf[i] = d.I32()
+		}
+		m.cursors = make([]int32, 4*m.nclass)
+		for i := range m.cursors {
+			m.cursors[i] = d.I32()
+		}
+		meta = &m
 	}
 	if err := d.Close(); err != nil {
 		return nil, err
@@ -214,15 +191,11 @@ func DecodeTrace(data []byte) (*Trace, error) {
 		if err := t.installCycle(meta); err != nil {
 			return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)
 		}
-	} else {
-		// v1 artifact, or v2 recorded before detection succeeded:
-		// recompute the cycle live.
-		t.detectCycle()
 	}
 	return t, nil
 }
 
-// traceCycleMeta is the raw v2 cycle block, held apart from the trace
+// traceCycleMeta is the raw cycle block, held apart from the trace
 // until installCycle validates it against the decoded tables.
 type traceCycleMeta struct {
 	period, prefix, cycles, gens int

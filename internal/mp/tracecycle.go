@@ -30,10 +30,10 @@ package mp
 //     difference is one too). Binade crossings are replayed for real and
 //     re-validated on the far side.
 //
-// Correctness envelope: extrapolation runs only on the deterministic-cost,
-// unperturbed replay path (jitter nets, noise, injected delays, fail-stop
-// events and probes all force the full-replay paths, bit-identical to
-// before). Jumps additionally require every message stream to be empty at
+// Correctness envelope: extrapolation runs only on the fused loop, the
+// deterministic-cost unperturbed replay path (jitter nets, noise, injected
+// delays, fail-stop events and probes all force the general loop, which
+// replays in full). Jumps additionally require every message stream to be empty at
 // the boundary — the transplant moves only the uniform post-collective
 // clock, never in-flight state — and the final steady cycle is always
 // replayed for real so marks written inside the cycle body carry their
@@ -877,8 +877,12 @@ func (r *Replayer) planStore() {
 // fused program: macro steps execute as one dispatch with sub-step resume
 // (rrank.fsub counts consumed receives when parked mid-macro), sends use
 // pre-resolved unified size indices, and the collective-close arm drives
-// cycBoundary. Costs and schedule law are identical to runRankScalar, so
-// clocks stay bit-identical; only dispatch overhead differs.
+// cycBoundary. Costs and schedule law are identical to runRankGeneral's,
+// so clocks stay bit-identical; only dispatch overhead differs. The
+// per-op arms are written out here rather than shared with the general
+// loop: moving send pricing and receive consumption into shared methods
+// measured 5-12% more time per fused op (servebench predict_replay,
+// mp.replay_ns_per_fused_op, 2-vCPU Xeon VM).
 func (r *Replayer) runRankFused(id int) {
 	t := r.t
 	net := r.opts.Net
@@ -1014,7 +1018,7 @@ func (r *Replayer) runRankFused(id int) {
 				clock += s
 			}
 		case topChargeLit, topChargeNoisy:
-			// Noise is nil on this path (noise forces the perturbed loop),
+			// Noise is nil on this path (noise forces the general loop),
 			// so a noisy charge replays at its recorded literal.
 			clock += lits[f.arg0]
 		case fSend:
@@ -1063,41 +1067,20 @@ func (r *Replayer) runRankFused(id int) {
 				clock = self.collDone
 				break
 			}
-			if r.collArrived == 0 {
-				r.collMax = clock
-			} else if clock > r.collMax {
-				r.collMax = clock
-			}
-			r.collArrived++
-			if r.collArrived < t.n {
-				r.collWaiters = append(r.collWaiters, int32(id))
+			done, closed := r.reduce(id, clock, f.arg0)
+			if !closed {
 				self.clock = clock
 				self.spos, self.opos = sp, op
 				self.status = rBlockedColl
 				return
 			}
-			done := r.collMax
-			if net != nil {
-				bytes := 8 * int(f.arg0)
-				if r.redMemo.bytes != bytes {
-					r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(t.n, bytes, nil)}
-				}
-				done += r.redMemo.sec
-			}
-			r.collArrived = 0
 			if r.cycOn && r.cycBoundary(done) {
 				// Repositioned: every rank (this one included) was reseeded
 				// at the target cycle; local cursors are stale, so return
 				// without waking or writing back.
 				return
 			}
-			for _, wid := range r.collWaiters {
-				wr := &r.rk[wid]
-				wr.collDone = done
-				wr.collResolved = true
-				r.wake(int(wid))
-			}
-			r.collWaiters = r.collWaiters[:0]
+			r.release(done)
 			clock = done
 		case topMark:
 			r.marks[f.arg0] = clock

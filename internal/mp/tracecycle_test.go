@@ -325,41 +325,6 @@ func TestTraceCodecCycleMetadataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCodecV1LegacyDecodes pins backwards compatibility: a v1
-// payload (no cycle block) still decodes, the cycle is recomputed live,
-// and re-encoding yields a current-version artifact byte-identical to
-// encoding the source directly.
-func TestTraceCodecV1LegacyDecodes(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
-	tr := recordMarkedWavefront(t, net, 8)
-	legacy := tr.encodeBinary(traceCodecV1)
-	dec, err := DecodeTrace(legacy)
-	if err != nil {
-		t.Fatalf("v1 artifact refused: %v", err)
-	}
-	if !dec.CycleDetected() || dec.CyclePeriod() != tr.CyclePeriod() || dec.CycleCount() != tr.CycleCount() {
-		t.Fatalf("live redetection differs: %d/%d vs %d/%d",
-			dec.CyclePeriod(), dec.CycleCount(), tr.CyclePeriod(), tr.CycleCount())
-	}
-	if !reflect.DeepEqual(tr, dec) {
-		t.Fatal("trace decoded from v1 differs from source")
-	}
-	if !bytes.Equal(dec.EncodeBinary(), tr.EncodeBinary()) {
-		t.Fatal("re-encoding a v1 decode is not the canonical v2 artifact")
-	}
-	ref, got := NewReplayer(), NewReplayer()
-	p := ReplayParams{ExtraCycles: 92}
-	if err := ref.Replay(tr, Options{Net: net}, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Replay(dec, Options{Net: net}, p); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Makespan() != got.Makespan() {
-		t.Fatalf("makespan %v != %v", got.Makespan(), ref.Makespan())
-	}
-}
-
 // TestTraceCodecCorruptCycleMetadata pins the quarantine contract: cycle
 // metadata that passes the checksum but fails structural validation is
 // ErrFormat — the caller's .bad quarantine path, never a bad cursor in
@@ -374,7 +339,7 @@ func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
 		bad.cyc.first = append([]cycCursor(nil), tr.cyc.first...)
 		bad.cyc.last = append([]cycCursor(nil), tr.cyc.last...)
 		mutate(&bad.cyc)
-		if _, err := DecodeTrace(bad.encodeBinary(TraceCodecVersion)); !errors.Is(err, artifact.ErrFormat) {
+		if _, err := DecodeTrace(bad.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
 			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}

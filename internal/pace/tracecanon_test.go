@@ -2,6 +2,7 @@ package pace
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"pacesweep/internal/artifact"
@@ -89,51 +90,72 @@ func fnv1aTest(data []byte) uint64 {
 	return h
 }
 
-// TestArtifactCorruptCycleMetadataQuarantines pins the .bad path for the
-// v2 cycle block specifically: an artifact whose envelope checksums
-// cleanly but whose cycle metadata fails structural validation must be
-// quarantined and the prediction served by live compilation, unchanged.
+// TestArtifactCorruptCycleMetadataQuarantines pins the .bad path for
+// trace artifacts that checksum cleanly but cannot be decoded: cycle
+// metadata that fails structural validation, and a retired v1 version
+// stamp. Each must be quarantined and the prediction served by live
+// compilation, unchanged.
 func TestArtifactCorruptCycleMetadataQuarantines(t *testing.T) {
-	s := withStore(t)
-	cfg := paperConfig(2, 2)
-	cfg.Iterations = 100 // long horizon: the persisted trace is the canonical shape
-	cold, err := testEvaluator(t).Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// mutate edits the artifact body (envelope header and payload,
+		// without the checksum trailer) in place.
+		mutate func(body []byte)
+		want   error // DecodeTrace's error on the mutated artifact
+	}{
+		// The payload ends with the cycle block's final cursor field; blow
+		// it out of range so only the metadata is bad.
+		{"cycle cursor out of range", func(body []byte) {
+			binary.LittleEndian.PutUint32(body[len(body)-4:], 1<<28)
+		}, artifact.ErrFormat},
+		// The version stamp follows the 8-byte magic.
+		{"v1 version stamp", func(body []byte) {
+			binary.LittleEndian.PutUint16(body[8:], 1)
+		}, artifact.ErrVersionMismatch},
 	}
-	if cold.ExtrapolatedIterations == 0 {
-		t.Fatal("long-horizon predict did not extrapolate")
-	}
-	keys, err := s.Keys(artifact.KindTrace)
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("trace keys %v, err %v", keys, err)
-	}
-	data, err := s.Get(artifact.KindTrace, keys[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The payload ends with the cycle block's final cursor field; blow it
-	// out of range and re-seal the checksum so only the metadata is bad.
-	bad := append([]byte(nil), data...)
-	body := bad[:len(bad)-8]
-	binary.LittleEndian.PutUint32(body[len(body)-4:], 1<<28)
-	binary.LittleEndian.PutUint64(bad[len(bad)-8:], fnv1aTest(body))
-	if _, err := mp.DecodeTrace(bad); err == nil {
-		t.Fatal("surgically corrupted metadata still decodes — test surgery missed the cycle block")
-	}
-	if err := s.Put(artifact.KindTrace, keys[0], bad); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := withStore(t)
+			cfg := paperConfig(2, 2)
+			cfg.Iterations = 100 // long horizon: the persisted trace is the canonical shape
+			cold, err := testEvaluator(t).Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.ExtrapolatedIterations == 0 {
+				t.Fatal("long-horizon predict did not extrapolate")
+			}
+			keys, err := s.Keys(artifact.KindTrace)
+			if err != nil || len(keys) != 1 {
+				t.Fatalf("trace keys %v, err %v", keys, err)
+			}
+			data, err := s.Get(artifact.KindTrace, keys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mutate, then re-seal the checksum so only the mutation is bad.
+			bad := append([]byte(nil), data...)
+			body := bad[:len(bad)-8]
+			tc.mutate(body)
+			binary.LittleEndian.PutUint64(bad[len(bad)-8:], fnv1aTest(body))
+			if _, err := mp.DecodeTrace(bad); !errors.Is(err, tc.want) {
+				t.Fatalf("decode of mutated artifact: err = %v, want %v", err, tc.want)
+			}
+			if err := s.Put(artifact.KindTrace, keys[0], bad); err != nil {
+				t.Fatal(err)
+			}
 
-	FlushTraceCache()
-	warm, err := testEvaluator(t).Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *warm != *cold {
-		t.Fatalf("fallback prediction differs: %+v != %+v", warm, cold)
-	}
-	if st := s.Stats(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+			FlushTraceCache()
+			warm, err := testEvaluator(t).Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *warm != *cold {
+				t.Fatalf("fallback prediction differs: %+v != %+v", warm, cold)
+			}
+			if st := s.Stats(); st.Quarantined != 1 {
+				t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+			}
+		})
 	}
 }
