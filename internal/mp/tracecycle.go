@@ -694,9 +694,14 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	delta := done - r.cycPrevD
 	prev := r.cycPrevD
 	r.cycPrevD = done
-	if r.cycStreak > 0 && delta == r.cycDelta {
+	switch {
+	case delta > 0 && !sameBinade(prev, done):
+		// A binade crossing validates nothing: its ops rounded on two
+		// grids, so its delta may match the next cycle's by accident.
+		r.cycStreak = 0
+	case r.cycStreak > 0 && delta == r.cycDelta:
 		r.cycStreak++
-	} else {
+	default:
 		r.cycDelta = delta
 		r.cycStreak = 1
 	}
