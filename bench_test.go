@@ -289,6 +289,56 @@ func BenchmarkPredictTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictTraceDistinct is BenchmarkPredictTrace's iteration axis
+// on configurations that neither the kernel cache nor the steady-state
+// plan memo has seen: every op predicts a 32x64 array with a new
+// per-processor cell count (5-9 x 5-9 cells, NZ 101-110: 250 distinct
+// configurations before the sequence repeats), so each one prices a fresh
+// kernel and replays the shared canonical trace under its own cost
+// tables. That is the cost of a long-horizon question the service has
+// not answered before. replayed_cycles/op counts the steady cycles
+// replayed op by op (pace.TraceExtrapolationStats.ReplayedCycles); the
+// rest of the horizon is extrapolated.
+func BenchmarkPredictTraceDistinct(b *testing.B) {
+	ev, _, err := experiments.BuildEvaluator(platform.OpteronMyrinet(), grid.Global{NX: 5, NY: 5, NZ: 100}, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evS := *ev
+	evS.Scheduler = mp.SchedulerTrace
+	d := grid.Decomp{PX: 32, PY: 64}
+	next := 0
+	distinct := func(iters int) pace.Config {
+		j := next
+		next++
+		return pace.Config{
+			Grid:   grid.Global{NX: (5 + j%5) * d.PX, NY: (5 + j/5%5) * d.PY, NZ: 101 + j/25%10},
+			Decomp: d,
+			MK:     10, MMI: 3, Angles: 6, Iterations: iters,
+		}
+	}
+	// Compile the canonical trace every horizon replays outside the timed
+	// loops.
+	if _, err := evS.Predict(distinct(12)); err != nil {
+		b.Fatal(err)
+	}
+	for _, iters := range []int{12, 100, 1000, 10000} {
+		b.Run("iters="+strconv.Itoa(iters), func(b *testing.B) {
+			before := pace.TraceExtrapolation().ReplayedCycles
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := evS.Predict(distinct(iters)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			replayed := pace.TraceExtrapolation().ReplayedCycles - before
+			b.ReportMetric(float64(replayed)/float64(b.N), "replayed_cycles/op")
+		})
+	}
+}
+
 // --- substrate micro-benchmarks ---
 
 // BenchmarkSweepKernel measures the functional solver's cell-angle update

@@ -482,16 +482,18 @@ type Replayer struct {
 	// loop; cycOn tracks a detected cycle through its boundaries; the stat
 	// counters feed Stats(). The plan memo fields cache last-cycle
 	// boundary clocks of completed replays keyed by their exact inputs.
-	fusedPath bool
-	cycOn     bool
-	cycErr    error
-	cycVirt   int // virtual steady cycles this replay must cover
-	cycDone   int // virtual cycles completed (replayed + extrapolated)
-	cycRec    int // recorded cycle index the current cycle runs from
-	cycGen    int // collective generations closed so far
-	cycPrevD  float64
-	cycDelta  float64
-	cycStreak int // consecutive bitwise-equal deltas observed
+	fusedPath   bool
+	cycOn       bool
+	cycErr      error
+	cycVirt     int     // virtual steady cycles this replay must cover
+	cycDone     int     // virtual cycles completed (replayed + extrapolated)
+	cycRec      int     // recorded cycle index the current cycle runs from
+	cycGen      int     // collective generations closed so far
+	cycPrevD    float64 // boundary clock the current cycle opened at
+	cycDelta    float64
+	cycStreak   int      // consecutive validating cycles with delta cycDelta
+	cycOpenIdle bool     // every stream was idle when the current cycle opened
+	costs       costBits // lowest set bits of this replay's priced costs
 
 	statReplayed     int
 	statExtrapolated int
@@ -731,7 +733,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.cycErr = nil
 	r.cycVirt, r.cycDone, r.cycRec, r.cycGen = 0, 0, 0, 0
 	r.cycPrevD, r.cycDelta = 0, 0
-	r.cycStreak = 0
+	r.cycStreak, r.cycOpenIdle = 0, false
 	r.statReplayed, r.statExtrapolated = 0, 0
 	r.planHit = -1
 	r.planGot = false
@@ -745,6 +747,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		r.cycOn = true
 		r.cycVirt = t.cyc.cycles + p.ExtraCycles
 		r.planScan()
+		r.priceCostBits()
 	}
 	return nil
 }

@@ -19,16 +19,15 @@ package mp
 //     segment sequence is scanned for the longest periodic run. A detected
 //     cycle records period, prefix length, cycle count and the per-class
 //     cursors of the first and last recorded cycle bodies.
-//   - Analytic extrapolation (replay time): at each cycle boundary the
-//     replayer compares the per-cycle clock delta with the previous one.
-//     Two consecutive bitwise-equal deltas whose basis endpoints share a
-//     floating-point binade validate the cycle, and the replayer then jumps
-//     clocks forward by an exact multiple of the delta instead of replaying
-//     — clamped so every extrapolated value stays inside the current
-//     binade, where iterated addition of the delta is exact (all clock
-//     values in a binade are multiples of its ulp, and a same-binade
-//     difference is one too). Binade crossings are replayed for real and
-//     re-validated on the far side.
+//   - Analytic extrapolation (replay time): a cycle that opens and closes
+//     with idle streams inside one floating-point binade validates that
+//     binade — every op rounds onto the binade's ulp grid the same way
+//     wherever the cycle starts, unless a priced cost is a half-ulp tie
+//     there, in which case two cycles with equal deltas are needed. The
+//     replayer then jumps clocks forward by an exact multiple of the
+//     delta, to the last cycle that ends inside the binade. The crossing
+//     cycle is replayed for real and the next one re-validates on the far
+//     side (cycBoundary; DESIGN.md has the argument).
 //
 // Correctness envelope: extrapolation runs only on the fused loop, the
 // deterministic-cost unperturbed replay path (jitter nets, noise, injected
@@ -57,6 +56,7 @@ package mp
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
 )
 
@@ -257,8 +257,8 @@ const (
 	// covers multi-collective iteration bodies.
 	cycMaxPeriod = 64
 	// cycMinCycles is the minimum recorded cycle count worth detecting:
-	// replay-time validation consumes two deltas and the last cycle is
-	// always replayed for real.
+	// replay-time validation consumes one or two cycles and the last
+	// cycle is always replayed for real.
 	cycMinCycles = 3
 )
 
@@ -579,21 +579,74 @@ func sameBinade(a, b float64) bool {
 	return math.Float64bits(a)&expMask == math.Float64bits(b)&expMask
 }
 
-// binadeRoom bounds how many delta steps fit strictly inside d's binade
-// with a safety margin: the margin keeps the cycle replayed after the jump
-// (and its validation successor) inside the same uniform grid.
-func binadeRoom(d, delta float64) int {
-	_, e := math.Frexp(d)
-	hi := math.Ldexp(1, e)
-	room := (hi - d) / delta
-	if room > 1<<40 {
-		return 1 << 40
+// costBits is the set of lowest-set-bit exponents of a replay's priced
+// costs: bit i is set when some cost's lowest set bit is 2^(i-1074), the
+// float64 exponents running from -1074 (the smallest subnormal) to 971.
+// bad records a negative or non-finite cost, under which clocks need not
+// rise monotonically through a cycle.
+type costBits struct {
+	lsb [33]uint64
+	bad bool
+}
+
+// add enters one cost that the fused loop adds to a clock. Zero adds
+// nothing and enters nothing.
+func (s *costBits) add(c float64) {
+	if !(c >= 0) || math.IsInf(c, 1) {
+		s.bad = true
+		return
 	}
-	k := int(room) - 3
-	if k < 0 {
-		return 0
+	b := math.Float64bits(c)
+	if b == 0 {
+		return
 	}
-	return k
+	ef, frac := b>>52, b&(1<<52-1)
+	i := uint64(bits.TrailingZeros64(frac)) // subnormal: c = frac·2^-1074
+	if ef != 0 {
+		i = uint64(bits.TrailingZeros64(frac|1<<52)) + ef - 1
+	}
+	s.lsb[i>>6] |= 1 << (i & 63)
+}
+
+func (s *costBits) addAll(cs []float64) {
+	for _, c := range cs {
+		s.add(c)
+	}
+}
+
+// tieAt reports whether some cost is an exact half-ulp tie in d's binade:
+// its lowest set bit is u/2 for the binade's ulp u, so adding it to a clock
+// on the binade's grid rounds half-to-even, and the result depends on the
+// clock's parity. For a biased exponent F, u/2 = 2^(F-1076), which is bit
+// F-2; the two lowest binades share the subnormal grid, which no cost can
+// split.
+func (s *costBits) tieAt(d float64) bool {
+	f := math.Float64bits(d) >> 52 & 0x7FF
+	if f < 2 {
+		return false
+	}
+	i := f - 2
+	return s.lsb[i>>6]&(1<<(i&63)) != 0
+}
+
+// priceCostBits rebuilds r.costs from every cost the fused loop can add to
+// a clock this replay: positive charge parameters (the loop skips the
+// rest), literal charges, the send, transit and receive tables, and the
+// collective prices. Called from prepare after planScan priced planRed.
+func (r *Replayer) priceCostBits() {
+	r.costs = costBits{}
+	for _, c := range r.charges {
+		if c > 0 {
+			r.costs.add(c)
+		}
+	}
+	r.costs.addAll(r.t.lits)
+	if r.opts.Net != nil {
+		r.costs.addAll(r.sendSec)
+		r.costs.addAll(r.availSec)
+		r.costs.addAll(r.recvSec)
+		r.costs.addAll(r.planRed)
+	}
 }
 
 // streamsIdle reports whether no replay message is in flight — the
@@ -660,6 +713,18 @@ func (r *Replayer) cycReposition(D float64, last bool) {
 // collective-close arm (after the generation is priced into done, before
 // waiters are woken). It returns true when it repositioned every rank —
 // the closer then returns without waking or writing back its own state.
+//
+// A cycle validates its binade when it opened and closed with every
+// stream idle and both of its boundary clocks lie in one binade. Opened
+// idle, the cycle is a pure function of its uniform opening clock. Inside
+// one binade every op of it rounds the same wherever that clock sits,
+// unless a priced cost is a half-ulp tie there (costBits; DESIGN.md,
+// "Extrapolation at replay", has the argument op by op). So one validating
+// cycle fixes the delta of every cycle that ends inside the binade, and a
+// tie binade needs two with equal deltas, one for each parity of the
+// opening clock. The replayer then jumps to the last cycle that ends
+// strictly below the binade top; that cycle crosses into the next binade
+// for real, the one after it validates again, and so on.
 func (r *Replayer) cycBoundary(done float64) bool {
 	cy := &r.t.cyc
 	g := r.cycGen
@@ -668,11 +733,11 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	if d < 0 || d%cy.period != 0 {
 		return false
 	}
+	idle := r.streamsIdle()
 	if d == 0 {
 		// End of the prefix: the first steady cycle opens here.
-		r.cycPrevD = done
-		r.cycStreak = 0
-		if r.planHit >= 0 && r.cycVirt > 1 && r.streamsIdle() {
+		r.cycPrevD, r.cycOpenIdle, r.cycStreak = done, idle, 0
+		if r.planHit >= 0 && r.cycVirt > 1 && idle {
 			// Steady-state plan memo: an identical earlier replay recorded
 			// the last-cycle boundary clock; jump straight to the final
 			// cycle body.
@@ -691,62 +756,46 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	r.cycDone++
 	r.cycRec++
 	r.statReplayed++
-	delta := done - r.cycPrevD
 	prev := r.cycPrevD
+	delta := done - prev
 	r.cycPrevD = done
-	switch {
-	case delta > 0 && !sameBinade(prev, done):
-		// A binade crossing validates nothing: its ops rounded on two
-		// grids, so its delta may match the next cycle's by accident.
+	if r.cycOpenIdle && idle && done >= prev && sameBinade(prev, done) {
+		if r.cycStreak > 0 && delta == r.cycDelta {
+			r.cycStreak++
+		} else {
+			r.cycDelta, r.cycStreak = delta, 1
+		}
+	} else {
 		r.cycStreak = 0
-	case r.cycStreak > 0 && delta == r.cycDelta:
-		r.cycStreak++
-	default:
-		r.cycDelta = delta
-		r.cycStreak = 1
 	}
+	r.cycOpenIdle = idle
 	remaining := r.cycVirt - r.cycDone
 	if remaining <= 0 {
 		r.cycOn = false // suffix follows naturally
 		return false
 	}
-	// Analytic jump: validated delta, same-binade basis, clean streams.
-	if r.cycStreak >= 2 && remaining >= 2 && delta >= 0 {
-		k := remaining - 1 // the final cycle is always replayed for real
-		if delta > 0 {
-			if !sameBinade(prev, done) {
-				k = 0
-			} else if hb := binadeRoom(done, delta); hb < k {
-				k = hb
-			}
+	if k, D := r.cycJump(prev, done, remaining); k > 0 {
+		r.cycDone += k
+		r.statExtrapolated += k
+		remaining -= k
+		last := remaining == 1
+		if last {
+			r.planGot, r.planD = true, D
 		}
-		if k >= 1 && r.streamsIdle() {
-			D := done
-			for j := 0; j < k; j++ {
-				D += delta // exact: D and delta are same-binade grid multiples
-			}
-			r.cycDone += k
-			r.statExtrapolated += k
-			remaining -= k
-			last := remaining == 1
-			if last {
-				r.planGot, r.planD = true, D
-			}
-			r.cycReposition(D, last)
-			r.cycPrevD = D
-			return true
-		}
+		r.cycReposition(D, last)
+		r.cycPrevD = D
+		return true
 	}
 	if remaining == 1 {
 		// The next cycle is the final one: it must run from the last
 		// recorded body so the suffix follows it.
 		if r.cycRec == cy.cycles-1 {
-			if r.streamsIdle() {
+			if idle {
 				r.planGot, r.planD = true, done
 			}
 			return false
 		}
-		if !r.streamsIdle() {
+		if !idle {
 			r.cycErr = ErrCannotExtrapolate
 			return false
 		}
@@ -757,7 +806,7 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	if r.cycRec >= cy.cycles {
 		// Recorded steady cycles exhausted with virtual cycles left:
 		// rewind to the first recorded body.
-		if !r.streamsIdle() {
+		if !idle {
 			r.cycErr = ErrCannotExtrapolate
 			return false
 		}
@@ -765,6 +814,34 @@ func (r *Replayer) cycBoundary(done float64) bool {
 		return true
 	}
 	return false
+}
+
+// cycJump sizes the jump after the cycle that opened at prev and closed at
+// done: k further cycles, each assigned the validated delta, reaching the
+// boundary clock D. It covers every cycle that ends strictly below the top
+// of done's binade, capped at remaining-1 (the final cycle is always
+// replayed for real), and is 0 when the streak does not validate the
+// binade. The count is integer arithmetic in units of the binade's ulp u:
+// with both clocks in one binade, their bit patterns differ by delta/u,
+// and the top of the binade lies (top-done)/u patterns above done.
+func (r *Replayer) cycJump(prev, done float64, remaining int) (k int, D float64) {
+	if r.cycStreak < 1 {
+		return 0, 0
+	}
+	k = remaining - 1
+	if done == prev {
+		return k, done // a fixed point: every later cycle opens and closes at done
+	}
+	if r.costs.bad || (r.cycStreak < 2 && r.costs.tieAt(done)) {
+		return 0, 0
+	}
+	b := math.Float64bits(done)
+	step := b - math.Float64bits(prev)
+	top := (b>>52 + 1) << 52
+	if h := (top - b - 1) / step; h < uint64(k) {
+		k = int(h)
+	}
+	return k, math.Float64frombits(b + uint64(k)*step)
 }
 
 // --- steady-state plan memo ---

@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -348,4 +349,71 @@ func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
 	corrupt("class out of range", func(c *traceCycle) { c.classOf[3] = int32(len(c.first)) + 9 })
 	corrupt("negative class", func(c *traceCycle) { c.classOf[0] = -2 })
 	corrupt("cursor off boundary", func(c *traceCycle) { c.last[0].sop = 1 << 28 })
+}
+
+// TestCostBitsTieDetector pins the half-ulp tie detector: which bit a
+// cost sets, and in which binades it is then reported as a tie.
+func TestCostBitsTieDetector(t *testing.T) {
+	p2 := func(e int) float64 { return math.Ldexp(1, e) }
+	cases := []struct {
+		name  string
+		cost  float64
+		bit   int       // the set bit (exponent+1074); -1 none
+		tie   []float64 // clocks whose binade has the cost as a half-ulp tie
+		noTie []float64
+	}{
+		{"zero", 0, -1, nil, []float64{0, p2(-1021), 1, 1.5, p2(53)}},
+		// [2^-1021, 2^-1020) is the lowest binade with a half-ulp (2^-1074)
+		// a float can hold; below it the grid is the subnormal one.
+		{"smallest subnormal", math.SmallestNonzeroFloat64, 0,
+			[]float64{p2(-1021), 1.5 * p2(-1021)}, []float64{0, p2(-1074), p2(-1022), p2(-1020)}},
+		{"odd subnormal", 3 * math.SmallestNonzeroFloat64, 0, []float64{p2(-1021)}, []float64{p2(-1022)}},
+		{"even subnormal", p2(-1073), 1, []float64{p2(-1020)}, []float64{p2(-1021)}},
+		{"largest subnormal", p2(-1022) - p2(-1074), 0, []float64{p2(-1021)}, []float64{p2(-1020)}},
+		// A power of two 2^k is a tie in [2^(k+53), 2^(k+54)), where u = 2^(k+1).
+		{"one", 1, 1074, []float64{p2(53), p2(54) - 2}, []float64{p2(52), p2(54), 1}},
+		{"2^-10", p2(-10), 1064, []float64{p2(43)}, []float64{p2(42), p2(44)}},
+		{"smallest normal", p2(-1022), 52, []float64{p2(-969)}, []float64{p2(-970), p2(-968)}},
+		// u/2 of [1, 2), and an odd multiple of it.
+		{"half ulp of [1,2)", p2(-53), 1021, []float64{1, 1.5, math.Nextafter(2, 0)}, []float64{0.75, 2, 3}},
+		{"3/2 ulp of [1,2)", 3 * p2(-53), 1021, []float64{1.25}, []float64{2}},
+		{"full mantissa", 1 + p2(-52), 1022, []float64{2, 3}, []float64{1, 4}},
+	}
+	for _, tc := range cases {
+		var s costBits
+		s.add(tc.cost)
+		got := -1
+		for i := 0; i < 64*len(s.lsb); i++ {
+			if s.lsb[i>>6]&(1<<(i&63)) != 0 {
+				if got >= 0 {
+					t.Fatalf("%s: more than one bit set", tc.name)
+				}
+				got = i
+			}
+		}
+		if got != tc.bit || s.bad {
+			t.Fatalf("%s: bit %d bad %v, want bit %d", tc.name, got, s.bad, tc.bit)
+		}
+		for _, d := range tc.tie {
+			if !s.tieAt(d) {
+				t.Errorf("%s: no tie reported at clock %v", tc.name, d)
+			}
+			// The claim itself: adding the cost to the clock and to the
+			// next clock on the grid rounds in opposite directions.
+			if next := math.Nextafter(d, math.Inf(1)); sameBinade(d, next) && (d+tc.cost)-d == (next+tc.cost)-next {
+				t.Errorf("%s: adding the cost at %v and %v rounds alike", tc.name, d, next)
+			}
+		}
+		for _, d := range tc.noTie {
+			if s.tieAt(d) {
+				t.Errorf("%s: tie reported at clock %v", tc.name, d)
+			}
+		}
+	}
+	for _, c := range []float64{-1, -math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1)} {
+		var s costBits
+		if s.add(c); !s.bad {
+			t.Errorf("cost %v not flagged bad", c)
+		}
+	}
 }

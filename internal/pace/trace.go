@@ -64,11 +64,13 @@ var traceReplays atomic.Uint64
 // Steady-state extrapolation counters, process-wide like traceReplays:
 // cycle replays ran on a trace with a detected steady cycle; extrapolated
 // replays additionally skipped cycles analytically, and extrapolated
-// iterations totals the skipped sweep iterations across them.
+// iterations totals the skipped sweep iterations across them. Replayed
+// cycles totals the steady cycles those replays executed op by op.
 var (
 	traceCycleReplays          atomic.Uint64
 	traceExtrapolatedReplays   atomic.Uint64
 	traceExtrapolatedIterCount atomic.Uint64
+	traceReplayedCycles        atomic.Uint64
 )
 
 // TraceCacheStats snapshots the global compiled-trace cache counters:
@@ -82,12 +84,14 @@ func TraceReplays() uint64 { return traceReplays.Load() }
 
 // TraceExtrapolationStats reports the steady-state cycle counters of the
 // trace tier: how many replays ran with a detected cycle, how many of
-// those extrapolated past the recorded horizon, and the total iterations
-// skipped analytically instead of replayed.
+// those extrapolated past the recorded horizon, the total iterations
+// skipped analytically instead of replayed, and the total steady cycles
+// replayed op by op (the per-replay cost that extrapolation leaves).
 type TraceExtrapolationStats struct {
 	CycleReplays           uint64 `json:"cycle_replays"`
 	ExtrapolatedReplays    uint64 `json:"extrapolated_replays"`
 	ExtrapolatedIterations uint64 `json:"extrapolated_iterations"`
+	ReplayedCycles         uint64 `json:"replayed_cycles"`
 }
 
 // TraceExtrapolation snapshots the process-wide extrapolation counters.
@@ -96,6 +100,7 @@ func TraceExtrapolation() TraceExtrapolationStats {
 		CycleReplays:           traceCycleReplays.Load(),
 		ExtrapolatedReplays:    traceExtrapolatedReplays.Load(),
 		ExtrapolatedIterations: traceExtrapolatedIterCount.Load(),
+		ReplayedCycles:         traceReplayedCycles.Load(),
 	}
 }
 
@@ -198,8 +203,9 @@ func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, e
 		return 0, 0, 0, err
 	}
 	traceReplays.Add(1)
-	if rp.Stats().CycleDetected {
+	if st := rp.Stats(); st.CycleDetected {
 		traceCycleReplays.Add(1)
+		traceReplayedCycles.Add(uint64(st.ReplayedCycles))
 	}
 	if extraCycles > 0 {
 		traceExtrapolatedReplays.Add(1)

@@ -559,6 +559,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"paceserve_trace_cycle_replays_total ",
 		"paceserve_trace_extrapolated_replays_total ",
 		"paceserve_trace_extrapolated_iterations_total ",
+		"paceserve_trace_replayed_cycles_total ",
 		"paceserve_trace_scalar_unique_ops_total ",
 		"paceserve_trace_fused_unique_ops_total ",
 		"paceserve_trace_macro_unique_ops_total ",
@@ -624,7 +625,8 @@ func TestPredictExtrapolationReported(t *testing.T) {
 	// Counters are process-global, so assert floors, not exact values.
 	if st.TraceExtrapolation.ExtrapolatedReplays < 1 ||
 		st.TraceExtrapolation.ExtrapolatedIterations < uint64(resp.ExtrapolatedIterations) ||
-		st.TraceExtrapolation.CycleReplays < st.TraceExtrapolation.ExtrapolatedReplays {
+		st.TraceExtrapolation.CycleReplays < st.TraceExtrapolation.ExtrapolatedReplays ||
+		st.TraceExtrapolation.ReplayedCycles < 1 {
 		t.Fatalf("stats extrapolation block = %+v", st.TraceExtrapolation)
 	}
 	// The compiled shapes behind these predicts fused macro ops, and the

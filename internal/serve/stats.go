@@ -224,7 +224,8 @@ type StatsResponse struct {
 	TraceReplays     uint64     `json:"trace_replays"`
 	// TraceExtrapolation is the trace tier's steady-state cycle block:
 	// replays that ran with a detected cycle, replays that extended the
-	// horizon analytically, and the total iterations skipped that way.
+	// horizon analytically, the total iterations skipped that way, and the
+	// total steady cycles replayed op by op.
 	TraceExtrapolation pace.TraceExtrapolationStats `json:"trace_extrapolation"`
 	// TraceOps is the op composition of compiled shapes: scalar script
 	// ops, fused-program ops a deterministic replay dispatches, and the
@@ -381,6 +382,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE paceserve_trace_cycle_replays_total counter\npaceserve_trace_cycle_replays_total %d\n", st.TraceExtrapolation.CycleReplays)
 	fmt.Fprintf(w, "# TYPE paceserve_trace_extrapolated_replays_total counter\npaceserve_trace_extrapolated_replays_total %d\n", st.TraceExtrapolation.ExtrapolatedReplays)
 	fmt.Fprintf(w, "# TYPE paceserve_trace_extrapolated_iterations_total counter\npaceserve_trace_extrapolated_iterations_total %d\n", st.TraceExtrapolation.ExtrapolatedIterations)
+	fmt.Fprintf(w, "# TYPE paceserve_trace_replayed_cycles_total counter\npaceserve_trace_replayed_cycles_total %d\n", st.TraceExtrapolation.ReplayedCycles)
 	fmt.Fprintf(w, "# TYPE paceserve_trace_scalar_unique_ops_total counter\npaceserve_trace_scalar_unique_ops_total %d\n", st.TraceOps.ScalarUniqueOps)
 	fmt.Fprintf(w, "# TYPE paceserve_trace_fused_unique_ops_total counter\npaceserve_trace_fused_unique_ops_total %d\n", st.TraceOps.FusedUniqueOps)
 	fmt.Fprintf(w, "# TYPE paceserve_trace_macro_unique_ops_total counter\npaceserve_trace_macro_unique_ops_total %d\n", st.TraceOps.MacroUniqueOps)
