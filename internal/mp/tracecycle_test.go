@@ -173,7 +173,7 @@ func TestTraceExtrapolationLongHorizonFlat(t *testing.T) {
 	if total != iters-1 {
 		t.Fatalf("cycle total = %d, want %d (stats %+v)", total, iters-1, st)
 	}
-	// Binade crossings replay a handful of cycles each; everything else
+	// Each binade costs about two replayed cycles; everything else
 	// must be analytic. 1% is a generous ceiling.
 	if st.ReplayedCycles*100 > total {
 		t.Fatalf("replayed %d of %d steady cycles — extrapolation not engaged", st.ReplayedCycles, total)
