@@ -416,7 +416,7 @@ func (w *World) recordRun(f func(c *Comm) error) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rec.build(), nil
+	return rec.build()
 }
 
 // replayRun replays the recorded trace with the world's current options

@@ -59,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // SchedulerTrace selects the trace-compiled replay backend: the first Run
@@ -117,6 +118,8 @@ type Trace struct {
 
 	// Derived replay acceleration state, built by finalize() in both
 	// constructors (recording and decoding); immutable like the rest.
+	nslots       int        // distinct message streams per rank (buildSlots)
+	oslot        []uint8    // stream slot of each chunkOps send or receive, parallel to chunkOps
 	fops         []fop      // fused programs, per chunk (see tracecycle.go)
 	fstart       []int32    // chunk c's fused ops are fops[fstart[c]:fstart[c+1]]
 	nmacroUnique int        // interned fused macro count
@@ -346,9 +349,11 @@ func (r *traceRec) ckpt(rank, i int) {
 	r.push(rank, top{kind: topCkpt, arg0: int32(i)})
 }
 
-// build finalises the trace: tail chunks are flushed and per-rank scripts
-// concatenated into the flat script/sstart layout.
-func (r *traceRec) build() *Trace {
+// build finalises the trace: tail chunks are flushed, per-rank scripts
+// concatenated into the flat script/sstart layout, and the derived replay
+// state built. It fails only when the program uses more message streams
+// than a replayer can hold (ErrTooManyStreams).
+func (r *traceRec) build() (*Trace, error) {
 	total := 0
 	for rank := 0; rank < r.n; rank++ {
 		r.flush(rank)
@@ -372,8 +377,60 @@ func (r *traceRec) build() *Trace {
 		t.script = append(t.script, r.scripts[rank]...)
 	}
 	t.sstart[r.n] = int32(len(t.script))
-	t.finalize()
-	return t
+	if err := t.finalize(); err != nil {
+		return nil, err
+	}
+	t.detectCycle()
+	return t, nil
+}
+
+// maxStreamSlots caps a trace's distinct message streams. Every rank of a
+// replay holds one stream header per slot, n×D in all, and a gather-shaped
+// program makes D grow with n (rank 0 receiving from every rank has
+// D = n−1), so an uncapped D would mean n² headers. The wavefront needs 4.
+const maxStreamSlots = 64
+
+// ErrTooManyStreams is returned by a recording run (World.Run on the trace
+// backend, World.RunRecorded) and wrapped in artifact.ErrFormat by
+// DecodeTrace when a program uses more than maxStreamSlots distinct
+// message streams, (source offset, tag) pairs seen from the receiver. The
+// event backend runs such programs.
+var ErrTooManyStreams = fmt.Errorf("mp: trace uses more than %d distinct message streams", maxStreamSlots)
+
+// buildSlots gives every message stream of the trace a fixed slot: the
+// distinct receiver-side keys (source offset, tag) are numbered 0..D−1 in
+// order of first appearance in the interned chunks, and each send and
+// receive op gets its key's slot in oslot. A receive keys on its own
+// (src offset, tag); a send on the key its receiver sees, (−dst offset,
+// tag). Both replay loops then index rank r's stream j at r·D+j in one
+// flat table and never search for a stream. The slots live beside the
+// ops rather than in top: a wider top slows every recorded op.
+func (t *Trace) buildSlots() error {
+	keys := make([]uint64, 0, maxStreamSlots) // slot j's key
+	t.oslot = make([]uint8, len(t.chunkOps))
+	for i := range t.chunkOps {
+		o := &t.chunkOps[i]
+		var k uint64
+		switch o.kind {
+		case topRecv:
+			k = qkey(int(o.arg0), int(o.arg1))
+		case topSendLit, topSendParam:
+			k = qkey(-int(o.arg0), int(o.arg1))
+		default:
+			continue
+		}
+		s := slices.Index(keys, k)
+		if s < 0 {
+			if len(keys) == maxStreamSlots {
+				return ErrTooManyStreams
+			}
+			s = len(keys)
+			keys = append(keys, k)
+		}
+		t.oslot[i] = uint8(s)
+	}
+	t.nslots = len(keys)
+	return nil
 }
 
 // --- replay ---
@@ -395,13 +452,30 @@ type rmsg struct {
 	aux   float64
 }
 
-// rstream is a per-(src, tag) FIFO of replay messages; consumed entries
-// reset the slice so steady-state capacity is reused. Stream keys live in
-// a parallel packed array (Replayer.skeys) so the per-op lookup scans one
-// cache line instead of striding through these headers.
+// rstream is one stream slot's FIFO of replay messages; consumed entries
+// reset the slice so steady-state capacity is reused. waiting is set while
+// the owning rank is parked on a receive from this stream, so a delivery
+// decides whether to wake its receiver from the header it already writes.
 type rstream struct {
-	head int32
-	msgs []rmsg
+	head    int32
+	waiting bool
+	msgs    []rmsg
+}
+
+// take pops the stream's oldest message. On an empty stream it returns
+// false and marks the stream waited on, so the delivery that fills it wakes
+// the owning rank. It must stay small enough to inline.
+func (st *rstream) take() (rmsg, bool) {
+	if st.head >= int32(len(st.msgs)) {
+		st.waiting = true
+		return rmsg{}, false
+	}
+	m := st.msgs[st.head]
+	st.head++
+	if st.head == int32(len(st.msgs)) {
+		st.head, st.msgs = 0, st.msgs[:0]
+	}
+	return m, true
 }
 
 // Replayer executes recorded traces. It owns all replay storage and
@@ -429,23 +503,18 @@ type Replayer struct {
 	availSec []float64
 	recvSec  []float64
 
-	// Per-rank state. The scheduler-hot fields live in one 40-byte record
-	// per rank (rk), so a block, wake or delivery touches one cache line
-	// instead of striding across parallel arrays; cold state (streams,
-	// RNGs) stays out of it.
+	// Per-rank state. The scheduler-hot fields live in one 32-byte record
+	// per rank (rk), so a block or wake touches one cache line instead of
+	// striding across parallel arrays; streams and RNGs stay out of it.
 	//
-	// Stream storage is flat and inline: rank r's first rsInline stream
-	// keys live in its rrank record (scanned on the same cache lines the
-	// delivery status check already loads) and the headers at
-	// [r*rsInline, (r+1)*rsInline) of streamFlat, with the rare rank that
-	// talks on more than rsInline (src, tag) pairs spilling into the
-	// per-rank overflow slices.
-	rk          []rrank
-	streamFlat  []rstream
-	overKeys    [][]uint64
-	overStreams [][]rstream
-	rngs        []*rand.Rand
-	rngOK       []bool
+	// Stream storage is one flat table of n×D headers, D = Trace.nslots:
+	// rank r's stream slot j sits at r*D+j. Ops carry their slots from
+	// compile time, so a send or receive indexes its stream directly.
+	rk      []rrank
+	streams []rstream
+	nslots  int
+	rngs    []*rand.Rand
+	rngOK   []bool
 
 	heap      clockHeap
 	slot      int
@@ -506,21 +575,14 @@ type Replayer struct {
 	planRed  []float64 // scratch: priced collective costs for fingerprints
 }
 
-// rsInline is the per-rank inline stream capacity; the wavefront needs at
-// most four (two receive streams, two delivery streams).
-const rsInline = 4
-
-// rrank is one rank's scheduler-hot replay state, including its inline
-// stream keys: a delivery's status check, wake-clock read and stream-key
-// scan all land on this one record.
+// rrank is one rank's scheduler-hot replay state. A delivery does not
+// read it (the stream's waiting flag decides the wake); a wake reads its
+// clock and writes its status.
 type rrank struct {
 	clock        float64
-	wantKey      uint64           // the stream a blocked receive waits for
-	collDone     float64          // resolved collective completion clock
-	skey         [rsInline]uint64 // inline stream keys (first nstreams valid)
-	spos         int32            // cursor into Trace.script
-	opos         int32            // cursor within the current chunk (fused index on the fused path)
-	nstreams     uint16           // streams in use (inline + overflow)
+	collDone     float64 // resolved collective completion clock
+	spos         int32   // cursor into Trace.script
+	opos         int32   // cursor within the current chunk (fused index on the fused path)
 	status       uint8
 	fsub         uint8 // receives consumed by a parked fused macro (resume sub-step)
 	collResolved bool  // collDone is pending consumption by the reduce op
@@ -639,36 +701,24 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	}
 
 	n := t.n
+	r.nslots = t.nslots
 	if len(r.rk) != n || !sameTrace {
 		r.rk = make([]rrank, n)
-		r.streamFlat = make([]rstream, n*rsInline)
-		r.overKeys = nil
-		r.overStreams = nil
+		r.streams = make([]rstream, n*t.nslots)
 		r.rngs = make([]*rand.Rand, n)
 		r.rngOK = make([]bool, n)
 		if cap(r.heap.e) < n {
 			r.heap.e = make([]heapEntry, 0, n)
 		}
 	} else {
+		// Same trace, same slots: message capacity is reused. A replay
+		// that failed part-way may have left messages or waiting flags.
+		for i := range r.streams {
+			st := &r.streams[i]
+			st.head, st.waiting = 0, false
+			st.msgs = st.msgs[:0]
+		}
 		for i := 0; i < n; i++ {
-			// Clearing nstreams (via the record reset) retires the keys
-			// without touching them; stream creation order is a pure
-			// function of the schedule, so the same keys land in the same
-			// slots next replay and message capacity is reused.
-			cnt := int(r.rk[i].nstreams)
-			if cnt > rsInline {
-				cnt = rsInline
-			}
-			base := i * rsInline
-			for j := 0; j < cnt; j++ {
-				st := &r.streamFlat[base+j]
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
-			if r.overStreams != nil {
-				r.overKeys[i] = r.overKeys[i][:0]
-				r.overStreams[i] = r.overStreams[i][:0]
-			}
 			r.rk[i] = rrank{}
 			r.rngOK[i] = false
 		}
@@ -783,53 +833,6 @@ func (r *Replayer) collRngStream() *rand.Rand {
 	return r.collRng
 }
 
-// streamFast scans the rank's inline stream keys (resident in its rrank
-// record) for the key; the hot call sites (receive and deliver) use it
-// directly and fall back to streamSlow on a miss. It must stay small
-// enough to inline.
-func (r *Replayer) streamFast(rank int, rk *rrank, k uint64) *rstream {
-	ns := int(rk.nstreams)
-	if ns > rsInline {
-		ns = rsInline
-	}
-	for i := 0; i < ns; i++ {
-		if rk.skey[i] == k {
-			return &r.streamFlat[rank*rsInline+i]
-		}
-	}
-	return nil
-}
-
-// streamSlow resolves a streamFast miss: overflow lookup, then stream
-// creation (inline slot or per-rank overflow spill).
-func (r *Replayer) streamSlow(rank int, k uint64) *rstream {
-	rk := &r.rk[rank]
-	ns := int(rk.nstreams)
-	if ns > rsInline {
-		over := r.overKeys[rank]
-		for i := range over {
-			if over[i] == k {
-				return &r.overStreams[rank][i]
-			}
-		}
-	}
-	if ns >= 1<<16-1 {
-		panic(errors.New("mp: replay rank exceeds 65534 distinct message streams"))
-	}
-	rk.nstreams++
-	if ns < rsInline {
-		rk.skey[ns] = k
-		return &r.streamFlat[rank*rsInline+ns]
-	}
-	if r.overKeys == nil {
-		r.overKeys = make([][]uint64, len(r.rk))
-		r.overStreams = make([][]rstream, len(r.rk))
-	}
-	r.overKeys[rank] = append(r.overKeys[rank], k)
-	r.overStreams[rank] = append(r.overStreams[rank], rstream{})
-	return &r.overStreams[rank][len(r.overStreams[rank])-1]
-}
-
 // wake marks a blocked rank runnable, mirroring the event scheduler's
 // handoff-slot discipline exactly (same displacement rule, same frozen
 // block-time clocks), so the replay schedule is the event schedule.
@@ -868,16 +871,13 @@ func (r *Replayer) next() int {
 	}
 }
 
-// deliver appends a message to the destination's stream and wakes the
-// destination if it is blocked on exactly that stream.
-func (r *Replayer) deliver(dst int, k uint64, avail, aux float64) {
-	rk := &r.rk[dst]
-	st := r.streamFast(dst, rk, k)
-	if st == nil {
-		st = r.streamSlow(dst, k)
-	}
+// deliver appends a message to stream slot of rank dst and wakes dst if
+// it is parked on a receive from exactly that stream.
+func (r *Replayer) deliver(dst int, slot uint8, avail, aux float64) {
+	st := &r.streams[dst*r.nslots+int(slot)]
 	st.msgs = append(st.msgs, rmsg{avail: avail, aux: aux})
-	if rk.status == evBlocked && rk.wantKey == k {
+	if st.waiting {
+		st.waiting = false
 		r.wake(dst)
 	}
 }
@@ -954,6 +954,7 @@ func (r *Replayer) runRankGeneral(id int) {
 	lits, charges := t.lits, r.charges
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	self := &r.rk[id]
+	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
 	clock := self.clock
 	sp, op := self.spos, self.opos
 	sEnd := t.sstart[id+1]
@@ -982,9 +983,11 @@ func (r *Replayer) runRankGeneral(id int) {
 		idle = r.idles[id]
 	}
 	var chunk []top
+	var slots []uint8 // chunk's stream slots
 	if sp < sEnd {
 		c := t.script[sp]
 		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+		slots = t.oslot[t.cstart[c]:t.cstart[c+1]]
 	}
 	status := evDone
 run:
@@ -1000,6 +1003,7 @@ run:
 			}
 			c := t.script[sp]
 			chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+			slots = t.oslot[t.cstart[c]:t.cstart[c+1]]
 			continue
 		}
 		o := &chunk[op]
@@ -1080,25 +1084,15 @@ run:
 					aux = float64(ui)
 				}
 			}
-			r.deliver(dst, qkey(id, int(o.arg1)), avail, aux)
+			r.deliver(dst, slots[op], avail, aux)
 		case topRecv:
-			k := qkey(id+int(o.arg0), int(o.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
-			if st.head >= int32(len(st.msgs)) {
+			m, ok := streams[slots[op]].take()
+			if !ok {
 				// Park at this op; when woken, the outer loop re-enters
 				// runRank and the receive re-executes with the message
 				// queued.
-				status, self.wantKey = evBlocked, k
+				status = evBlocked
 				break run
-			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
 			}
 			if m.avail > clock {
 				if probe != nil {

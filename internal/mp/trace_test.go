@@ -1,8 +1,11 @@
 package mp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
+
+	"pacesweep/internal/artifact"
 )
 
 // detAlphaBeta is alphaBeta with the DeterministicCosts opt-in, driving
@@ -395,9 +398,9 @@ func (m jitterNet) ReduceCost(p, b int, rng *rand.Rand) float64 {
 	return m.jitter(m.alphaBeta.ReduceCost(p, b, rng), rng)
 }
 
-// TestTraceStreamOverflow exercises the replayer's overflow stream path:
-// ranks exchanging on more than rsInline (src, tag) pairs must replay
-// bit-identically (and keep doing so across reuse).
+// TestTraceStreamOverflow exercises a wide stream slot table: each of 3
+// ranks exchanges on 14 (src, tag) pairs, 28 receiver-side slots in all,
+// and must replay bit-identically (and keep doing so across reuse).
 func TestTraceStreamOverflow(t *testing.T) {
 	const n, tags = 3, 7 // 7 tags x 2 peers >> 4 inline stream slots
 	prog := func(c *Comm) error {
@@ -441,6 +444,79 @@ func TestTraceStreamOverflow(t *testing.T) {
 				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, tw.Clock(i), ref.Clock(i))
 			}
 		}
+	}
+}
+
+// TestTraceStreamSlotCap pins the stream slot cap. Rank 0 receiving from
+// each of 80 ranks needs 80 slots: the event backend runs it, the trace
+// backend refuses it at record time with ErrTooManyStreams (so no replayer
+// and no n×D stream table is ever built), and a decoded trace one stream
+// over the cap is ErrFormat while one at the cap decodes.
+func TestTraceStreamSlotCap(t *testing.T) {
+	const n = 81
+	gather := func(c *Comm) error {
+		if c.Rank() == 0 {
+			for src := 1; src < n; src++ {
+				c.RecvN(src, 3)
+			}
+			return nil
+		}
+		c.SendN(0, 3, 64, nil)
+		return nil
+	}
+	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	ev, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Run(gather); err != nil {
+		t.Fatalf("event backend: %v", err)
+	}
+	tw, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Run(gather); !errors.Is(err, ErrTooManyStreams) {
+		t.Fatalf("trace backend: err = %v, want ErrTooManyStreams", err)
+	}
+	if tw.Trace() != nil || tw.rep != nil {
+		t.Fatal("an over-cap recording left a trace or a replayer behind")
+	}
+
+	// Two ranks, one stream per tag: maxStreamSlots tags fit exactly.
+	tags := func(c *Comm) error {
+		for tag := 0; tag < maxStreamSlots; tag++ {
+			if c.Rank() == 1 {
+				c.SendN(0, tag, 8, nil)
+			} else {
+				c.RecvN(1, tag)
+			}
+		}
+		return nil
+	}
+	w, err := NewWorld(2, Options{Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := w.RunRecorded(tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.nslots != maxStreamSlots {
+		t.Fatalf("nslots = %d, want %d", tr.nslots, maxStreamSlots)
+	}
+	if _, err := DecodeTrace(tr.EncodeBinary()); err != nil {
+		t.Fatalf("trace at the cap: %v", err)
+	}
+	for i := range tr.chunkOps {
+		if o := &tr.chunkOps[i]; o.kind == topRecv {
+			o.arg1 = maxStreamSlots // a receive on one more tag
+			break
+		}
+	}
+	_, err = DecodeTrace(tr.EncodeBinary())
+	if !errors.Is(err, artifact.ErrFormat) || !errors.Is(err, ErrTooManyStreams) {
+		t.Fatalf("trace over the cap: err = %v, want ErrFormat wrapping ErrTooManyStreams", err)
 	}
 }
 

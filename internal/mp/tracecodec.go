@@ -165,7 +165,9 @@ func DecodeTrace(data []byte) (*Trace, error) {
 			cycles: int(d.U32()), gens: int(d.U32()),
 			nclass: int(d.U32()),
 		}
-		if m.nclass <= 0 || m.nclass > t.n {
+		// The script table has fixed the world size by now; checking it
+		// first keeps a corrupt rank count from sizing classOf.
+		if len(t.sstart) != t.n+1 || m.nclass <= 0 || m.nclass > t.n {
 			return nil, fmt.Errorf("%w: trace cycle metadata declares %d classes of %d ranks",
 				artifact.ErrFormat, m.nclass, t.n)
 		}
@@ -185,8 +187,9 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err := t.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)
 	}
-	t.buildFused()
-	t.collectReduceSizes()
+	if err := t.finalize(); err != nil {
+		return nil, fmt.Errorf("%w: %w", artifact.ErrFormat, err)
+	}
 	if meta != nil {
 		if err := t.installCycle(meta); err != nil {
 			return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)
@@ -258,13 +261,18 @@ func (t *Trace) installCycle(m *traceCycleMeta) error {
 
 // validate checks the structural invariants recording guarantees, so a
 // decoded trace drives the replayer exactly like a recorded one: monotone
-// chunk and script tables, chunk ids, op kinds and table indices in range.
+// chunk and script tables, chunk ids, op kinds and table indices in range
+// (parameter indices within the header maxima that Replay sizes its
+// tables against), and every send and receive partner inside the world.
 func (t *Trace) validate() error {
 	if t.n <= 0 {
 		return fmt.Errorf("trace: non-positive world size %d", t.n)
 	}
 	if t.nmarks < 0 || t.ops < 0 || t.maxChPar < -1 || t.maxSzPar < -1 {
 		return fmt.Errorf("trace: negative counters")
+	}
+	if t.nmarks > MaxMarks {
+		return fmt.Errorf("trace: %d mark slots, at most %d", t.nmarks, MaxMarks)
 	}
 	nchunks := len(t.cstart) - 1
 	if nchunks < 0 || t.cstart[0] != 0 || int(t.cstart[nchunks]) != len(t.chunkOps) {
@@ -288,22 +296,43 @@ func (t *Trace) validate() error {
 			return fmt.Errorf("trace: script entry %d references chunk %d of %d", i, c, nchunks)
 		}
 	}
-	for i, o := range t.chunkOps {
-		if o.kind > topCkpt {
-			return fmt.Errorf("trace: op %d has unknown kind %d", i, o.kind)
+	// Every partner must land inside the world: each chunk's smallest and
+	// largest partner offset, applied at every rank whose script runs the
+	// chunk, stays in [0, n).
+	lo, hi := make([]int64, nchunks), make([]int64, nchunks)
+	for c := 0; c < nchunks; c++ {
+		for i := t.cstart[c]; i < t.cstart[c+1]; i++ {
+			o := &t.chunkOps[i]
+			var bad bool
+			switch o.kind {
+			case topChargeLit, topChargeNoisy:
+				bad = o.arg0 < 0 || int(o.arg0) >= len(t.lits)
+			case topChargeParam, topCkpt:
+				bad = o.arg0 < 0 || o.arg0 > t.maxChPar
+			case topSendLit:
+				bad = o.arg2 < 0 || int(o.arg2) >= len(t.sizes)
+			case topSendParam:
+				bad = o.arg2 < 0 || o.arg2 > t.maxSzPar
+			case topRecv:
+			case topReduce:
+				bad = o.arg0 < 0
+			case topMark:
+				bad = o.arg0 < 0 || int(o.arg0) >= t.nmarks
+			default:
+				return fmt.Errorf("trace: op %d has unknown kind %d", i, o.kind)
+			}
+			if bad {
+				return fmt.Errorf("trace: op %d of kind %d indexes out of range", i, o.kind)
+			}
+			if o.kind == topRecv || o.kind == topSendLit || o.kind == topSendParam {
+				lo[c], hi[c] = min(lo[c], int64(o.arg0)), max(hi[c], int64(o.arg0))
+			}
 		}
-		switch o.kind {
-		case topChargeLit, topChargeNoisy:
-			if int(o.arg0) >= len(t.lits) || o.arg0 < 0 {
-				return fmt.Errorf("trace: op %d charge index %d out of range", i, o.arg0)
-			}
-		case topSendLit:
-			if int(o.arg2) >= len(t.sizes) || o.arg2 < 0 {
-				return fmt.Errorf("trace: op %d size index %d out of range", i, o.arg2)
-			}
-		case topMark:
-			if int(o.arg0) >= t.nmarks || o.arg0 < 0 {
-				return fmt.Errorf("trace: op %d mark slot %d out of range", i, o.arg0)
+	}
+	for r := 0; r < t.n; r++ {
+		for _, c := range t.script[t.sstart[r]:t.sstart[r+1]] {
+			if int64(r)+lo[c] < 0 || int64(r)+hi[c] >= int64(t.n) {
+				return fmt.Errorf("trace: rank %d runs chunk %d with a partner outside %d ranks", r, c, t.n)
 			}
 		}
 	}

@@ -153,11 +153,17 @@ func TestTraceCodecRefusesFutureVersion(t *testing.T) {
 func restampVersion(data []byte, v uint16) []byte {
 	out := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint16(out[len(traceMagic):], v)
-	body := out[:len(out)-8]
+	return resealed(out)
+}
+
+// resealed rewrites an artifact's FNV-1a checksum trailer in place to
+// match its body and returns it.
+func resealed(data []byte) []byte {
+	body := data[:len(data)-8]
 	h := fnv.New64a()
 	h.Write(body)
-	binary.LittleEndian.PutUint64(out[len(body):], h.Sum64())
-	return out
+	binary.LittleEndian.PutUint64(data[len(body):], h.Sum64())
+	return data
 }
 
 // TestSchedulerEquivalenceDecodedTrace is the decoded-trace row of the
@@ -200,4 +206,129 @@ func TestSchedulerEquivalenceDecodedTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paramRingProgram is a ring over n ranks using every parameterised op: a
+// charge parameter, a checkpoint and a parameterised send size, closed by
+// a collective each round.
+func paramRingProgram(n, rounds int) func(c *Comm) error {
+	return func(c *Comm) error {
+		next, prev := (c.Rank()+1)%n, (c.Rank()+n-1)%n
+		for it := 0; it < rounds; it++ {
+			c.ChargeParam(0)
+			c.SendParam(next, 1, 0)
+			c.RecvN(prev, 1)
+			c.Checkpoint(0)
+			c.AllreduceMax(1)
+		}
+		return nil
+	}
+}
+
+func recordParamRing(t testing.TB, n, rounds int) *Trace {
+	t.Helper()
+	w, err := NewWorld(n, Options{Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetParams([]float64{1e-4}, []int{512})
+	tr, err := w.RunRecorded(paramRingProgram(n, rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestTraceCodecRefusesOutOfRangeOps: a decoded trace whose partner
+// offsets or parameter indices would index past the replayer's tables is
+// ErrFormat at decode, never a panic in Replay.
+func TestTraceCodecRefusesOutOfRangeOps(t *testing.T) {
+	cases := []struct {
+		name string
+		kind uint8
+		mut  func(o *top)
+	}{
+		{"send offset past the world", topSendParam, func(o *top) { o.arg0 = 1000 }},
+		{"send offset below rank 0", topSendParam, func(o *top) { o.arg0 = -1000 }},
+		{"receive offset past the world", topRecv, func(o *top) { o.arg0 = 1000 }},
+		{"charge param past header max", topChargeParam, func(o *top) { o.arg0 = 50 }},
+		{"negative charge param", topChargeParam, func(o *top) { o.arg0 = -1 }},
+		{"checkpoint param past header max", topCkpt, func(o *top) { o.arg0 = 50 }},
+		{"size param past header max", topSendParam, func(o *top) { o.arg2 = 50 }},
+		{"negative collective length", topReduce, func(o *top) { o.arg0 = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := recordParamRing(t, 4, 2)
+			found := false
+			for i := range tr.chunkOps {
+				if tr.chunkOps[i].kind == tc.kind {
+					tc.mut(&tr.chunkOps[i])
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("ring trace records no op of kind %d", tc.kind)
+			}
+			if _, err := DecodeTrace(tr.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
+				t.Fatalf("err = %v, want ErrFormat", err)
+			}
+		})
+	}
+	// A mark count past MaxMarks would size Replay's mark table from a
+	// corrupt header.
+	tr := recordParamRing(t, 4, 2)
+	tr.nmarks = 1 << 30
+	if _, err := DecodeTrace(tr.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
+		t.Fatalf("mark count past MaxMarks: err = %v, want ErrFormat", err)
+	}
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes to the trace decoder, as they are
+// and with the checksum trailer resealed, so that mutations reach the
+// decoder's tables rather than stopping at the checksum. Decoding never
+// panics; an accepted input re-encodes byte-identically and replays
+// without panicking, on the fused and the general loop, under parameter
+// tables sized from its header maxima. The seed corpus in
+// testdata/fuzz/FuzzDecodeTrace holds EncodeBinary artifacts of a ring
+// (recordParamRing, 4 ranks), a template-like wavefront
+// (recordWavefrontTrace) and a trace carrying cycle metadata
+// (recordMarkedWavefront, 5 iterations).
+func FuzzDecodeTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err != nil && len(data) >= 8 {
+			data = resealed(append([]byte(nil), data...))
+			tr, err = DecodeTrace(data)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(tr.EncodeBinary(), data) {
+			t.Fatal("accepted input does not re-encode byte-identically")
+		}
+		// Keep each replay small: the stream table is n×D headers, the
+		// script may repeat a chunk many times, and a header maximum may
+		// name a parameter index far past any real table.
+		if tr.n*tr.nslots > 1<<16 || tr.fopsTotal > 1<<16 || tr.maxChPar > 1<<10 || tr.maxSzPar > 1<<10 {
+			return
+		}
+		charges := make([]float64, tr.maxChPar+1)
+		for i := range charges {
+			charges[i] = 1e-4 * float64(i+1)
+		}
+		sizes := make([]int, tr.maxSzPar+1)
+		for i := range sizes {
+			sizes[i] = 64 * (i + 1)
+		}
+		p := ReplayParams{Charges: charges, Sizes: sizes}
+		rp := NewReplayer()
+		for _, opts := range []Options{
+			{Net: detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}},
+			{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}, Seed: 3},
+		} {
+			_ = rp.Replay(tr, opts, p) // a stalled replay is an error, not a panic
+		}
+	})
 }

@@ -71,23 +71,27 @@ var ErrCannotExtrapolate = errors.New("mp: trace replay cannot extrapolate (no u
 // kind except sends, which are normalised to fSend with the unified size
 // index pre-resolved.
 const (
-	fSend  uint8 = 32 // send to rank+arg0, tag arg1, unified size index arg2
+	fSend  uint8 = 32 // send to stream slot arg1 of rank+arg0, unified size index arg2
 	fMacro uint8 = 33 // nr recvs, one charge (literal or param), ns sends
 )
 
-// fop is one fused-program operation. For fMacro: recv 0 is (arg0, arg1),
-// recv 1 is (r1src, r1tag), the charge index is arg2, and the sends are
-// (s0dst, s0tag, s0u) and (s1dst, s1tag, s1u) with pre-unified size
-// indices. Scalar kinds use arg0/arg1/arg2 exactly like top.
+// fop is one fused-program operation. Message ops carry stream slots
+// (Trace.buildSlots) in place of (partner, tag) keys, so the fused loop
+// indexes its streams and never searches for one.
 type fop struct {
+	// fMacro: arg0 and arg1 are the stream slots of recv 0 and recv 1, arg2
+	// the charge index (literal or param, see clit). topRecv: arg0 is the
+	// stream slot. fSend: see its kind. Other scalar kinds: as in top.
 	arg0, arg1, arg2 int32
-	r1src, r1tag     int32
-	s0dst, s0tag     int32
-	s1dst, s1tag     int32
-	s0u, s1u         int32
-	kind             uint8
-	nr, ns           uint8
-	clit             uint8 // 1: charge index arg2 is a literal (lits), else a param (charges)
+	// fMacro sends 0 and 1: destination offset, unified size index and the
+	// receiver's stream slot.
+	s0dst, s0u int32
+	s1dst, s1u int32
+	s0slot     uint8
+	s1slot     uint8
+	kind       uint8
+	nr, ns     uint8
+	clit       uint8 // 1: charge index arg2 is a literal (lits), else a param (charges)
 }
 
 // fopWidth is the number of recorded scalar ops a fused op covers.
@@ -120,13 +124,18 @@ type traceCycle struct {
 }
 
 // finalize derives the replay acceleration structures after the scalar
-// tables are in place: the fused programs, the distinct collective payload
-// sizes, and the steady-state cycle. Both trace constructors (recording
-// and decoding) call it, so every Trace carries them.
-func (t *Trace) finalize() {
+// tables are in place: the stream slots, the fused programs and the
+// distinct collective payload sizes. Both trace constructors (recording
+// and decoding) call it, so every Trace carries them; the steady-state
+// cycle follows, detected on recording and installed from the artifact on
+// decoding.
+func (t *Trace) finalize() error {
+	if err := t.buildSlots(); err != nil {
+		return err
+	}
 	t.buildFused()
 	t.collectReduceSizes()
-	t.detectCycle()
+	return nil
 }
 
 // --- macro-op fusion ---
@@ -144,14 +153,15 @@ func (t *Trace) buildFused() {
 	t.nmacroUnique = 0
 	for c := 0; c < nchunks; c++ {
 		ops := t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+		slots := t.oslot[t.cstart[c]:t.cstart[c+1]]
 		for i := 0; i < len(ops); {
-			if f, n := fuseMacro(ops[i:], nlit); n > 0 {
+			if f, n := fuseMacro(ops[i:], slots[i:], nlit); n > 0 {
 				fops = append(fops, f)
 				t.nmacroUnique++
 				i += n
 				continue
 			}
-			fops = append(fops, scalarFop(&ops[i], nlit))
+			fops = append(fops, scalarFop(&ops[i], slots[i], nlit))
 			i++
 		}
 		t.fstart[c+1] = int32(len(fops))
@@ -173,14 +183,14 @@ func (t *Trace) buildFused() {
 // fused op and the number of scalar ops consumed (0: no macro here). A
 // macro needs at least one communication op around its charge; a lone
 // charge stays scalar.
-func fuseMacro(ops []top, nlit int32) (fop, int) {
+func fuseMacro(ops []top, slots []uint8, nlit int32) (fop, int) {
 	var f fop
 	i := 0
 	for i < len(ops) && ops[i].kind == topRecv && f.nr < 2 {
 		if f.nr == 0 {
-			f.arg0, f.arg1 = ops[i].arg0, ops[i].arg1
+			f.arg0 = int32(slots[i])
 		} else {
-			f.r1src, f.r1tag = ops[i].arg0, ops[i].arg1
+			f.arg1 = int32(slots[i])
 		}
 		f.nr++
 		i++
@@ -199,9 +209,9 @@ func fuseMacro(ops []top, nlit int32) (fop, int) {
 			u += nlit
 		}
 		if f.ns == 0 {
-			f.s0dst, f.s0tag, f.s0u = ops[i].arg0, ops[i].arg1, u
+			f.s0dst, f.s0slot, f.s0u = ops[i].arg0, slots[i], u
 		} else {
-			f.s1dst, f.s1tag, f.s1u = ops[i].arg0, ops[i].arg1, u
+			f.s1dst, f.s1slot, f.s1u = ops[i].arg0, slots[i], u
 		}
 		f.ns++
 		i++
@@ -213,16 +223,19 @@ func fuseMacro(ops []top, nlit int32) (fop, int) {
 	return f, i
 }
 
-// scalarFop lowers one scalar op into the fused program, pre-resolving
-// send size indices into the unified table.
-func scalarFop(o *top, nlit int32) fop {
+// scalarFop lowers one scalar op into the fused program, replacing
+// message tags with stream slots and pre-resolving send size indices into
+// the unified table.
+func scalarFop(o *top, slot uint8, nlit int32) fop {
 	f := fop{kind: o.kind, arg0: o.arg0, arg1: o.arg1, arg2: o.arg2}
 	switch o.kind {
 	case topSendLit:
-		f.kind = fSend
+		f.kind, f.arg1 = fSend, int32(slot)
 	case topSendParam:
-		f.kind = fSend
+		f.kind, f.arg1 = fSend, int32(slot)
 		f.arg2 += nlit
+	case topRecv:
+		f.arg0, f.arg1 = int32(slot), 0
 	}
 	return f
 }
@@ -653,26 +666,9 @@ func (r *Replayer) priceCostBits() {
 // precondition for any cursor transplant: a jump moves clocks and cursors,
 // never queued messages.
 func (r *Replayer) streamsIdle() bool {
-	for i := range r.rk {
-		cnt := int(r.rk[i].nstreams)
-		inl := cnt
-		if inl > rsInline {
-			inl = rsInline
-		}
-		base := i * rsInline
-		for j := 0; j < inl; j++ {
-			st := &r.streamFlat[base+j]
-			if st.head < int32(len(st.msgs)) {
-				return false
-			}
-		}
-		if cnt > rsInline {
-			for j := range r.overStreams[i] {
-				st := &r.overStreams[i][j]
-				if st.head < int32(len(st.msgs)) {
-					return false
-				}
-			}
+	for i := range r.streams {
+		if st := &r.streams[i]; st.head < int32(len(st.msgs)) {
+			return false
 		}
 	}
 	return true
@@ -972,6 +968,7 @@ func (r *Replayer) runRankFused(id int) {
 	lits, charges := t.lits, r.charges
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	self := &r.rk[id]
+	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
 	clock := self.clock
 	sp, op := self.spos, self.opos
 	sub := self.fsub
@@ -1000,23 +997,12 @@ func (r *Replayer) runRankFused(id int) {
 		switch f.kind {
 		case fMacro:
 			if f.nr > 0 && sub == 0 {
-				k := qkey(id+int(f.arg0), int(f.arg1))
-				st := r.streamFast(id, self, k)
-				if st == nil {
-					st = r.streamSlow(id, k)
-				}
-				if st.head >= int32(len(st.msgs)) {
+				m, ok := streams[f.arg0].take()
+				if !ok {
 					self.clock = clock
 					self.spos, self.opos = sp, op
 					self.status = evBlocked
-					self.wantKey = k
 					return // fsub already 0: resume re-executes recv 0
-				}
-				m := st.msgs[st.head]
-				st.head++
-				if st.head == int32(len(st.msgs)) {
-					st.head = 0
-					st.msgs = st.msgs[:0]
 				}
 				if m.avail > clock {
 					clock = m.avail
@@ -1027,24 +1013,13 @@ func (r *Replayer) runRankFused(id int) {
 				sub = 1
 			}
 			if f.nr > 1 {
-				k := qkey(id+int(f.r1src), int(f.r1tag))
-				st := r.streamFast(id, self, k)
-				if st == nil {
-					st = r.streamSlow(id, k)
-				}
-				if st.head >= int32(len(st.msgs)) {
+				m, ok := streams[f.arg1].take()
+				if !ok {
 					self.clock = clock
 					self.spos, self.opos = sp, op
 					self.status = evBlocked
-					self.wantKey = k
 					self.fsub = 1 // recv 0 consumed; resume at recv 1
 					return
-				}
-				m := st.msgs[st.head]
-				st.head++
-				if st.head == int32(len(st.msgs)) {
-					st.head = 0
-					st.msgs = st.msgs[:0]
 				}
 				if m.avail > clock {
 					clock = m.avail
@@ -1077,7 +1052,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, qkey(id, int(f.s0tag)), avail, aux)
+				r.deliver(dst, f.s0slot, avail, aux)
 			}
 			if f.ns > 1 {
 				dst := id + int(f.s1dst)
@@ -1093,7 +1068,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, qkey(id, int(f.s1tag)), avail, aux)
+				r.deliver(dst, f.s1slot, avail, aux)
 			}
 		case topChargeParam, topCkpt:
 			if s := charges[f.arg0]; s > 0 {
@@ -1117,25 +1092,14 @@ func (r *Replayer) runRankFused(id int) {
 				avail = start + availSec[ui]
 				aux = recvSec[ui]
 			}
-			r.deliver(dst, qkey(id, int(f.arg1)), avail, aux)
+			r.deliver(dst, uint8(f.arg1), avail, aux)
 		case topRecv:
-			k := qkey(id+int(f.arg0), int(f.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
-			if st.head >= int32(len(st.msgs)) {
+			m, ok := streams[f.arg0].take()
+			if !ok {
 				self.clock = clock
 				self.spos, self.opos = sp, op
 				self.status = evBlocked
-				self.wantKey = k
 				return
-			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
 			}
 			if m.avail > clock {
 				clock = m.avail

@@ -349,6 +349,14 @@ func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
 	corrupt("class out of range", func(c *traceCycle) { c.classOf[3] = int32(len(c.first)) + 9 })
 	corrupt("negative class", func(c *traceCycle) { c.classOf[0] = -2 })
 	corrupt("cursor off boundary", func(c *traceCycle) { c.last[0].sop = 1 << 28 })
+
+	// A rank count that the script table contradicts is refused before it
+	// sizes the per-rank class table.
+	bad := *tr
+	bad.n = 1 << 24
+	if _, err := DecodeTrace(bad.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
+		t.Fatalf("rank count off the script table: err = %v, want ErrFormat", err)
+	}
 }
 
 // TestCostBitsTieDetector pins the half-ulp tie detector: which bit a
