@@ -151,13 +151,13 @@ func itoa(v int) string {
 	return string(rune('0' + v))
 }
 
-// --- scheduler backend comparison (PR 1 headline numbers) ---
+// --- mp scheduler benchmarks ---
 
-// schedulerPoints are the processor counts of the old-vs-new scheduler
-// comparison; 512 is the old PredictAuto template ceiling.
+// schedulerPoints are the processor counts of the scheduler benchmarks;
+// 512 is the old PredictAuto template ceiling.
 var schedulerPoints = []int{64, 512, 4000}
 
-// BenchmarkWorldRun compares the mp backends on the raw virtual-time
+// BenchmarkWorldRun times the event backend on the raw virtual-time
 // skeleton workload (1 iteration of the Figure 8 per-processor problem).
 func BenchmarkWorldRun(b *testing.B) {
 	pl := platform.OpteronMyrinet()
@@ -169,24 +169,20 @@ func BenchmarkWorldRun(b *testing.B) {
 		}
 		prob := sweep.New(grid.Global{NX: 5 * d.PX, NY: 5 * d.PY, NZ: 100})
 		prob.Iterations = 1
-		for _, sched := range []string{mp.SchedulerGoroutine, mp.SchedulerEvent} {
-			b.Run("sched="+sched+"/P="+strconv.Itoa(p), func(b *testing.B) {
-				opts := mp.Options{Net: pl.NetModel(false), Scheduler: sched}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sweep.RunSkeleton(prob, d, costs, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("sched=event/P="+strconv.Itoa(p), func(b *testing.B) {
+			opts := mp.Options{Net: pl.NetModel(false), Scheduler: mp.SchedulerEvent}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sweep.RunSkeleton(prob, d, costs, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkPredictTemplate compares the backends on a full PACE template
-// evaluation (12 iterations), the path that bounds every figure point.
-// The event scheduler's speedup over the goroutine backend at P=512 is
-// the PR's acceptance number (>= 10x).
+// BenchmarkPredictTemplate times live event-backend evaluation of a full
+// PACE template (12 iterations), the trace tier's reference path.
 func BenchmarkPredictTemplate(b *testing.B) {
 	ev, _, err := experiments.BuildEvaluator(platform.OpteronMyrinet(), grid.Global{NX: 5, NY: 5, NZ: 100}, 5)
 	if err != nil {
@@ -202,18 +198,16 @@ func BenchmarkPredictTemplate(b *testing.B) {
 			Decomp: d,
 			MK:     10, MMI: 3, Angles: 6, Iterations: 12,
 		}
-		for _, sched := range []string{mp.SchedulerGoroutine, mp.SchedulerEvent} {
-			b.Run("sched="+sched+"/P="+strconv.Itoa(p), func(b *testing.B) {
-				evS := *ev
-				evS.Scheduler = sched
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := evS.Predict(cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("sched=event/P="+strconv.Itoa(p), func(b *testing.B) {
+			evS := *ev
+			evS.Scheduler = mp.SchedulerEvent
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := evS.Predict(cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 // Command benchjson converts `go test -bench` output into the BENCH_PRn.json
-// scheduler-comparison record: one entry per benchmark with ns/op — plus
-// allocs/op and B/op when the input was produced with -benchmem — and
-// derived event-vs-goroutine speedups for benchmarks that were run under
-// both mp scheduler backends.
+// record: one entry per benchmark with ns/op — plus allocs/op and B/op when
+// the input was produced with -benchmem.
 //
 // Two modes:
 //
@@ -41,23 +39,13 @@ type Entry struct {
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
-// Speedup pairs the two scheduler backends of one benchmark/point.
-type Speedup struct {
-	Benchmark   string  `json:"benchmark"`
-	GoroutineNs float64 `json:"goroutine_ns_per_op"`
-	EventNs     float64 `json:"event_ns_per_op"`
-	Speedup     float64 `json:"event_speedup"`
-}
-
 // Record is the emitted document.
 type Record struct {
-	GoVersion string    `json:"go_version"`
-	GOOS      string    `json:"goos"`
-	GOARCH    string    `json:"goarch"`
-	NumCPU    int       `json:"num_cpu"`
-	Note      string    `json:"note"`
-	Entries   []Entry   `json:"entries"`
-	Speedups  []Speedup `json:"scheduler_speedups"`
+	GoVersion string  `json:"go_version"`
+	GOOS      string  `json:"goos"`
+	GOARCH    string  `json:"goarch"`
+	NumCPU    int     `json:"num_cpu"`
+	Entries   []Entry `json:"entries"`
 }
 
 func main() {
@@ -121,9 +109,6 @@ func parse(r io.Reader) (*Record, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Note: "event_speedup = goroutine ns/op divided by event ns/op for the same " +
-			"benchmark point; the goroutine backend pays no contention on single-CPU hosts, " +
-			"so speedups there are a lower bound on contended multi-core machines.",
 	}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -166,27 +151,6 @@ func parse(r io.Reader) (*Record, error) {
 	}
 	rec.Entries = minByName(rec.Entries)
 
-	// Pair sched=goroutine with sched=event entries of the same benchmark.
-	byName := map[string]float64{}
-	for _, e := range rec.Entries {
-		byName[e.Name] = e.NsOp
-	}
-	for _, e := range rec.Entries {
-		if !strings.Contains(e.Name, "sched=goroutine") {
-			continue
-		}
-		evName := strings.Replace(e.Name, "sched=goroutine", "sched=event", 1)
-		evNs, ok := byName[evName]
-		if !ok || evNs <= 0 {
-			continue
-		}
-		rec.Speedups = append(rec.Speedups, Speedup{
-			Benchmark:   strings.Replace(e.Name, "/sched=goroutine", "", 1),
-			GoroutineNs: e.NsOp,
-			EventNs:     evNs,
-			Speedup:     e.NsOp / evNs,
-		})
-	}
 	return rec, nil
 }
 

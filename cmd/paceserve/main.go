@@ -54,8 +54,8 @@ func main() {
 				"(0 = 3s default, negative disables)")
 		seed  = flag.Int64("seed", 1001, "seed for the simulated benchmark-fitting pipeline")
 		sched = flag.String("scheduler", mp.SchedulerTrace,
-			"mp backend for template evaluation (trace|event|goroutine; trace compiles each "+
-				"configuration shape once and replays it per point, goroutine is discouraged for serving)")
+			"mp backend for template evaluation (trace|event; trace compiles each "+
+				"configuration shape once and replays it per point, event evaluates live)")
 
 		cacheEntries = flag.Int("cache-entries", 1<<16,
 			"response cache capacity in entries (-1 disables the response cache)")

@@ -8,12 +8,11 @@
 //   - a from-scratch Go implementation of the ASCI SWEEP3D pipelined
 //     wavefront Sn transport benchmark (internal/sweep) running over an
 //     MPI-like message-passing runtime (internal/mp) that doubles as a
-//     virtual-time cluster simulator. The runtime offers two scheduler
-//     backends: the legacy goroutine-per-rank backend (watchdog, real
-//     parallel arithmetic) and an event-driven cooperative backend
-//     ordered by a virtual-clock heap — lock-free, deterministic, and
-//     bit-identical to the goroutine backend, used by the evaluation
-//     engine and the simulated benchmarks;
+//     virtual-time cluster simulator. Ranks run on an event-driven
+//     cooperative scheduler ordered by a virtual-clock heap — lock-free,
+//     deterministic, with exact deadlock detection — and the evaluation
+//     engine replays recorded communication scripts bit-identically to it
+//     (the trace backend);
 //   - a reproduction of the PACE layered performance-modelling toolset:
 //     the capp C-subset static analyser (internal/capp), the CHIP3S-style
 //     performance specification language (internal/psl), the HMCL hardware

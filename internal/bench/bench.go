@@ -58,9 +58,8 @@ func Measure(pl platform.Platform, p sweep.Problem, d grid.Decomp, opt MeasureOp
 	cellsPerProc := subs[0].Cells()
 	parallel := d.Size() > 1
 	costs := truthCosts(pl, cellsPerProc, parallel)
-	// Skeleton measurement is a pure virtual-time workload: the event
-	// scheduler runs it deterministically and far faster than
-	// goroutine-per-rank at the large validation arrays.
+	// Skeleton measurement is a pure virtual-time workload, run
+	// deterministically by the event scheduler.
 	opts := mp.Options{Net: pl.NetModel(true), Seed: opt.Seed, Scheduler: mp.SchedulerEvent}
 	if n := pl.Noise(); n != nil {
 		opts.Noise = n

@@ -1,7 +1,8 @@
 package mp
 
-// The event-driven virtual-time scheduler backend (Options.Scheduler ==
-// SchedulerEvent).
+// The event-driven virtual-time scheduler: the run loop of every live
+// World (Options.Scheduler SchedulerEvent, and the recording run of
+// SchedulerTrace).
 //
 // Ranks run as cooperative coroutines: exactly one goroutine holds the
 // execution token at any moment, and a rank that blocks (a receive with no
@@ -38,18 +39,15 @@ package mp
 // and reused across Run calls via World.Reset, so a pooled world reaches
 // zero steady-state allocations per message operation.
 //
-// Per-rank virtual-clock arithmetic is shared with the goroutine backend
-// (Comm.SendN/RecvN/reduce), so the two backends produce bit-identical
-// Makespan and per-rank clocks for the same seed; sched_test.go enforces
-// this. Summed reduction values are the one place the backends may differ
-// in the last bits: the goroutine backend accumulates in nondeterministic
-// arrival order, this backend in deterministic schedule order.
+// Per-rank virtual-clock arithmetic (costs, causality, fault injection)
+// lives in the shared Comm methods (Comm.SendN/RecvN/reduce); this file
+// only queues messages and orders ranks. It is the independent reference
+// the trace replayer is checked against bit for bit (sched_test.go).
 //
-// Deadlocks need no watchdog here: when no rank is runnable and some are
+// Deadlocks are detected exactly: when no rank is runnable and some are
 // still blocked, no message can ever arrive, so the scheduler aborts the
-// blocked ranks immediately with the same errAborted the watchdog uses —
-// including ranks parked *inside* a collective that the remaining ranks
-// will never join.
+// blocked ranks immediately with errAborted — including ranks parked
+// *inside* a collective that the remaining ranks will never join.
 
 import (
 	"errors"
@@ -146,9 +144,9 @@ type evRank struct {
 	comm Comm
 }
 
-// evColl is the lock-free collective state of the event backend. It
-// mirrors the arithmetic of the goroutine backend's generation-counted
-// collective exactly (same accumulator logic, same pricing RNG stream).
+// evColl is the lock-free, generation-counted collective state of the
+// event backend. Collective costs draw from a dedicated RNG stream, not the
+// closing rank's, so pricing does not depend on which rank arrives last.
 type evColl struct {
 	n       int
 	arrived int
@@ -167,7 +165,7 @@ type evWorld struct {
 	w         *World
 	f         func(c *Comm) error // the current run's rank function
 	ranks     []evRank
-	inbox     []evInbox
+	boxes     []evInbox
 	heap      clockHeap
 	slot      int           // run-to-completion handoff slot (rank id; -1 empty)
 	slotClock float64       // the slot rank's frozen clock
@@ -183,7 +181,7 @@ func newEvWorld(w *World) *evWorld {
 	ev.coll.n = w.n
 	ev.coll.rng = rand.New(rand.NewSource(w.opts.Seed ^ 0x1F3D5B79))
 	ev.ranks = make([]evRank, w.n)
-	ev.inbox = make([]evInbox, w.n)
+	ev.boxes = make([]evInbox, w.n)
 	ev.heap.e = make([]heapEntry, 0, w.n)
 	for i := range ev.ranks {
 		r := &ev.ranks[i]
@@ -214,7 +212,7 @@ func (ev *evWorld) reset() {
 		r.collDone = 0
 		r.err = nil
 		ev.w.initComm(&r.comm, i)
-		ib := &ev.inbox[i]
+		ib := &ev.boxes[i]
 		ib.status = evReady
 		ib.inColl = false
 		ib.wantKey = 0
@@ -236,7 +234,7 @@ func (w *World) runEvent(f func(c *Comm) error) error {
 	ev := w.ev
 	ev.f = f
 	for i := range ev.ranks {
-		ev.inbox[i].status = evReady
+		ev.boxes[i].status = evReady
 		// All clocks are zero at start, so appending in id order already
 		// satisfies the heap invariant — no sifting needed.
 		ev.heap.e = append(ev.heap.e, heapEntry{clock: 0, id: i})
@@ -275,7 +273,7 @@ func (ev *evWorld) runRank(r *evRank) {
 // rank; a later wake with a smaller (clock, id) displaces the incumbent
 // into the heap. Each ready rank lives in exactly one place — the slot or
 // the heap — so scheduleNext's minimum is exact. Clocks come from the
-// inbox records (frozen at block time), so the whole wake path stays on
+// evInbox records (frozen at block time), so the whole wake path stays on
 // the delivery-hot array.
 func (ev *evWorld) wake(id int, ib *evInbox) {
 	ib.status = evReady
@@ -303,7 +301,7 @@ func (ev *evWorld) scheduleNext() bool {
 			if ev.heap.len() == 0 || !entryLess(ev.heap.top(), heapEntry{clock: ev.slotClock, id: s}) {
 				// Fast path: the slot rank is the minimum — zero heap ops.
 				ev.slot = -1
-				ev.inbox[s].status = evRunning
+				ev.boxes[s].status = evRunning
 				ev.ranks[s].resume <- struct{}{}
 				return true
 			}
@@ -312,21 +310,21 @@ func (ev *evWorld) scheduleNext() bool {
 			return false
 		}
 		e := ev.heap.pop()
-		if ev.inbox[e.id].status != evReady {
+		if ev.boxes[e.id].status != evReady {
 			continue // stale entry; re-compare the slot against the new top
 		}
-		ev.inbox[e.id].status = evRunning
+		ev.boxes[e.id].status = evRunning
 		ev.ranks[e.id].resume <- struct{}{}
 		return true
 	}
 }
 
 // block parks the calling rank until another rank wakes it, freezing its
-// clock into the inbox record for the wake path. If nothing is runnable
+// clock into the evInbox record for the wake path. If nothing is runnable
 // the world is deadlocked; every blocked rank (the caller included) is
 // aborted.
 func (ev *evWorld) block(r *evRank) {
-	ib := &ev.inbox[r.id]
+	ib := &ev.boxes[r.id]
 	ib.status = evBlocked
 	ib.clock = r.comm.clock
 	if !ev.scheduleNext() {
@@ -341,7 +339,7 @@ func (ev *evWorld) block(r *evRank) {
 // finishRank retires a rank and passes the token on; the last rank to
 // finish releases the master goroutine.
 func (ev *evWorld) finishRank(r *evRank) {
-	ev.inbox[r.id].status = evDone
+	ev.boxes[r.id].status = evDone
 	ev.doneCount++
 	if ev.doneCount == ev.w.n {
 		ev.master <- struct{}{}
@@ -353,15 +351,14 @@ func (ev *evWorld) finishRank(r *evRank) {
 }
 
 // stalled handles the no-runnable-rank case: every live rank is parked on
-// a message or collective that can never complete. Unlike the goroutine
-// backend's watchdog this detection is exact and immediate. All blocked
-// ranks are made runnable and unwound with errAborted as each receives
-// the token. The resume channels are buffered, so the caller may hand the
-// token to itself and then collect it in block().
+// a message or collective that can never complete. All blocked ranks are
+// made runnable and unwound with errAborted as each receives the token.
+// The resume channels are buffered, so the caller may hand the token to
+// itself and then collect it in block().
 func (ev *evWorld) stalled() {
 	ev.aborting = true
-	for i := range ev.inbox {
-		if ib := &ev.inbox[i]; ib.status == evBlocked {
+	for i := range ev.boxes {
+		if ib := &ev.boxes[i]; ib.status == evBlocked {
 			ev.wake(i, ib)
 		}
 	}
@@ -373,7 +370,7 @@ func (ev *evWorld) stalled() {
 // The woken receiver usually lands in the handoff slot: when the sender
 // later blocks, the token passes to it directly.
 func (ev *evWorld) deliver(dst int, k uint64, bytes int, data []float64, avail float64) {
-	ib := &ev.inbox[dst]
+	ib := &ev.boxes[dst]
 	q := &ib.streams[ib.streamIndex(k)]
 	dataIdx := int32(-1)
 	if data != nil {
@@ -391,7 +388,7 @@ func (ev *evWorld) deliver(dst int, k uint64, bytes int, data []float64, avail f
 // one arrives. Per-stream FIFO consumption gives the non-overtaking
 // guarantee directly.
 func (ev *evWorld) receive(c *Comm, src, tag int) ([]float64, int, float64) {
-	ib := &ev.inbox[c.rank]
+	ib := &ev.boxes[c.rank]
 	k := qkey(src, tag)
 	qi := ib.streamIndex(k)
 	for {
@@ -451,8 +448,7 @@ func (ev *evWorld) reduce(c *Comm, data []float64, op int) []float64 {
 	cl.arrived++
 	if cl.arrived == cl.n {
 		// Last participant closes the generation and prices the
-		// collective from the dedicated RNG stream, exactly as the
-		// goroutine backend does.
+		// collective from the dedicated RNG stream.
 		result := append([]float64(nil), cl.acc...)
 		done := cl.maxTime
 		if net := ev.w.opts.Net; net != nil {
@@ -464,7 +460,7 @@ func (ev *evWorld) reduce(c *Comm, data []float64, op int) []float64 {
 			wr := &ev.ranks[id]
 			wr.collRes = result
 			wr.collDone = done
-			ev.wake(id, &ev.inbox[id])
+			ev.wake(id, &ev.boxes[id])
 		}
 		cl.waiters = cl.waiters[:0]
 		if ev.w.opts.Probe != nil {
@@ -474,10 +470,10 @@ func (ev *evWorld) reduce(c *Comm, data []float64, op int) []float64 {
 		return result
 	}
 	r := &ev.ranks[c.rank]
-	ev.inbox[c.rank].inColl = true
+	ev.boxes[c.rank].inColl = true
 	cl.waiters = append(cl.waiters, c.rank)
 	ev.block(r)
-	ev.inbox[c.rank].inColl = false
+	ev.boxes[c.rank].inColl = false
 	res := r.collRes
 	r.collRes = nil
 	if ev.w.opts.Probe != nil {

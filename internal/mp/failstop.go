@@ -5,8 +5,7 @@ package mp
 // A FailStop pins a permanent rank loss to one recordable operation of one
 // rank, using the same op indexing as Delay: the per-rank operation counter
 // counts exactly the operations a trace records, so one index means the
-// same program instant on the goroutine backend, the event backend, and a
-// trace replay. Recovery follows the message-logging model: the failed
+// same program instant on the event backend and in a trace replay. Recovery follows the message-logging model: the failed
 // rank restarts from its last checkpoint (Comm.Checkpoint) and re-executes
 // the lost segment locally — peers are not rolled back and no messages are
 // re-communicated, so a failure is a pure local clock charge of
@@ -15,9 +14,10 @@ package mp
 //	restart = FailStop.Restart (rejoin cost: relaunch, checkpoint read)
 //
 // applied immediately before the failed op executes. Because the charge is
-// plain clock arithmetic, the bit-identical-clock guarantee across all
-// three backends extends to fail-stop runs for free. Without a checkpoint
-// the rank rewinds to time zero (restart from program start). Several
+// plain clock arithmetic, the bit-identical-clock guarantee between the
+// event backend and trace replay extends to fail-stop runs for free.
+// Without a checkpoint the rank rewinds to time zero (restart from program
+// start). Several
 // failures may target the same (rank, op) slot; the segment is re-executed
 // once per failure. Delays scheduled at the same op are charged first, so
 // injected-delay damage is part of the rework a co-located failure repeats.
@@ -57,8 +57,7 @@ func validFailStops(n int, fails []FailStop) error {
 
 // failCursor is one pending failure in a rank's consumable queue; slot is
 // the failure's index in the caller's spec, which doubles as its FailLog
-// event slot (single writer per slot, so goroutine-backend recording needs
-// no lock).
+// event slot (single writer per slot).
 type failCursor struct {
 	op      int32
 	slot    int32

@@ -84,9 +84,9 @@ func runFailStopWavefront(t *testing.T, sched string, net NetworkModel, seed int
 // TestSchedulerEquivalenceFailStop extends the cross-backend equivalence
 // harness to fail-stop failures with checkpoint/restart, over flat and
 // hierarchical (two- and three-level, deterministic and jittered)
-// interconnects: goroutine, event and trace replay must agree bit for bit
-// on every rank's clock, on the probe timelines, and on the failure
-// accounting — including the replay of an already-recorded trace.
+// interconnects: the event backend and a replay of the recorded trace must
+// agree bit for bit on every rank's clock, on the probe timelines, and on
+// the failure accounting.
 func TestSchedulerEquivalenceFailStop(t *testing.T) {
 	nets := map[string]NetworkModel{"flat": alphaBeta{alpha: 2e-5, beta: 1e-8}}
 	for name, net := range testHierNets() {
@@ -95,37 +95,23 @@ func TestSchedulerEquivalenceFailStop(t *testing.T) {
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77} {
-				g, gp, gl := runFailStopWavefront(t, SchedulerGoroutine, net, seed)
-				gc := g.SortedClocks()
-				for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
-					e, ep, el := runFailStopWavefront(t, sched, net, seed)
-					if sched == SchedulerTrace {
-						// Replay the recorded trace; nothing may move a bit.
-						e.Reset()
-						if err := e.Run(ckptWavefrontProgram(4, 3, 4, 2)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if g.Makespan() != e.Makespan() {
-						t.Fatalf("seed %d: makespan goroutine %v != %s %v",
-							seed, g.Makespan(), sched, e.Makespan())
-					}
-					for i := 0; i < 12; i++ {
-						if g.Clock(i) != e.Clock(i) {
-							t.Fatalf("seed %d: rank %d clock goroutine %v != %s %v",
-								seed, i, g.Clock(i), sched, e.Clock(i))
-						}
-					}
-					ec := e.SortedClocks()
-					for i := range gc {
-						if gc[i] != ec[i] {
-							t.Fatalf("seed %d: clock[%d] goroutine %v != %s %v",
-								seed, i, gc[i], sched, ec[i])
-						}
-					}
-					requireSameProbe(t, name, "goroutine vs "+sched, gp, ep)
-					requireSameFailLog(t, name, "goroutine vs "+sched, gl, el)
+				e, ep, el := runFailStopWavefront(t, SchedulerEvent, net, seed)
+				tr, tp, tl := runFailStopWavefront(t, SchedulerTrace, net, seed)
+				// Replay the recorded trace; nothing may move a bit.
+				tr.Reset()
+				if err := tr.Run(ckptWavefrontProgram(4, 3, 4, 2)); err != nil {
+					t.Fatal(err)
 				}
+				if e.Makespan() != tr.Makespan() {
+					t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
+				}
+				for i := 0; i < 12; i++ {
+					if e.Clock(i) != tr.Clock(i) {
+						t.Fatalf("seed %d: rank %d clock event %v != trace %v", seed, i, e.Clock(i), tr.Clock(i))
+					}
+				}
+				requireSameProbe(t, name, "event vs trace", ep, tp)
+				requireSameFailLog(t, name, "event vs trace", el, tl)
 			}
 		})
 	}

@@ -12,24 +12,16 @@
 // by ground-truth platform models, internal/platform) and for PACE model
 // evaluation (driven by fitted hardware models, internal/hwmodel).
 //
-// Two execution backends are provided, selected by Options.Scheduler:
-//
-//   - SchedulerGoroutine (the default): one preemptively scheduled
-//     goroutine per rank with mutex+condvar inboxes. Ranks doing real
-//     arithmetic (the functional solver) run in parallel on all cores, and
-//     a watchdog (Options.Timeout) can abort stalled runs.
-//   - SchedulerEvent: a cooperative event-driven run loop. Ranks execute
-//     one at a time, ordered by a virtual-clock min-heap, handing control
-//     off directly when they block; message delivery is a plain slice
-//     append with no locks. Per-rank clocks and makespan are bit-identical
-//     to the goroutine backend for the same seed (a test enforces it), and
-//     a run is fully deterministic regardless of GOMAXPROCS — including
-//     the floating-point accumulation order of collectives, which on the
-//     goroutine backend follows nondeterministic arrival order, so summed
-//     reduction *values* may differ from the goroutine backend in the last
-//     bits. It is the backend of the PACE template evaluation engine and
-//     of simulated measurement. Deadlocks are detected exactly (no
-//     runnable rank while some are still blocked) instead of by timeout.
+// Ranks execute under a cooperative event-driven run loop (event.go): one
+// rank runs at a time, ordered by a virtual-clock min-heap, and hands
+// control off directly when it blocks; message delivery is a plain slice
+// append with no locks. A run is fully deterministic regardless of
+// GOMAXPROCS — including the floating-point accumulation order of
+// collectives — and deadlocks are detected exactly (no runnable rank while
+// some are still blocked). Options.Scheduler selects between executing the
+// program on that loop (SchedulerEvent, the default) and the trace backend
+// (SchedulerTrace), which records the first Run on the same loop and
+// replays the recorded script on every later one (trace.go).
 package mp
 
 import (
@@ -38,9 +30,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // NetworkModel prices message-passing operations in seconds. Implementations
@@ -89,8 +78,8 @@ type DeterministicCosts interface {
 // class methods pure functions of (class, size) modulo the supplied RNG —
 // the same contract NetworkModel's size-only methods carry per size. The
 // runtime resolves the class of every send at the sender (ClassOf(src,
-// dst)) and of every receive at delivery (same pair, same class), so all
-// three scheduler backends price identically. ReduceCost keeps pricing
+// dst)) and of every receive at delivery (same pair, same class), so a
+// live run and a trace replay price identically. ReduceCost keeps pricing
 // collectives whole — a hierarchical model folds its tiers into that one
 // number (e.g. a tree that reduces within nodes before crossing them).
 //
@@ -136,34 +125,28 @@ func netIsDeterministic(net NetworkModel) bool {
 	return ok && dc.CostsDeterministic()
 }
 
-// Scheduler backend names for Options.Scheduler.
-const (
-	// SchedulerGoroutine is the legacy preemptive backend: one goroutine
-	// per rank, mutex+condvar message handoff, optional watchdog.
-	SchedulerGoroutine = "goroutine"
-	// SchedulerEvent is the cooperative virtual-time backend: a
-	// single-threaded run loop ordered by a virtual-clock event heap,
-	// lock-free queues, deterministic output, exact deadlock detection.
-	SchedulerEvent = "event"
-)
+// SchedulerEvent names the cooperative virtual-time backend for
+// Options.Scheduler: a single-threaded run loop ordered by a virtual-clock
+// event heap, lock-free queues, deterministic output, exact deadlock
+// detection.
+const SchedulerEvent = "event"
 
 // Options configure a World.
 type Options struct {
-	Net     NetworkModel  // nil: zero-cost (functional) transport
-	Noise   ComputeNoise  // nil: charges applied exactly
-	Seed    int64         // base seed for per-rank RNG streams
-	Timeout time.Duration // 0: no watchdog; otherwise abort stalled runs (goroutine backend only)
-	// Scheduler selects the execution backend: SchedulerGoroutine (the
-	// default when empty) or SchedulerEvent. See the package comment.
+	Net   NetworkModel // nil: zero-cost (functional) transport
+	Noise ComputeNoise // nil: charges applied exactly
+	Seed  int64        // base seed for per-rank RNG streams
+	// Scheduler selects the execution backend: SchedulerEvent (the default
+	// when empty) or SchedulerTrace. See the package comment.
 	Scheduler string
 	// Delays are injected one-off delays (fault injection); each charges
 	// extra virtual time to one rank immediately before one of its
-	// recordable operations. All backends apply them identically.
+	// recordable operations. Both backends apply them identically.
 	Delays []Delay
 	// Fails are injected fail-stop failures; each kills one rank
 	// immediately before one of its recordable operations and recovers it
 	// from its last checkpoint (Comm.Checkpoint) with a restart charge.
-	// All backends apply them identically; see failstop.go.
+	// Both backends apply them identically; see failstop.go.
 	Fails []FailStop
 	// FailLog, when non-nil, records every applied failure of the run
 	// (reset by Run/Replay), one slot per Fails entry.
@@ -171,23 +154,6 @@ type Options struct {
 	// Probe, when non-nil, records per-rank clock and idle-time timelines
 	// at every collective generation during the run (reset by Run/Replay).
 	Probe *RunProbe
-}
-
-// message is one in-flight point-to-point message.
-type message struct {
-	src   int
-	tag   int
-	bytes int
-	data  []float64
-	avail float64 // virtual time at which the receiver may consume it
-}
-
-// inbox is a rank's incoming message queue. Senders append under the lock;
-// receivers wait on the condition variable for a matching (src, tag).
-type inbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []message
 }
 
 // World is a fixed-size group of ranks. A world may be Run once; Reset
@@ -201,12 +167,8 @@ type World struct {
 	detNet bool              // opts.Net opted into the DeterministicCosts fast path
 	cnet   ClassNetworkModel // opts.Net with >1 (src,dst) cost class; nil for flat
 	ran    bool              // set by Run; cleared by Reset
-	boxes  []inbox
 	clocks []float64
-	coll   collective
-	abort  atomic.Bool
-	ops    atomic.Int64 // progress counter for the watchdog
-	ev     *evWorld     // the persistent event-scheduler instance (event and trace backends)
+	ev     *evWorld // the persistent event-scheduler instance
 
 	// Trace-backend state: the recorder is non-nil only during a recording
 	// run; the trace is captured by the first Run and replayed by the
@@ -226,17 +188,6 @@ type World struct {
 	// them, so the partitions survive Reset without rebuilding.
 	rkDelays [][]Delay
 	rkFails  [][]failCursor
-
-	// Goroutine-backend pooled per-run state, allocated once in NewWorld
-	// and reused across Reset+Run cycles so pooled worlds on this backend
-	// stop paying per-rank Comm (and retained-RNG) allocations per Run.
-	// gbodies are pre-built argless rank bodies — spawning them allocates
-	// no closure — reading the current run's rank function from gfn.
-	gcomms  []Comm
-	gerrs   []error
-	gbodies []func()
-	gwg     sync.WaitGroup
-	gfn     func(c *Comm) error
 }
 
 // NewWorld creates a world of n ranks. n must be positive.
@@ -245,10 +196,10 @@ func NewWorld(n int, opts Options) (*World, error) {
 		return nil, fmt.Errorf("mp: world size must be positive, got %d", n)
 	}
 	switch opts.Scheduler {
-	case "", SchedulerGoroutine, SchedulerEvent, SchedulerTrace:
+	case "", SchedulerEvent, SchedulerTrace:
 	default:
-		return nil, fmt.Errorf("mp: unknown scheduler %q (want %q, %q or %q)",
-			opts.Scheduler, SchedulerGoroutine, SchedulerEvent, SchedulerTrace)
+		return nil, fmt.Errorf("mp: unknown scheduler %q (want %q or %q)",
+			opts.Scheduler, SchedulerEvent, SchedulerTrace)
 	}
 	if err := validDelays(n, opts.Delays); err != nil {
 		return nil, err
@@ -261,25 +212,9 @@ func NewWorld(n int, opts Options) (*World, error) {
 	w.cnet, _ = classesOf(opts.Net)
 	w.rkDelays = rankDelays(n, opts.Delays)
 	w.rkFails = rankFails(n, opts.Fails)
-	if opts.Scheduler == SchedulerEvent || opts.Scheduler == SchedulerTrace {
-		// The event backend has its own per-rank streams and lock-free
-		// collective; it is built once here and pooled across Runs. The
-		// trace backend records its first Run on the same machinery.
-		w.ev = newEvWorld(w)
-	} else {
-		w.boxes = make([]inbox, n)
-		for i := range w.boxes {
-			w.boxes[i].cond = sync.NewCond(&w.boxes[i].mu)
-		}
-		w.coll.init(n, opts.Seed)
-		w.gcomms = make([]Comm, n)
-		w.gerrs = make([]error, n)
-		w.gbodies = make([]func(), n)
-		for r := 0; r < n; r++ {
-			rank := r
-			w.gbodies[rank] = func() { w.runRankGoroutine(rank) }
-		}
-	}
+	// The event scheduler is built once here and pooled across Runs; the
+	// trace backend records its first Run on the same machinery.
+	w.ev = newEvWorld(w)
 	return w, nil
 }
 
@@ -301,22 +236,7 @@ func (w *World) Reset() {
 	for i := range w.marks {
 		w.marks[i] = 0
 	}
-	w.abort.Store(false)
-	w.ops.Store(0)
-	if w.ev != nil {
-		w.ev.reset()
-		return
-	}
-	for i := range w.boxes {
-		b := &w.boxes[i]
-		b.mu.Lock()
-		for j := range b.queue {
-			b.queue[j].data = nil
-		}
-		b.queue = b.queue[:0]
-		b.mu.Unlock()
-	}
-	w.coll.reset(w.n, w.opts.Seed)
+	w.ev.reset()
 }
 
 // initComm (re)initialises a rank's Comm for a fresh run. The RNG object is
@@ -365,8 +285,8 @@ func (w *World) Makespan() float64 {
 func (w *World) Clock(rank int) float64 { return w.clocks[rank] }
 
 // errAborted is the panic value used to unwind blocked ranks when the
-// watchdog fires; Run converts it into an error.
-var errAborted = errors.New("mp: run aborted by watchdog (possible deadlock)")
+// scheduler finds the world deadlocked; Run converts it into an error.
+var errAborted = errors.New("mp: run aborted: deadlock (no rank can make progress)")
 
 // Run executes f once per rank under the configured scheduler backend and
 // waits for all ranks. The first non-nil error (or recovered panic) is
@@ -388,21 +308,18 @@ func (w *World) Run(f func(c *Comm) error) error {
 	if l := w.opts.FailLog; l != nil {
 		l.reset(len(w.opts.Fails))
 	}
-	switch w.opts.Scheduler {
-	case SchedulerEvent:
+	if w.opts.Scheduler != SchedulerTrace {
 		return w.runEvent(f)
-	case SchedulerTrace:
-		if w.trace == nil {
-			t, err := w.recordRun(f)
-			if err != nil {
-				return err
-			}
-			w.trace = t
-			return nil
-		}
-		return w.replayRun()
 	}
-	return w.runGoroutine(f)
+	if w.trace == nil {
+		t, err := w.recordRun(f)
+		if err != nil {
+			return err
+		}
+		w.trace = t
+		return nil
+	}
+	return w.replayRun()
 }
 
 // recordRun executes f on the event machinery with the recorder active;
@@ -441,15 +358,11 @@ func (w *World) replayRun() error {
 }
 
 // RunRecorded runs f once like Run while recording each rank's operation
-// sequence, returning the trace for replay elsewhere (NewReplayer). It is
-// available on the event and trace backends; the world's clocks are valid
-// afterwards exactly as for Run.
+// sequence, returning the trace for replay elsewhere (NewReplayer). The
+// world's clocks are valid afterwards exactly as for Run.
 func (w *World) RunRecorded(f func(c *Comm) error) (*Trace, error) {
 	if w.ran {
 		return nil, errors.New("mp: world already run; call Reset before reusing it")
-	}
-	if w.ev == nil {
-		return nil, errors.New("mp: RunRecorded requires the event or trace scheduler backend")
 	}
 	w.ran = true
 	if p := w.opts.Probe; p != nil {
@@ -482,79 +395,6 @@ func (w *World) SetParams(charges []float64, sizes []int) {
 // Marks returns the world's mark slots (Comm.Mark) after Run; unwritten
 // slots are zero. The returned slice aliases the world's storage.
 func (w *World) Marks() []float64 { return w.marks[:] }
-
-// runRankGoroutine is one rank's pre-built goroutine body: its Comm comes
-// from the world's pooled gcomms array (retaining the rank's RNG object
-// across runs) and its result lands in the pooled gerrs slot.
-func (w *World) runRankGoroutine(rank int) {
-	defer w.gwg.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			if err, ok := p.(error); ok && errors.Is(err, errAborted) {
-				w.gerrs[rank] = err
-				return
-			}
-			w.gerrs[rank] = fmt.Errorf("mp: rank %d panicked: %v", rank, p)
-		}
-	}()
-	c := &w.gcomms[rank]
-	w.initComm(c, rank)
-	w.gerrs[rank] = w.gfn(c)
-	w.clocks[rank] = c.clock
-}
-
-// runGoroutine is the legacy backend: one goroutine per rank. All per-run
-// state (Comms, error slots, rank bodies) is pooled on the World, so a
-// warmed Reset+Run cycle without a watchdog performs no per-rank heap
-// allocations; only the optional watchdog path allocates (its channel,
-// ticker and closure).
-func (w *World) runGoroutine(f func(c *Comm) error) error {
-	for i := range w.gerrs {
-		w.gerrs[i] = nil
-	}
-	w.gfn = f
-	w.gwg.Add(w.n)
-	for r := 0; r < w.n; r++ {
-		go w.gbodies[r]()
-	}
-
-	if w.opts.Timeout > 0 {
-		done := make(chan struct{})
-		go func() { w.gwg.Wait(); close(done) }()
-		ticker := time.NewTicker(w.opts.Timeout)
-		defer ticker.Stop()
-		last := w.ops.Load()
-	watch:
-		for {
-			select {
-			case <-done:
-				break watch
-			case <-ticker.C:
-				now := w.ops.Load()
-				if now == last {
-					w.abort.Store(true)
-					for i := range w.boxes {
-						w.boxes[i].cond.Broadcast()
-					}
-					w.coll.broadcastAbort()
-					<-done
-					break watch
-				}
-				last = now
-			}
-		}
-	} else {
-		w.gwg.Wait()
-	}
-	w.gfn = nil
-
-	for _, err := range w.gerrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // sizeCost memoizes one priced (class, size) pair for one cost curve;
 // bytes == -1 marks it empty (flat models always price class 0).
@@ -803,17 +643,7 @@ func (c *Comm) sendN(dst, tag, bytes int, data []float64, paramIdx int32) {
 		cp = make([]float64, len(data))
 		copy(cp, data)
 	}
-	if ev := c.w.ev; ev != nil {
-		ev.deliver(dst, qkey(c.rank, tag), bytes, cp, avail)
-		return
-	}
-	m := message{src: c.rank, tag: tag, bytes: bytes, data: cp, avail: avail}
-	b := &c.w.boxes[dst]
-	b.mu.Lock()
-	b.queue = append(b.queue, m)
-	b.mu.Unlock()
-	b.cond.Broadcast()
-	c.w.ops.Add(1)
+	c.w.ev.deliver(dst, qkey(c.rank, tag), bytes, cp, avail)
 }
 
 // sendCost, transitCost and recvCost price one operation at the resolved
@@ -860,40 +690,7 @@ func (c *Comm) RecvN(src, tag int) ([]float64, int) {
 	if c.inj {
 		c.injectFaults()
 	}
-	var (
-		data  []float64
-		bytes int
-		avail float64
-	)
-	if ev := c.w.ev; ev != nil {
-		data, bytes, avail = ev.receive(c, src, tag)
-	} else {
-		var m message
-		b := &c.w.boxes[c.rank]
-		b.mu.Lock()
-		for {
-			if c.w.abort.Load() {
-				b.mu.Unlock()
-				panic(errAborted)
-			}
-			found := -1
-			for i := range b.queue {
-				if b.queue[i].src == src && b.queue[i].tag == tag {
-					found = i
-					break
-				}
-			}
-			if found >= 0 {
-				m = b.queue[found]
-				b.queue = append(b.queue[:found], b.queue[found+1:]...)
-				break
-			}
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-		c.w.ops.Add(1)
-		data, bytes, avail = m.data, m.bytes, m.avail
-	}
+	data, bytes, avail := c.w.ev.receive(c, src, tag)
 	// Causality holds regardless of the cost model: the receive cannot
 	// complete before the message is available.
 	if avail > c.clock {
@@ -963,55 +760,6 @@ const (
 	reduceRoot
 )
 
-// collective implements generation-counted full-world reductions.
-type collective struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     int
-	acc     []float64
-	op      int
-	maxTime float64
-	result  []float64
-	done    float64 // completion clock of the current generation
-	aborted bool
-	// rng prices collective costs. A dedicated stream (rather than the
-	// closing rank's) keeps simulations deterministic: which rank arrives
-	// last depends on goroutine scheduling.
-	rng *rand.Rand
-}
-
-func (cl *collective) init(n int, seed int64) {
-	cl.n = n
-	cl.cond = sync.NewCond(&cl.mu)
-	cl.rng = rand.New(rand.NewSource(seed ^ 0x1F3D5B79))
-}
-
-// reset rewinds the collective for a world Reset, keeping the accumulator
-// storage and reseeding the pricing stream in place.
-func (cl *collective) reset(n int, seed int64) {
-	cl.mu.Lock()
-	cl.n = n
-	cl.arrived = 0
-	cl.gen = 0
-	cl.acc = cl.acc[:0]
-	cl.op = 0
-	cl.maxTime = 0
-	cl.result = nil
-	cl.done = 0
-	cl.aborted = false
-	cl.rng.Seed(seed ^ 0x1F3D5B79)
-	cl.mu.Unlock()
-}
-
-func (cl *collective) broadcastAbort() {
-	cl.mu.Lock()
-	cl.aborted = true
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
 // reduceAccumulate folds one rank's contribution into the accumulator.
 // root marks the calling rank as the Bcast root.
 func reduceAccumulate(acc, data []float64, op int, root bool) {
@@ -1037,77 +785,7 @@ func (c *Comm) reduce(data []float64, op int) []float64 {
 	if c.inj {
 		c.injectFaults()
 	}
-	if ev := c.w.ev; ev != nil {
-		return ev.reduce(c, data, op)
-	}
-	cl := &c.w.coll
-	cl.mu.Lock()
-	if cl.aborted {
-		cl.mu.Unlock()
-		panic(errAborted)
-	}
-	myGen := cl.gen
-	if p := c.w.opts.Probe; p != nil {
-		// Serialized by cl.mu; the generation index makes rows identical
-		// across backends even though arrival order is nondeterministic.
-		p.record(myGen, c.rank, c.clock, c.idle)
-	}
-	entry := c.clock
-	if cl.arrived == 0 {
-		cl.op = op
-		cl.maxTime = c.clock
-		if data != nil {
-			cl.acc = append(cl.acc[:0], data...)
-		} else {
-			cl.acc = cl.acc[:0]
-		}
-	} else {
-		if op != cl.op {
-			cl.mu.Unlock()
-			panic(fmt.Errorf("mp: rank %d joined collective with mismatched op", c.rank))
-		}
-		if data != nil {
-			if len(data) != len(cl.acc) {
-				cl.mu.Unlock()
-				panic(fmt.Errorf("mp: rank %d collective length mismatch: %d vs %d", c.rank, len(data), len(cl.acc)))
-			}
-			reduceAccumulate(cl.acc, data, op, c.bcastRoot)
-		}
-		cl.maxTime = math.Max(cl.maxTime, c.clock)
-	}
-	cl.arrived++
-	if cl.arrived == cl.n {
-		// Last participant closes the generation and prices the collective.
-		cl.result = append([]float64(nil), cl.acc...)
-		cl.done = cl.maxTime
-		if net := c.w.opts.Net; net != nil {
-			bytes := 8 * len(cl.acc)
-			cl.done += net.ReduceCost(cl.n, bytes, cl.rng)
-		}
-		cl.arrived = 0
-		cl.gen++
-		cl.cond.Broadcast()
-	} else {
-		for cl.gen == myGen && !cl.aborted {
-			cl.cond.Wait()
-		}
-		if cl.aborted {
-			cl.mu.Unlock()
-			panic(errAborted)
-		}
-	}
-	res := cl.result
-	// A collective is a synchronisation point under any cost model. The
-	// idle delta reads cl.done, not cl.maxTime: a woken waiter may observe
-	// the *next* generation's partially-updated maxTime, but done is not
-	// rewritten until this waiter has participated again.
-	if c.w.opts.Probe != nil {
-		c.idle += cl.done - entry
-	}
-	c.clock = cl.done
-	cl.mu.Unlock()
-	c.w.ops.Add(1)
-	return res
+	return c.w.ev.reduce(c, data, op)
 }
 
 // RunWorld is a convenience wrapper: create a world, run f, and return the

@@ -6,9 +6,8 @@ package mp
 // injector advances a per-rank operation counter that counts exactly the
 // operations a trace records (charges with positive cost, parametric
 // charges, sends, receives, collectives, marks, checkpoints), so an op
-// index means the same instant on the goroutine backend, the event
-// backend, and a trace replay — the bit-identical-clock guarantee extends
-// to perturbed runs. Fail-stop failures ride the same counter; see
+// index means the same instant on the event backend and in a trace
+// replay — the bit-identical-clock guarantee extends to perturbed runs. Fail-stop failures ride the same counter; see
 // failstop.go. A
 // RunProbe captures per-rank timelines (virtual clock and accumulated
 // idle time at every collective generation) that the perturb package
@@ -96,9 +95,8 @@ func (p *RunProbe) reset(n int) {
 }
 
 // record writes rank's entry state for collective generation gen, growing
-// the matrices on first touch of a generation. On the goroutine backend
-// calls are serialized by the collective's mutex; the other backends are
-// single-threaded.
+// the matrices on first touch of a generation. Both backends call it from
+// one rank at a time, so it needs no lock.
 func (p *RunProbe) record(gen, rank int, clock, idle float64) {
 	need := (gen + 1) * p.n
 	for len(p.clocks) < need {

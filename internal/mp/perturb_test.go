@@ -62,9 +62,9 @@ func requireSameProbe(t *testing.T, name, scheds string, a, b *RunProbe) {
 
 // TestSchedulerEquivalenceInjectedDelays extends the cross-backend
 // equivalence harness to fault injection: with the same injected-delay
-// scenario (plus compute noise), goroutine, event and trace replay must
-// agree bit for bit on every rank's clock and on the probe's clock/idle
-// timelines — including the replay of an already-recorded trace.
+// scenario (plus compute noise), the event backend and a replay of the
+// recorded trace must agree bit for bit on every rank's clock and on the
+// probe's clock/idle timelines.
 func TestSchedulerEquivalenceInjectedDelays(t *testing.T) {
 	nets := map[string]NetworkModel{"flat": alphaBeta{alpha: 2e-5, beta: 1e-8}}
 	for name, net := range testHierNets() {
@@ -73,36 +73,22 @@ func TestSchedulerEquivalenceInjectedDelays(t *testing.T) {
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77} {
-				g, gp := runPerturbedWavefront(t, SchedulerGoroutine, net, seed, testDelays())
-				gc := g.SortedClocks()
-				for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
-					e, ep := runPerturbedWavefront(t, sched, net, seed, testDelays())
-					if sched == SchedulerTrace {
-						// Replay the recorded trace; nothing may move a bit.
-						e.Reset()
-						if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if g.Makespan() != e.Makespan() {
-						t.Fatalf("seed %d: makespan goroutine %v != %s %v",
-							seed, g.Makespan(), sched, e.Makespan())
-					}
-					for i := 0; i < 12; i++ {
-						if g.Clock(i) != e.Clock(i) {
-							t.Fatalf("seed %d: rank %d clock goroutine %v != %s %v",
-								seed, i, g.Clock(i), sched, e.Clock(i))
-						}
-					}
-					ec := e.SortedClocks()
-					for i := range gc {
-						if gc[i] != ec[i] {
-							t.Fatalf("seed %d: clock[%d] goroutine %v != %s %v",
-								seed, i, gc[i], sched, ec[i])
-						}
-					}
-					requireSameProbe(t, name, "goroutine vs "+sched, gp, ep)
+				e, ep := runPerturbedWavefront(t, SchedulerEvent, net, seed, testDelays())
+				tr, tp := runPerturbedWavefront(t, SchedulerTrace, net, seed, testDelays())
+				// Replay the recorded trace; nothing may move a bit.
+				tr.Reset()
+				if err := tr.Run(wavefrontProgram(4, 3, 4)); err != nil {
+					t.Fatal(err)
 				}
+				if e.Makespan() != tr.Makespan() {
+					t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
+				}
+				for i := 0; i < 12; i++ {
+					if e.Clock(i) != tr.Clock(i) {
+						t.Fatalf("seed %d: rank %d clock event %v != trace %v", seed, i, e.Clock(i), tr.Clock(i))
+					}
+				}
+				requireSameProbe(t, name, "event vs trace", ep, tp)
 			}
 		})
 	}

@@ -7,8 +7,8 @@ import (
 
 // TestWorldResetReplaysBitIdentical is the pooling correctness harness:
 // a Reset world must replay the exact run — same seeds, same jitter
-// streams, same clocks — on both backends, and a reused event world must
-// still agree bit for bit with a fresh goroutine world.
+// streams, same clocks — on both backends, and a reused trace world must
+// still agree bit for bit with a fresh event world.
 func TestWorldResetReplaysBitIdentical(t *testing.T) {
 	for _, sched := range schedulers {
 		w, err := NewWorld(12, Options{
@@ -43,27 +43,27 @@ func TestWorldResetReplaysBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Cross-backend: a reused event world versus a fresh goroutine world.
-	fresh := runWavefront(t, SchedulerGoroutine, 4242)
-	ev, err := NewWorld(12, Options{
+	// Cross-backend: a reused trace world versus a fresh event world.
+	fresh := runWavefront(t, SchedulerEvent, 4242)
+	tw, err := NewWorld(12, Options{
 		Net:       alphaBeta{alpha: 2e-5, beta: 1e-8},
 		Noise:     jitterNoise{0.05},
 		Seed:      4242,
-		Scheduler: SchedulerEvent,
+		Scheduler: SchedulerTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rep := 0; rep < 2; rep++ {
+	for rep := 0; rep < 3; rep++ {
 		if rep > 0 {
-			ev.Reset()
+			tw.Reset()
 		}
-		if err := ev.Run(wavefrontProgram(4, 3, 5)); err != nil {
+		if err := tw.Run(wavefrontProgram(4, 3, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fresh.Makespan() != ev.Makespan() {
-		t.Fatalf("cross-backend after reuse: %v != %v", ev.Makespan(), fresh.Makespan())
+	if fresh.Makespan() != tw.Makespan() {
+		t.Fatalf("cross-backend after reuse: %v != %v", tw.Makespan(), fresh.Makespan())
 	}
 }
 
@@ -183,47 +183,6 @@ func TestEventSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Reset+Run allocations = %v per cycle (%d message ops), want 0", avg, 8*50*2)
-	}
-}
-
-// TestGoroutineSteadyStatePooledAllocs is the goroutine backend's pooling
-// check: per-run Comm/error-slot/closure state is pooled on the World, so
-// the allocations of a warmed Reset+Run cycle must be a small constant —
-// independent of both the message count and the per-rank Comm footprint.
-// (Exact zero is not asserted: goroutine respawn may touch runtime-managed
-// memory outside the test's control.)
-func TestGoroutineSteadyStatePooledAllocs(t *testing.T) {
-	const ranks = 8
-	w, err := NewWorld(ranks, Options{
-		Net:       alphaBeta{alpha: 1e-6, beta: 1e-9},
-		Seed:      7,
-		Scheduler: SchedulerGoroutine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := func(prog func(c *Comm) error) func() {
-		return func() {
-			w.Reset()
-			if err := w.Run(prog); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Warm: materialise RNGs, queue capacities and the runtime's goroutine
-	// free lists.
-	for i := 0; i < 3; i++ {
-		cycle(ringProgram(50))()
-	}
-	short := testing.AllocsPerRun(10, cycle(ringProgram(10)))
-	long := testing.AllocsPerRun(10, cycle(ringProgram(400)))
-	if long > short+4 {
-		t.Errorf("allocations grow with message count: %v (10 msgs) vs %v (400 msgs)", short, long)
-	}
-	// Before pooling each cycle paid >= one Comm per rank; now the whole
-	// cycle must stay well under that.
-	if short >= ranks {
-		t.Errorf("steady-state goroutine Reset+Run allocates %v per cycle, want < %d (one per rank)", short, ranks)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// schedulers lists every backend for table-driven semantics tests. The
-// trace backend records its first Run on the event machinery (so a single
-// Run is a true execution) and replays on reuse; the reset/replay tests
-// cover both phases.
-var schedulers = []string{SchedulerGoroutine, SchedulerEvent, SchedulerTrace}
+// schedulers lists every backend for table-driven semantics tests, the
+// event backend (the reference) first. The trace backend records its first
+// Run on the event machinery (so a single Run is a true execution) and
+// replays on reuse; the reset/replay tests cover both phases.
+var schedulers = []string{SchedulerEvent, SchedulerTrace}
 
 // wavefrontProgram is a miniature of the SWEEP3D pipeline: a px x py rank
 // array sweeping from all four corners with charges, tagged sends/receives
@@ -67,30 +67,25 @@ func runWavefront(t *testing.T, sched string, seed int64) *World {
 }
 
 // TestSchedulerEquivalence is the cross-backend correctness harness: for
-// identical seeds every backend must agree bit for bit on the makespan
-// and on every rank's final clock. The trace backend is additionally
-// checked on its *replay* path (Reset+Run after the recording run).
+// identical seeds a trace replay (Reset+Run after the recording run) must
+// agree bit for bit with the event backend on the makespan and on every
+// rank's final clock.
 func TestSchedulerEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
-		g := runWavefront(t, SchedulerGoroutine, seed)
-		gc := g.SortedClocks()
-		for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
-			e := runWavefront(t, sched, seed)
-			if sched == SchedulerTrace {
-				// Replay the recorded trace; clocks must not move a bit.
-				e.Reset()
-				if err := e.Run(wavefrontProgram(4, 3, 5)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if g.Makespan() != e.Makespan() {
-				t.Fatalf("seed %d: makespan goroutine %v != %s %v", seed, g.Makespan(), sched, e.Makespan())
-			}
-			ec := e.SortedClocks()
-			for i := range gc {
-				if gc[i] != ec[i] {
-					t.Fatalf("seed %d: clock[%d] goroutine %v != %s %v", seed, i, gc[i], sched, ec[i])
-				}
+		e := runWavefront(t, SchedulerEvent, seed)
+		ec := e.SortedClocks()
+		tr := runWavefront(t, SchedulerTrace, seed)
+		tr.Reset()
+		if err := tr.Run(wavefrontProgram(4, 3, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if e.Makespan() != tr.Makespan() {
+			t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
+		}
+		tc := tr.SortedClocks()
+		for i := range ec {
+			if ec[i] != tc[i] {
+				t.Fatalf("seed %d: clock[%d] event %v != trace %v", seed, i, ec[i], tc[i])
 			}
 		}
 	}
@@ -267,7 +262,7 @@ func TestEventSemanticsBattery(t *testing.T) {
 }
 
 // TestEventSchedulerDetectsDeadlock checks that the event backend turns a
-// stuck world into an immediate error — no watchdog timer involved.
+// stuck world into an immediate error.
 func TestEventSchedulerDetectsDeadlock(t *testing.T) {
 	w, err := NewWorld(2, Options{Scheduler: SchedulerEvent})
 	if err != nil {
@@ -284,8 +279,8 @@ func TestEventSchedulerDetectsDeadlock(t *testing.T) {
 	}
 }
 
-// TestEventSchedulerErrorPaths mirrors the goroutine backend's error
-// handling for invalid arguments and mismatched collectives.
+// TestEventSchedulerErrorPaths checks the event backend's error handling
+// for invalid arguments, mismatched collectives and unknown schedulers.
 func TestEventSchedulerErrorPaths(t *testing.T) {
 	opts := Options{Scheduler: SchedulerEvent}
 	for name, f := range map[string]func(c *Comm) error{
@@ -319,8 +314,10 @@ func TestEventSchedulerErrorPaths(t *testing.T) {
 		t.Fatal("expected collective mismatch error")
 	}
 
-	if _, err := NewWorld(2, Options{Scheduler: "bogus"}); err == nil {
-		t.Fatal("expected unknown-scheduler error")
+	for _, sched := range []string{"bogus", "goroutine"} {
+		if _, err := NewWorld(2, Options{Scheduler: sched}); err == nil {
+			t.Fatalf("scheduler %q: expected unknown-scheduler error", sched)
+		}
 	}
 }
 
@@ -358,8 +355,8 @@ func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 // two-receive macros, which park between their receives), and the
 // deterministic net with seeded random delays and a probe (the general
 // loop, perturbed). The trace backend replays its recording; every rank's
-// clock and the probe's clock/idle rows must match the goroutine backend
-// bit for bit.
+// clock and the probe's clock/idle rows must match the event backend bit
+// for bit.
 func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 	const n, steps = 6, 15
 	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
@@ -528,10 +525,9 @@ func testHierNets() map[string]hierNet {
 }
 
 // TestSchedulerEquivalenceHierarchical extends the cross-backend harness
-// to hierarchical (src, dst)-classed interconnects: goroutine, event and
-// trace replay must agree bit for bit on every rank's clock, with and
-// without per-class RNG jitter, and replays of the recorded trace must not
-// move a bit either.
+// to hierarchical (src, dst)-classed interconnects: the event backend and
+// a replay of the recorded trace must agree bit for bit on every rank's
+// clock, with and without per-class RNG jitter.
 func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 	for name, net := range testHierNets() {
 		t.Run(name, func(t *testing.T) {
@@ -551,26 +547,22 @@ func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 					}
 					return w
 				}
-				g := run(SchedulerGoroutine)
-				gc := g.SortedClocks()
-				for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
-					e := run(sched)
-					if sched == SchedulerTrace {
-						e.Reset()
-						if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if g.Makespan() != e.Makespan() {
-						t.Fatalf("%s seed %d: makespan goroutine %v != %s %v",
-							name, seed, g.Makespan(), sched, e.Makespan())
-					}
-					ec := e.SortedClocks()
-					for i := range gc {
-						if gc[i] != ec[i] {
-							t.Fatalf("%s seed %d: clock[%d] goroutine %v != %s %v",
-								name, seed, i, gc[i], sched, ec[i])
-						}
+				e := run(SchedulerEvent)
+				ec := e.SortedClocks()
+				tr := run(SchedulerTrace)
+				tr.Reset()
+				if err := tr.Run(wavefrontProgram(4, 3, 4)); err != nil {
+					t.Fatal(err)
+				}
+				if e.Makespan() != tr.Makespan() {
+					t.Fatalf("%s seed %d: makespan event %v != trace %v",
+						name, seed, e.Makespan(), tr.Makespan())
+				}
+				tc := tr.SortedClocks()
+				for i := range ec {
+					if ec[i] != tc[i] {
+						t.Fatalf("%s seed %d: clock[%d] event %v != trace %v",
+							name, seed, i, ec[i], tc[i])
 					}
 				}
 			}

@@ -44,7 +44,7 @@ package mp
 // NetworkModel: for DeterministicCosts models each distinct size is priced
 // once per replay into flat arrays, so the per-op loop does no interface
 // calls at all; for RNG-using models every op draws from per-rank streams
-// in program order — exactly the order the live backends draw in — keeping
+// in program order — exactly the order the event backend draws in — keeping
 // replays bit-identical even under jitter.
 //
 // Memory: per-rank scripts are delta-encoded (a send stores dst-rank, so
@@ -533,7 +533,7 @@ type Replayer struct {
 	// Fault-injection cursors and probe state (Options.Delays/Fails/
 	// Probe), in parallel slices rather than rrank so the unperturbed hot
 	// path — and its zero-allocation guarantee — is untouched. collGen
-	// mirrors the live backends' collective generation counter for probe
+	// mirrors the event backend's collective generation counter for probe
 	// rows. Only the general loop reads this state; the fused loop never
 	// runs a perturbed replay. failing gates the fail-stop machinery (fqs
 	// cursors, ckpts rewind targets) within it.
@@ -819,7 +819,7 @@ func (r *Replayer) rng(id int) *rand.Rand {
 }
 
 // collRngStream is the collective-pricing stream (same seed derivation as
-// the live backends' dedicated collective RNG).
+// the event backend's dedicated collective RNG).
 func (r *Replayer) collRngStream() *rand.Rand {
 	if !r.collRngOK {
 		seed := r.opts.Seed ^ 0x1F3D5B79
@@ -887,7 +887,7 @@ func (r *Replayer) deliver(dst int, slot uint8, avail, aux float64) {
 // closed == false (the caller parks the rank in rBlockedColl); the last
 // arriver closes the generation and gets its completion clock — the
 // latest arrival plus the reduction of words float64s, priced exactly as
-// the live backends price it.
+// the event backend prices it.
 func (r *Replayer) reduce(id int, clock float64, words int32) (done float64, closed bool) {
 	if r.collArrived == 0 || clock > r.collMax {
 		r.collMax = clock
@@ -944,7 +944,7 @@ func (r *Replayer) runRank(id int) {
 // replays, with fault injection, compute noise and probe accounting woven
 // into the arms. With all of those off it reduces to plain array
 // arithmetic. Clocks follow the event scheduler's law, so every replay is
-// bit-identical to the live backends under the same options.
+// bit-identical to the event backend under the same options.
 func (r *Replayer) runRankGeneral(id int) {
 	t := r.t
 	net := r.opts.Net
@@ -1116,7 +1116,7 @@ run:
 			if self.collResolved {
 				// Resume after the closer resolved the generation; the
 				// entry clock was frozen at park, so the idle delta matches
-				// the live backends' done-minus-entry accounting.
+				// the event backend's done-minus-entry accounting.
 				self.collResolved = false
 				if probe != nil {
 					idle += self.collDone - clock

@@ -208,17 +208,13 @@ type traceCycleMeta struct {
 }
 
 // installCycle validates decoded cycle metadata and installs it: class
-// ids in range, every class populated, cursors inside their class's
-// script on fused-op boundaries, and the generation arithmetic coherent.
-// Any inconsistency is an error (the caller maps it to ErrFormat and the
-// pace layer quarantines the artifact); the replayer never sees an
-// unvalidated cursor.
+// ids in range, every class populated by ranks with identical scripts,
+// and the geometry and cursors exactly what detection finds on the
+// decoded script — generation count, a verified periodic run, and the
+// cursors at the starts of its first and last cycles. Any inconsistency is
+// an error (the caller maps it to ErrFormat and the pace layer quarantines
+// the artifact); the replayer never sees an unvalidated cursor.
 func (t *Trace) installCycle(m *traceCycleMeta) error {
-	if m.period < 1 || m.prefix < 1 || m.cycles < cycMinCycles ||
-		m.gens < m.prefix+m.cycles*m.period+1 {
-		return fmt.Errorf("trace: cycle geometry %d/%d/%d/%d inconsistent",
-			m.period, m.prefix, m.cycles, m.gens)
-	}
 	rep := make([]int32, m.nclass)
 	for i := range rep {
 		rep[i] = -1
@@ -235,6 +231,26 @@ func (t *Trace) installCycle(m *traceCycleMeta) error {
 			return fmt.Errorf("trace: rank %d script differs from its cycle class", r)
 		}
 	}
+	for c, r := range rep {
+		if r < 0 {
+			return fmt.Errorf("trace: cycle class %d has no ranks", c)
+		}
+	}
+	segs, ok := t.segmentClasses(rep)
+	if !ok {
+		return fmt.Errorf("trace: cycle classes disagree on the generation count")
+	}
+	G := len(segs[0])
+	// Bounding period and cycles by G first keeps the product from
+	// overflowing on corrupt values.
+	if m.period < 1 || m.period > G || m.prefix < 1 || m.cycles < cycMinCycles || m.cycles > G ||
+		m.gens != G || m.prefix+m.cycles*m.period != G-1 {
+		return fmt.Errorf("trace: cycle geometry %d/%d/%d/%d inconsistent with %d generations",
+			m.period, m.prefix, m.cycles, m.gens, G)
+	}
+	if !t.verifyCycle(rep, segs, m.prefix, m.period, G-1) {
+		return fmt.Errorf("trace: script is not periodic over the declared cycle")
+	}
 	cyc := traceCycle{
 		detected: true, period: m.period, prefix: m.prefix,
 		cycles: m.cycles, gens: m.gens, classOf: m.classOf,
@@ -242,11 +258,12 @@ func (t *Trace) installCycle(m *traceCycleMeta) error {
 		last:  make([]cycCursor, m.nclass),
 	}
 	for c := 0; c < m.nclass; c++ {
-		if rep[c] < 0 {
-			return fmt.Errorf("trace: cycle class %d has no ranks", c)
-		}
 		fs, fo := m.cursors[4*c], m.cursors[4*c+1]
 		ls, lo := m.cursors[4*c+2], m.cursors[4*c+3]
+		f, l := segs[c][m.prefix], segs[c][m.prefix+(m.cycles-1)*m.period]
+		if fs != f.srel || fo != f.sop || ls != l.srel || lo != l.sop {
+			return fmt.Errorf("trace: cycle class %d cursors off their generation starts", c)
+		}
 		ff, okf := t.fusedIndexAt(rep[c], fs, fo)
 		lf, okl := t.fusedIndexAt(rep[c], ls, lo)
 		if !okf || !okl {
@@ -261,14 +278,15 @@ func (t *Trace) installCycle(m *traceCycleMeta) error {
 
 // validate checks the structural invariants recording guarantees, so a
 // decoded trace drives the replayer exactly like a recorded one: monotone
-// chunk and script tables, chunk ids, op kinds and table indices in range
-// (parameter indices within the header maxima that Replay sizes its
-// tables against), and every send and receive partner inside the world.
+// chunk and script tables, chunk ids, op kinds and table indices in range,
+// header parameter maxima equal to the largest index the ops reference
+// (Replay checks its tables against them), and every send and receive
+// partner inside the world.
 func (t *Trace) validate() error {
 	if t.n <= 0 {
 		return fmt.Errorf("trace: non-positive world size %d", t.n)
 	}
-	if t.nmarks < 0 || t.ops < 0 || t.maxChPar < -1 || t.maxSzPar < -1 {
+	if t.nmarks < 0 || t.ops < 0 {
 		return fmt.Errorf("trace: negative counters")
 	}
 	if t.nmarks > MaxMarks {
@@ -300,6 +318,7 @@ func (t *Trace) validate() error {
 	// largest partner offset, applied at every rank whose script runs the
 	// chunk, stays in [0, n).
 	lo, hi := make([]int64, nchunks), make([]int64, nchunks)
+	maxCh, maxSz := int32(-1), int32(-1)
 	for c := 0; c < nchunks; c++ {
 		for i := t.cstart[c]; i < t.cstart[c+1]; i++ {
 			o := &t.chunkOps[i]
@@ -308,11 +327,13 @@ func (t *Trace) validate() error {
 			case topChargeLit, topChargeNoisy:
 				bad = o.arg0 < 0 || int(o.arg0) >= len(t.lits)
 			case topChargeParam, topCkpt:
-				bad = o.arg0 < 0 || o.arg0 > t.maxChPar
+				bad = o.arg0 < 0
+				maxCh = max(maxCh, o.arg0)
 			case topSendLit:
 				bad = o.arg2 < 0 || int(o.arg2) >= len(t.sizes)
 			case topSendParam:
-				bad = o.arg2 < 0 || o.arg2 > t.maxSzPar
+				bad = o.arg2 < 0
+				maxSz = max(maxSz, o.arg2)
 			case topRecv:
 			case topReduce:
 				bad = o.arg0 < 0
@@ -328,6 +349,10 @@ func (t *Trace) validate() error {
 				lo[c], hi[c] = min(lo[c], int64(o.arg0)), max(hi[c], int64(o.arg0))
 			}
 		}
+	}
+	if maxCh != t.maxChPar || maxSz != t.maxSzPar {
+		return fmt.Errorf("trace: header parameter maxima %d/%d, ops reference %d/%d",
+			t.maxChPar, t.maxSzPar, maxCh, maxSz)
 	}
 	for r := 0; r < t.n; r++ {
 		for _, c := range t.script[t.sstart[r]:t.sstart[r+1]] {

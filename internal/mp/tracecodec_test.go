@@ -168,8 +168,8 @@ func resealed(data []byte) []byte {
 
 // TestSchedulerEquivalenceDecodedTrace is the decoded-trace row of the
 // cross-backend equivalence matrix: a trace that went through
-// encode→decode must replay bit-identically to the goroutine and event
-// backends, including under RNG noise.
+// encode→decode must replay bit-identically to the event backend,
+// including under RNG noise.
 func TestSchedulerEquivalenceDecodedTrace(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		opts := Options{
@@ -177,7 +177,7 @@ func TestSchedulerEquivalenceDecodedTrace(t *testing.T) {
 			Noise: jitterNoise{0.05},
 			Seed:  seed,
 		}
-		gc := runWavefront(t, SchedulerGoroutine, seed).SortedClocks()
+		ec := runWavefront(t, SchedulerEvent, seed).SortedClocks()
 
 		rec, err := NewWorld(12, Options{Net: opts.Net, Noise: opts.Noise, Seed: seed, Scheduler: SchedulerEvent})
 		if err != nil {
@@ -200,9 +200,9 @@ func TestSchedulerEquivalenceDecodedTrace(t *testing.T) {
 			clocks[r] = rp.Clock(r)
 		}
 		sort.Float64s(clocks)
-		for i := range gc {
-			if gc[i] != clocks[i] {
-				t.Fatalf("seed %d: clock[%d] goroutine %v != decoded-trace replay %v", seed, i, gc[i], clocks[i])
+		for i := range ec {
+			if ec[i] != clocks[i] {
+				t.Fatalf("seed %d: clock[%d] event %v != decoded-trace replay %v", seed, i, ec[i], clocks[i])
 			}
 		}
 	}
@@ -277,11 +277,18 @@ func TestTraceCodecRefusesOutOfRangeOps(t *testing.T) {
 		})
 	}
 	// A mark count past MaxMarks would size Replay's mark table from a
-	// corrupt header.
-	tr := recordParamRing(t, 4, 2)
-	tr.nmarks = 1 << 30
-	if _, err := DecodeTrace(tr.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
-		t.Fatalf("mark count past MaxMarks: err = %v, want ErrFormat", err)
+	// corrupt header, and header parameter maxima above every referenced
+	// index would make Replay refuse every real parameter table.
+	for name, mut := range map[string]func(tr *Trace){
+		"mark count past MaxMarks":      func(tr *Trace) { tr.nmarks = 1 << 30 },
+		"charge param maximum inflated": func(tr *Trace) { tr.maxChPar = 1 << 30 },
+		"size param maximum inflated":   func(tr *Trace) { tr.maxSzPar = 1 << 30 },
+	} {
+		tr := recordParamRing(t, 4, 2)
+		mut(tr)
+		if _, err := DecodeTrace(tr.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
+			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
+		}
 	}
 }
 

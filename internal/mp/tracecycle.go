@@ -356,47 +356,11 @@ func (t *Trace) detectCycle() {
 	}
 
 	nclass := len(reps)
-	segs := make([][]cycSeg, nclass)
-	G := -1
-	for c := 0; c < nclass; c++ {
-		var out []cycSeg
-		cur := cycSeg{}
-		h := uint64(1469598103934665603)
-		nops := int32(0)
-		s := scriptOf(reps[c])
-		for si, ch := range s {
-			ops := t.chunkOps[t.cstart[ch]:t.cstart[ch+1]]
-			for oi := range ops {
-				o := &ops[oi]
-				h ^= uint64(uint32(o.arg0))
-				h *= 1099511628211
-				h ^= uint64(uint32(o.arg1))
-				h *= 1099511628211
-				h ^= uint64(uint32(o.arg2))
-				h *= 1099511628211
-				h ^= uint64(o.kind)
-				h *= 1099511628211
-				nops++
-				if o.kind == topReduce {
-					cur.hash, cur.nops = h, nops
-					out = append(out, cur)
-					nsrel, nsop := int32(si), int32(oi+1)
-					if int(nsop) == len(ops) {
-						nsrel, nsop = int32(si+1), 0
-					}
-					cur = cycSeg{srel: nsrel, sop: nsop}
-					h = uint64(1469598103934665603)
-					nops = 0
-				}
-			}
-		}
-		segs[c] = out
-		if c == 0 {
-			G = len(out)
-		} else if len(out) != G {
-			return // ranks disagree on generation count: no global cycle
-		}
+	segs, ok := t.segmentClasses(reps)
+	if !ok {
+		return // ranks disagree on generation count: no global cycle
 	}
+	G := len(segs[0])
 	// Minimum viable script: one prefix generation, cycMinCycles cycles,
 	// one suffix generation.
 	if G < cycMinCycles+2 {
@@ -465,6 +429,53 @@ func (t *Trace) detectCycle() {
 		t.cyc = cyc
 		return
 	}
+}
+
+// segmentClasses splits each class representative's op stream into its
+// collective generations. It reports false when the classes disagree on
+// the generation count, which rules out a global cycle. Detection and the
+// decoder's cycle validation (installCycle) share it, so a decoded cycle
+// is checked against the same segments detection would have found.
+func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
+	segs := make([][]cycSeg, len(reps))
+	for c, r := range reps {
+		var out []cycSeg
+		cur := cycSeg{}
+		h := uint64(1469598103934665603)
+		nops := int32(0)
+		s := t.script[t.sstart[r]:t.sstart[r+1]]
+		for si, ch := range s {
+			ops := t.chunkOps[t.cstart[ch]:t.cstart[ch+1]]
+			for oi := range ops {
+				o := &ops[oi]
+				h ^= uint64(uint32(o.arg0))
+				h *= 1099511628211
+				h ^= uint64(uint32(o.arg1))
+				h *= 1099511628211
+				h ^= uint64(uint32(o.arg2))
+				h *= 1099511628211
+				h ^= uint64(o.kind)
+				h *= 1099511628211
+				nops++
+				if o.kind == topReduce {
+					cur.hash, cur.nops = h, nops
+					out = append(out, cur)
+					nsrel, nsop := int32(si), int32(oi+1)
+					if int(nsop) == len(ops) {
+						nsrel, nsop = int32(si+1), 0
+					}
+					cur = cycSeg{srel: nsrel, sop: nsop}
+					h = uint64(1469598103934665603)
+					nops = 0
+				}
+			}
+		}
+		segs[c] = out
+		if len(out) != len(segs[0]) {
+			return nil, false
+		}
+	}
+	return segs, true
 }
 
 // verifyCycle confirms segment-level periodicity by full op comparison

@@ -349,6 +349,9 @@ func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
 	corrupt("class out of range", func(c *traceCycle) { c.classOf[3] = int32(len(c.first)) + 9 })
 	corrupt("negative class", func(c *traceCycle) { c.classOf[0] = -2 })
 	corrupt("cursor off boundary", func(c *traceCycle) { c.last[0].sop = 1 << 28 })
+	// On fused-op boundaries, but not where their generations start.
+	corrupt("last cursor on the first cycle", func(c *traceCycle) { copy(c.last, c.first) })
+	corrupt("generation count off the script", func(c *traceCycle) { c.gens++ })
 
 	// A rank count that the script table contradicts is refused before it
 	// sizes the per-rank class table.

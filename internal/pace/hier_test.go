@@ -44,11 +44,11 @@ func hierEvaluator(t *testing.T, m *hwmodel.Model) *Evaluator {
 
 // TestHierarchicalBackendsBitIdentical is the acceptance harness for
 // class-priced evaluation: a hierarchical model's prediction must be
-// bit-identical across the trace-replay, event and goroutine backends.
+// bit-identical across the trace-replay and event backends.
 func TestHierarchicalBackendsBitIdentical(t *testing.T) {
 	cfg := paperConfig(4, 2) // 8 ranks over 2 nodes of 4
 	var ref *Prediction
-	for _, sched := range []string{mp.SchedulerTrace, mp.SchedulerEvent, mp.SchedulerGoroutine} {
+	for _, sched := range []string{mp.SchedulerTrace, mp.SchedulerEvent} {
 		ev := hierEvaluator(t, hierTestModel())
 		ev.Scheduler = sched
 		p, err := ev.Predict(cfg)

@@ -205,7 +205,7 @@ func TestWorldPoolEviction(t *testing.T) {
 // world pool — including alternating configurations of the same array
 // size and both backends — are bit-identical to a fresh evaluator's.
 func TestPooledWorldReuseMatchesFresh(t *testing.T) {
-	for _, sched := range []string{"", mp.SchedulerGoroutine} {
+	for _, sched := range []string{"", mp.SchedulerEvent} {
 		pooled := testEvaluator(t)
 		pooled.Scheduler = sched
 		cfgA := paperConfig(3, 4)

@@ -119,9 +119,8 @@ type Evaluator struct {
 	// mp.SchedulerTrace) uses the trace tier: the configuration shape's
 	// communication script is compiled once and replayed per prediction
 	// under this evaluator's cost tables, bit-identical to the event
-	// backend. "event" and "goroutine" force the live backends; both are
-	// kept selectable for the cross-backend equivalence tests and the
-	// old-vs-new benchmark comparisons.
+	// backend. "event" forces live evaluation on the event backend, the
+	// trace tier's reference in the cross-backend equivalence tests.
 	Scheduler string
 
 	// Memo, when non-nil, caches whole Prediction results keyed by the

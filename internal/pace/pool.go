@@ -106,11 +106,10 @@ func (e *Evaluator) PoolStats() PoolStats {
 }
 
 // worldKey identifies a pool of interchangeable worlds: template
-// evaluation worlds are distinguished only by rank count and backend (the
-// cost model is swapped in through the netProxy at acquire time).
+// evaluation worlds are distinguished only by rank count (the cost model is
+// swapped in through the netProxy at acquire time).
 type worldKey struct {
-	n     int
-	sched string
+	n int
 }
 
 // pooledWorld is one reusable world plus the indirection that lets each
@@ -259,16 +258,16 @@ func (s *evalShared) evictIdleLocked() int {
 
 // acquireWorld returns a world of n ranks wired to this evaluator's
 // hardware model, plus a release function that parks it for reuse. Worlds
-// are pooled per (size, backend): a released world keeps its rank records,
-// stream buffers and heap storage, so the next Predict of the same array
-// size pays no construction cost and no steady-state allocations. Without
+// are pooled per size: a released world keeps its rank records, stream
+// buffers and heap storage, so the next Predict of the same array size
+// pays no construction cost and no steady-state allocations. Without
 // shared caches (zero-value Evaluator) it falls back to a fresh world.
-func (e *Evaluator) acquireWorld(n int, sched string) (*mp.World, func(), error) {
+func (e *Evaluator) acquireWorld(n int) (*mp.World, func(), error) {
 	if e.shared == nil {
-		w, err := mp.NewWorld(n, mp.Options{Net: e.HW.Net(), Scheduler: sched})
+		w, err := mp.NewWorld(n, mp.Options{Net: e.HW.Net()})
 		return w, func() {}, err
 	}
-	key := worldKey{n: n, sched: sched}
+	key := worldKey{n: n}
 	s := e.shared
 	s.mu.Lock()
 	var pw *pooledWorld
@@ -281,7 +280,7 @@ func (e *Evaluator) acquireWorld(n int, sched string) (*mp.World, func(), error)
 	s.mu.Unlock()
 	if pw == nil {
 		proxy := &netProxy{target: e.HW.Net()}
-		w, err := mp.NewWorld(n, mp.Options{Net: proxy, Scheduler: sched})
+		w, err := mp.NewWorld(n, mp.Options{Net: proxy})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -83,7 +83,7 @@ func templateBody(d grid.Decomp, nab, nkb, iterations, ckptEvery int) func(c *mp
 // shape's communication script is compiled once (recorded on the event
 // backend) and replayed under this evaluator's cost tables — bit-identical
 // clocks to the event backend, no goroutines or channels on the replay.
-// Scheduler "event" and "goroutine" force the live backends.
+// Scheduler "event" forces live evaluation on the event backend.
 func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,8 +108,8 @@ func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	switch sched := e.Scheduler; sched {
 	case "", mp.SchedulerTrace:
 		total, sweepOnly, extrapolated, err = e.evalTrace(cfg, k)
-	case mp.SchedulerEvent, mp.SchedulerGoroutine:
-		total, sweepOnly, err = e.evalWorld(cfg, k, sched)
+	case mp.SchedulerEvent:
+		total, sweepOnly, err = e.evalWorld(cfg, k)
 	default:
 		return nil, fmt.Errorf("pace: unknown scheduler %q", sched)
 	}
@@ -136,12 +136,11 @@ func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	return pred, nil
 }
 
-// evalWorld runs the template body live on a pooled world of the given
-// backend, returning the makespan and the first iteration's rank-0 sweep
-// span.
-func (e *Evaluator) evalWorld(cfg Config, k *costKernel, sched string) (total, sweepOnly float64, err error) {
+// evalWorld runs the template body live on a pooled event world,
+// returning the makespan and the first iteration's rank-0 sweep span.
+func (e *Evaluator) evalWorld(cfg Config, k *costKernel) (total, sweepOnly float64, err error) {
 	d := cfg.Decomp
-	w, release, err := e.acquireWorld(d.Size(), sched)
+	w, release, err := e.acquireWorld(d.Size())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -233,7 +233,7 @@ func netDeterministic(net mp.NetworkModel) bool {
 // and delta-encoded partners, so the trace is valid for every evaluator
 // sharing the shape.
 func (e *Evaluator) compileTrace(d grid.Decomp, k *costKernel, iterations, ckptEvery int) (*mp.Trace, error) {
-	w, release, err := e.acquireWorld(d.Size(), mp.SchedulerEvent)
+	w, release, err := e.acquireWorld(d.Size())
 	if err != nil {
 		return nil, err
 	}

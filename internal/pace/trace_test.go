@@ -31,8 +31,7 @@ func traceMatrix() []Config {
 
 // TestTraceBackendBitIdentical is the trace-tier acceptance: for every
 // configuration of the matrix, the trace tier (the default scheduler) must
-// produce a Prediction bit-identical — every field — to the event and
-// goroutine backends.
+// produce a Prediction bit-identical — every field — to the event backend.
 func TestTraceBackendBitIdentical(t *testing.T) {
 	ev := testEvaluator(t)
 	for _, cfg := range traceMatrix() {
@@ -42,7 +41,7 @@ func TestTraceBackendBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sched := range []string{"", mp.SchedulerTrace, mp.SchedulerGoroutine} {
+		for _, sched := range []string{"", mp.SchedulerTrace} {
 			evS := *ev
 			evS.Scheduler = sched
 			got, err := evS.Predict(cfg)

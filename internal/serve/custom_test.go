@@ -101,13 +101,13 @@ func predictBody(spec platform.Spec, extra string) string {
 
 // TestPredictInlineSpec covers the inline custom-platform path end to end:
 // 200 with the spec's name and fingerprint echoed, response-cache reuse on
-// repeat, and a prediction bit-identical across the trace, event and
-// goroutine scheduler backends (the acceptance criterion).
+// repeat, and a prediction bit-identical across the trace and event
+// scheduler backends (the acceptance criterion).
 func TestPredictInlineSpec(t *testing.T) {
 	for _, spec := range []platform.Spec{flatSpec(), hierServeSpec()} {
 		t.Run(spec.Name, func(t *testing.T) {
 			var ref *PredictResponse
-			for _, sched := range []string{"", "event", "goroutine"} {
+			for _, sched := range []string{"", "event"} {
 				s := newTestServer(t, func(c *Config) {
 					c.Scheduler = sched
 					c.BuildEvaluatorSpec = specTestBuilder(t, nil)

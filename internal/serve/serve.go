@@ -98,10 +98,7 @@ type Config struct {
 	// Scheduler selects the mp backend for template evaluation; empty
 	// means the trace tier (compile each configuration shape's
 	// communication script once, replay it per point — bit-identical to
-	// the event backend). "event" forces the live event scheduler. The
-	// goroutine backend is accepted but warned about: it is slower,
-	// nondeterministic in collective accumulation order, and not
-	// allocation-free under pooling.
+	// the event backend). "event" forces the live event scheduler.
 	Scheduler string
 
 	// ResponseCacheEntries bounds the /v1/predict response-byte LRU
@@ -378,13 +375,8 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Scheduler {
 	case "", "trace", "event":
-	case "goroutine":
-		cfg.Logf("paceserve: WARNING: goroutine scheduler configured; it is slower than the "+
-			"event backend and the trace tier, accumulates collectives in nondeterministic "+
-			"order, and still pays per-run goroutine-spawn allocations under pooling — see "+
-			"DESIGN.md; serving deployments should use %q (the default)", "trace")
 	default:
-		return nil, fmt.Errorf("serve: unknown scheduler %q (want \"trace\", \"event\" or \"goroutine\")", cfg.Scheduler)
+		return nil, fmt.Errorf("serve: unknown scheduler %q (want \"trace\" or \"event\")", cfg.Scheduler)
 	}
 	if cfg.BuildEvaluator == nil {
 		cfg.BuildEvaluator = defaultBuilder(cfg)

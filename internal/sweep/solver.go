@@ -24,7 +24,7 @@ func SolveSerial(p Problem) (*Result, error) {
 }
 
 // SolveParallel runs the full functional solve over a PX x PY processor
-// array, one goroutine per rank, and gathers the global scalar flux. The
+// array, one mp rank per processor, and gathers the global scalar flux. The
 // mp options select the transport: zero-value options give a purely
 // functional run; a network model adds virtual-time accounting (Makespan).
 func SolveParallel(p Problem, d grid.Decomp, opts mp.Options) (*Result, error) {
