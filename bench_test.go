@@ -24,6 +24,7 @@ import (
 	"pacesweep/internal/clc"
 	"pacesweep/internal/experiments"
 	"pacesweep/internal/grid"
+	"pacesweep/internal/hwmodel"
 	"pacesweep/internal/mp"
 	"pacesweep/internal/pace"
 	"pacesweep/internal/platform"
@@ -329,6 +330,55 @@ func BenchmarkPredictTraceDistinct(b *testing.B) {
 			b.StopTimer()
 			replayed := pace.TraceExtrapolation().ReplayedCycles - before
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed_cycles/op")
+		})
+	}
+}
+
+// BenchmarkTraceCompileCold is the cold-shape cost the first request for
+// a new processor array pays: every op empties the trace cache and
+// compiles the array's communication script again (pace.TraceFor). The
+// arrays are 16x16, 50x80 and 80x100 with 5x5 cells per processor, NZ 50,
+// MK 10, MMI 3, 6 angles and 12 iterations, on the deterministic fitted
+// model the perturbation tests use. The cost kernel is priced once,
+// outside the timed loop, so ns/op is the compile alone.
+func BenchmarkTraceCompileCold(b *testing.B) {
+	analysis, err := capp.SweepKernelAnalysis()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := pace.NewEvaluator(&hwmodel.Model{
+		Name:   "perturb-test",
+		MFLOPS: 110,
+		OpcodeCosts: clc.CostTable{
+			clc.MFDG: 10e-9, clc.AFDG: 9e-9, clc.DFDG: 28e-9,
+			clc.IFBR: 1.5e-9, clc.LFOR: 2e-9,
+		},
+		Send:     platform.Piecewise{A: 512, B: 6, C: 0.008, D: 8, E: 0.0042},
+		Recv:     platform.Piecewise{A: 512, B: 7, C: 0.008, D: 9, E: 0.0042},
+		PingPong: platform.Piecewise{A: 512, B: 26, C: 0.02, D: 32, E: 0.0088},
+	}, analysis)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pace.FlushTraceCache()
+	for _, a := range []grid.Decomp{{PX: 16, PY: 16}, {PX: 50, PY: 80}, {PX: 80, PY: 100}} {
+		cfg := pace.Config{
+			Grid:   grid.Global{NX: 5 * a.PX, NY: 5 * a.PY, NZ: 50},
+			Decomp: a,
+			MK:     10, MMI: 3, Angles: 6, Iterations: 12,
+		}
+		b.Run("P="+strconv.Itoa(a.Size()), func(b *testing.B) {
+			if _, err := ev.TraceFor(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pace.FlushTraceCache()
+				if _, err := ev.TraceFor(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -408,7 +408,10 @@ type sizeCost struct {
 }
 
 // Comm is a rank's handle on the world. It is valid only inside the function
-// passed to Run and must not be shared across goroutines.
+// passed to Run and must not be shared across goroutines. Under
+// CompileClasses a Comm is script-only: each op is recorded and does
+// nothing else, so clocks stay zero and receives and collectives return
+// zeros.
 type Comm struct {
 	w         *World
 	rank      int
@@ -503,6 +506,9 @@ func (c *Comm) Charge(seconds float64) {
 		// Recorded pre-noise: replays re-perturb from the rank stream, so
 		// the draw order (and every later draw) matches the live run.
 		rec.chargeLit(c.rank, seconds, c.w.opts.Noise != nil)
+		if rec.scriptOnly {
+			return
+		}
 	}
 	if c.inj {
 		c.injectFaults()
@@ -520,6 +526,9 @@ func (c *Comm) ChargeExact(seconds float64) {
 	if seconds > 0 {
 		if rec := c.w.rec; rec != nil {
 			rec.chargeLit(c.rank, seconds, false)
+			if rec.scriptOnly {
+				return
+			}
 		}
 		if c.inj {
 			c.injectFaults()
@@ -537,6 +546,9 @@ func (c *Comm) ChargeExact(seconds float64) {
 func (c *Comm) ChargeParam(i int) {
 	if rec := c.w.rec; rec != nil {
 		rec.chargeParam(c.rank, i)
+		if rec.scriptOnly {
+			return
+		}
 	}
 	if c.inj {
 		c.injectFaults()
@@ -552,7 +564,7 @@ func (c *Comm) ChargeParam(i int) {
 // SendParam is SendN with the wire size drawn from entry i of the world's
 // size parameter table (World.SetParams); traces record the index.
 func (c *Comm) SendParam(dst, tag, i int) {
-	c.sendN(dst, tag, c.w.paramSizes[i], nil, int32(i))
+	c.sendN(dst, tag, 0, nil, int32(i))
 }
 
 // Mark records the rank's current clock in the world's mark slot (read
@@ -561,6 +573,9 @@ func (c *Comm) SendParam(dst, tag, i int) {
 func (c *Comm) Mark(slot int) {
 	if rec := c.w.rec; rec != nil {
 		rec.mark(c.rank, slot)
+		if rec.scriptOnly {
+			return
+		}
 	}
 	if c.inj {
 		c.injectFaults()
@@ -577,6 +592,9 @@ func (c *Comm) Mark(slot int) {
 func (c *Comm) Checkpoint(i int) {
 	if rec := c.w.rec; rec != nil {
 		rec.ckpt(c.rank, i)
+		if rec.scriptOnly {
+			return
+		}
 	}
 	if c.inj {
 		c.injectFaults()
@@ -602,7 +620,8 @@ func (c *Comm) SendN(dst, tag, bytes int, data []float64) {
 }
 
 // sendN is the shared send path; paramIdx >= 0 marks a SendParam whose
-// size-table index (rather than the literal size) is recorded in traces.
+// size-table index (rather than the literal size) is recorded in traces,
+// and whose size is read from the table only once the op is not script-only.
 func (c *Comm) sendN(dst, tag, bytes int, data []float64, paramIdx int32) {
 	if dst < 0 || dst >= c.w.n {
 		panic(fmt.Errorf("mp: rank %d sending to invalid rank %d", c.rank, dst))
@@ -612,6 +631,12 @@ func (c *Comm) sendN(dst, tag, bytes int, data []float64, paramIdx int32) {
 	}
 	if rec := c.w.rec; rec != nil {
 		rec.send(c.rank, dst, tag, bytes, paramIdx)
+		if rec.scriptOnly {
+			return
+		}
+	}
+	if paramIdx >= 0 {
+		bytes = c.w.paramSizes[paramIdx]
 	}
 	if c.inj {
 		c.injectFaults()
@@ -686,6 +711,9 @@ func (c *Comm) RecvN(src, tag int) ([]float64, int) {
 	}
 	if rec := c.w.rec; rec != nil {
 		rec.recv(c.rank, src, tag)
+		if rec.scriptOnly {
+			return nil, 0
+		}
 	}
 	if c.inj {
 		c.injectFaults()
@@ -781,6 +809,11 @@ func reduceAccumulate(acc, data []float64, op int, root bool) {
 func (c *Comm) reduce(data []float64, op int) []float64 {
 	if rec := c.w.rec; rec != nil {
 		rec.reduce(c.rank, len(data))
+		if rec.scriptOnly {
+			// No values flow in a script-only run; the caller still gets a
+			// fresh slice of the collective's length.
+			return make([]float64, len(data))
+		}
 	}
 	if c.inj {
 		c.injectFaults()

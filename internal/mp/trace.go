@@ -19,6 +19,14 @@ package mp
 //     (delta-encoded), tag and wire size; compute charges; collectives;
 //     marks. The recording run is itself a valid run — its clocks are the
 //     event backend's, bit for bit.
+//   - Class compile: CompileClasses builds the same trace without running
+//     every rank. The caller names each rank's class, under the contract
+//     that a rank's delta-encoded op stream depends only on its class. The
+//     rank function runs once, for the lowest rank of each class, on a
+//     script-only Comm that records and does nothing else, and the other
+//     ranks share their representative's chunk-id sequence. internal/pace
+//     compiles every template trace this way, from at most nine boundary
+//     classes.
 //   - Replay: subsequent Reset+Run cycles execute the recorded script in
 //     the Replayer, a goroutine-free state machine that mirrors the event
 //     scheduler's min-(clock, id) schedule with the same handoff-slot +
@@ -54,6 +62,13 @@ package mp
 // to a handful of distinct boundary-signature scripts — a few MB — and the
 // interning happens online during recording, so the raw stream never
 // materialises.
+//
+// Canonical order: a finished trace numbers its chunks in order of first
+// appearance over ranks 0..n-1, and its literal tables in order of first
+// appearance over those chunks. A recording run interns in the event
+// schedule's order and a class compile in class order; canonical order
+// makes both encode to the same bytes. Decoding does not require it, so
+// artifacts written in schedule order still load.
 
 import (
 	"errors"
@@ -195,9 +210,10 @@ type ReplayParams struct {
 // traceRec accumulates a trace during a recording run. The event backend
 // runs exactly one rank at a time, so the recorder needs no locking.
 type traceRec struct {
-	n       int
-	buf     [][]top   // per-rank open chunk (flushed at traceChunkOps)
-	scripts [][]int32 // per-rank chunk-id sequences
+	n          int
+	scriptOnly bool      // CompileClasses: Comm ops stop after recording
+	buf        [][]top   // per-rank open chunk (flushed at traceChunkOps)
+	scripts    [][]int32 // per-rank chunk-id sequences
 
 	chunkOps []top
 	cstart   []int32
@@ -350,9 +366,10 @@ func (r *traceRec) ckpt(rank, i int) {
 }
 
 // build finalises the trace: tail chunks are flushed, per-rank scripts
-// concatenated into the flat script/sstart layout, and the derived replay
-// state built. It fails only when the program uses more message streams
-// than a replayer can hold (ErrTooManyStreams).
+// concatenated into the flat script/sstart layout, the tables put in
+// canonical order (canonicalize) and the derived replay state built. It
+// fails only when the program uses more message streams than a replayer
+// can hold (ErrTooManyStreams).
 func (r *traceRec) build() (*Trace, error) {
 	total := 0
 	for rank := 0; rank < r.n; rank++ {
@@ -377,11 +394,118 @@ func (r *traceRec) build() (*Trace, error) {
 		t.script = append(t.script, r.scripts[rank]...)
 	}
 	t.sstart[r.n] = int32(len(t.script))
+	t.canonicalize()
 	if err := t.finalize(); err != nil {
 		return nil, err
 	}
 	t.detectCycle()
 	return t, nil
+}
+
+// canonicalize puts the chunks and the literal tables in canonical order
+// (see the top of this file). Every interned chunk is referenced by some
+// rank, so the chunk renumbering is a permutation.
+func (t *Trace) canonicalize() {
+	nchunks := len(t.cstart) - 1
+	remap := make([]int32, nchunks)
+	for i := range remap {
+		remap[i] = -1
+	}
+	ops := make([]top, 0, len(t.chunkOps))
+	cstart := make([]int32, 1, nchunks+1)
+	for i, c := range t.script {
+		if remap[c] < 0 {
+			remap[c] = int32(len(cstart) - 1)
+			ops = append(ops, t.chunkOps[t.cstart[c]:t.cstart[c+1]]...)
+			cstart = append(cstart, int32(len(ops)))
+		}
+		t.script[i] = remap[c]
+	}
+	t.chunkOps, t.cstart = ops, cstart
+
+	litMap := make([]int32, len(t.lits))
+	sizeMap := make([]int32, len(t.sizes))
+	var lits []float64
+	var sizes []int32
+	for i := range ops {
+		o := &ops[i]
+		switch o.kind {
+		case topChargeLit, topChargeNoisy:
+			if litMap[o.arg0] == 0 {
+				lits = append(lits, t.lits[o.arg0])
+				litMap[o.arg0] = int32(len(lits))
+			}
+			o.arg0 = litMap[o.arg0] - 1
+		case topSendLit:
+			if sizeMap[o.arg2] == 0 {
+				sizes = append(sizes, t.sizes[o.arg2])
+				sizeMap[o.arg2] = int32(len(sizes))
+			}
+			o.arg2 = sizeMap[o.arg2] - 1
+		}
+	}
+	t.lits, t.sizes = lits, sizes
+}
+
+// CompileClasses builds the trace a recording run of f on n ranks would
+// produce (World.RunRecorded), byte for byte, without running every rank.
+// class maps each rank to its class; f runs once, for the lowest rank of
+// each class, on a script-only Comm whose ops go to the recorder and do
+// nothing else: no clocks, no message queues, no scheduling and no
+// parameter-table reads. Every other rank gets its class representative's
+// chunk-id sequence.
+//
+// The caller keeps the contract that makes this exact: a rank's
+// delta-encoded op stream (partners as offsets, table indices, tags) is a
+// function of its class alone. f must not read values a script-only run
+// does not produce (received payloads, collective results, Comm.Now,
+// Comm.Rand), and literal charges record as in a world without noise. Cost
+// is O(classes × ops per rank + ranks × chunks per rank).
+func CompileClasses(n int, class func(rank int) int, f func(c *Comm) error) (*Trace, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("mp: world size must be positive, got %d", n)
+	}
+	rec := newTraceRec(n)
+	rec.scriptOnly = true
+	w := &World{n: n, rec: rec}
+	type rep struct{ rank, ops int }
+	reps := make(map[int]rep)
+	for rank := 0; rank < n; rank++ {
+		k := class(rank)
+		if rp, ok := reps[k]; ok {
+			rec.scripts[rank] = rec.scripts[rp.rank]
+			rec.ops += rp.ops
+			continue
+		}
+		before := rec.ops
+		if err := runScript(&Comm{w: w, rank: rank}, f); err != nil {
+			return nil, err
+		}
+		rec.flush(rank)
+		reps[k] = rep{rank, rec.ops - before}
+	}
+	t, err := rec.build()
+	if err != nil {
+		return nil, err
+	}
+	// A class rule that lumps an edge rank in with interior ranks hands it
+	// partners outside the world; refuse that here rather than index out
+	// of range in a replay.
+	if err := t.validate(); err != nil {
+		return nil, fmt.Errorf("mp: class rule does not fit the program: %v", err)
+	}
+	return t, nil
+}
+
+// runScript runs f on one script-only Comm, turning a panic into an error
+// as the event backend does.
+func runScript(c *Comm, f func(c *Comm) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("mp: rank %d panicked: %v", c.rank, p)
+		}
+	}()
+	return f(c)
 }
 
 // maxStreamSlots caps a trace's distinct message streams. Every rank of a
@@ -391,10 +515,10 @@ func (r *traceRec) build() (*Trace, error) {
 const maxStreamSlots = 64
 
 // ErrTooManyStreams is returned by a recording run (World.Run on the trace
-// backend, World.RunRecorded) and wrapped in artifact.ErrFormat by
-// DecodeTrace when a program uses more than maxStreamSlots distinct
-// message streams, (source offset, tag) pairs seen from the receiver. The
-// event backend runs such programs.
+// backend, World.RunRecorded) or a class compile (CompileClasses) and
+// wrapped in artifact.ErrFormat by DecodeTrace when a program uses more
+// than maxStreamSlots distinct message streams, (source offset, tag) pairs
+// seen from the receiver. The event backend runs such programs.
 var ErrTooManyStreams = fmt.Errorf("mp: trace uses more than %d distinct message streams", maxStreamSlots)
 
 // buildSlots gives every message stream of the trace a fixed slot: the

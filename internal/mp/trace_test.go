@@ -552,3 +552,97 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(8*50*2), "msg_ops/op")
 }
+
+// TestCompileClassesMatchesRecorded: a class compile gives the bytes of a
+// recording run on the event backend, for class rules down to one rank
+// per class and up to the coarsest rule the program allows. The script-only
+// Comm reads no parameter table, so the class compiles run with none set.
+func TestCompileClassesMatchesRecorded(t *testing.T) {
+	const px, py = 4, 3
+	edge := func(i, n int) int {
+		switch {
+		case i == 0:
+			return 0
+		case i == n-1:
+			return 2
+		}
+		return 1
+	}
+	grid := func(r int) int { return 3*edge(r/px, py) + edge(r%px, px) }
+	cases := []struct {
+		name  string
+		n     int
+		prog  func(c *Comm) error
+		class func(r int) int
+	}{
+		{"wavefront/rank", px * py, wavefrontProgram(px, py, 5), func(r int) int { return r }},
+		// The wavefront's literal charge varies with rank%3 as well.
+		{"wavefront/boundary", px * py, wavefrontProgram(px, py, 5), func(r int) int { return 9*(r%3) + grid(r) }},
+		{"marked/rank", px * py, markedWavefront(px, py, 8), func(r int) int { return r }},
+		{"ring/ends", 7, paramRingProgram(7, 4), func(r int) int { return edge(r, 7) }},
+		{"single", 1, paramRingProgram(1, 0), func(int) int { return 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorld(tc.n, Options{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.SetParams([]float64{1e-4}, []int{512})
+			rec, err := w.RunRecorded(tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cls, err := CompileClasses(tc.n, tc.class, tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(cls.EncodeBinary()) != string(rec.EncodeBinary()) {
+				t.Fatalf("class compile differs from the recording (%d/%d unique ops, %d/%d ops)",
+					cls.UniqueOps(), rec.UniqueOps(), cls.Ops(), rec.Ops())
+			}
+			// Canonical order: each rank's script names chunks it is the
+			// first to use in ascending order, starting from the next id.
+			next := int32(0)
+			for _, c := range rec.script {
+				if c > next {
+					t.Fatalf("chunk %d appears before chunk %d", c, next)
+				}
+				if c == next {
+					next++
+				}
+			}
+		})
+	}
+}
+
+// TestCompileClassesErrors: a rank error or panic in the script-only run
+// fails the compile, as it fails a recording run, and so does a class rule
+// that gives a rank partners outside the world.
+func TestCompileClassesErrors(t *testing.T) {
+	boom := errors.New("boom")
+	if _, err := CompileClasses(4, func(r int) int { return r },
+		func(c *Comm) error {
+			if c.Rank() == 2 {
+				return boom
+			}
+			return nil
+		}); !errors.Is(err, boom) {
+		t.Fatalf("rank error: got %v", err)
+	}
+	if _, err := CompileClasses(4, func(int) int { return 0 },
+		func(c *Comm) error {
+			c.SendN(-1, 0, 8, nil)
+			return nil
+		}); err == nil {
+		t.Fatal("invalid send: no error")
+	}
+	if _, err := CompileClasses(0, func(int) int { return 0 }, func(*Comm) error { return nil }); err == nil {
+		t.Fatal("empty world: no error")
+	}
+	// One class for a whole wavefront gives the last rank rank 0's sends
+	// to its right and below, outside the world.
+	if _, err := CompileClasses(12, func(int) int { return 0 }, wavefrontProgram(4, 3, 2)); err == nil {
+		t.Fatal("class rule that does not fit the program: no error")
+	}
+}

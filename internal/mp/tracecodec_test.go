@@ -5,8 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pacesweep/internal/artifact"
@@ -338,4 +343,86 @@ func FuzzDecodeTrace(f *testing.F) {
 			_ = rp.Replay(tr, opts, p) // a stalled replay is an error, not a panic
 		}
 	})
+}
+
+// TestTraceCodecDecodesAnyChunkOrder: traces number their chunks in
+// canonical first-appearance order, but decoding must not require it, so
+// artifacts written before (in event-schedule order) still load. Each
+// checked-in FuzzDecodeTrace corpus artifact must decode and re-encode
+// byte-identically; with its chunk ids reversed it must still decode, and
+// replay exactly as the original: chunk ids are labels.
+func TestTraceCodecDecodesAnyChunkOrder(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeTrace/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(
+			strings.TrimPrefix(string(raw), "go test fuzz v1\n")), "[]byte("), ")")
+		s, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		data := []byte(s)
+		tr, err := DecodeTrace(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if !bytes.Equal(tr.EncodeBinary(), data) {
+			t.Fatalf("%s: does not re-encode byte-identically", f)
+		}
+		// Reverse the chunk ids: chunk c becomes chunk nchunks-1-c.
+		rev := *tr
+		nchunks := len(tr.cstart) - 1
+		rev.chunkOps, rev.cstart = nil, []int32{0}
+		for c := nchunks - 1; c >= 0; c-- {
+			rev.chunkOps = append(rev.chunkOps, tr.chunkOps[tr.cstart[c]:tr.cstart[c+1]]...)
+			rev.cstart = append(rev.cstart, int32(len(rev.chunkOps)))
+		}
+		rev.script = make([]int32, len(tr.script))
+		for i, c := range tr.script {
+			rev.script[i] = int32(nchunks-1) - c
+		}
+		back, err := DecodeTrace(rev.EncodeBinary())
+		if err != nil {
+			t.Fatalf("%s with reversed chunk ids: %v", f, err)
+		}
+		if nchunks > 1 && slices.Equal(back.script, tr.script) {
+			t.Fatalf("%s: reversal left the chunk ids as they were", f)
+		}
+		if back.CycleDetected() != tr.CycleDetected() {
+			t.Fatalf("%s: cycle detected %v after reversal, %v before", f, back.CycleDetected(), tr.CycleDetected())
+		}
+		p := ReplayParams{Charges: make([]float64, tr.maxChPar+1), Sizes: make([]int, tr.maxSzPar+1)}
+		for i := range p.Charges {
+			p.Charges[i] = 1e-4 * float64(i+1)
+		}
+		for i := range p.Sizes {
+			p.Sizes[i] = 64 * (i + 1)
+		}
+		for _, opts := range []Options{
+			{Net: detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}},
+			{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}, Noise: jitterNoise{0.05}, Seed: 3},
+		} {
+			a, b := NewReplayer(), NewReplayer()
+			if err := a.Replay(tr, opts, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Replay(back, opts, p); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < tr.n; r++ {
+				if a.Clock(r) != b.Clock(r) {
+					t.Fatalf("%s: rank %d clock %v, %v with reversed chunk ids", f, r, a.Clock(r), b.Clock(r))
+				}
+			}
+			if !slices.Equal(a.Marks(), b.Marks()) {
+				t.Fatalf("%s: marks differ with reversed chunk ids", f)
+			}
+		}
+	}
 }

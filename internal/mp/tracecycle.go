@@ -150,6 +150,7 @@ func (t *Trace) buildFused() {
 	nchunks := len(t.cstart) - 1
 	t.fstart = make([]int32, nchunks+1)
 	fops := make([]fop, 0, len(t.chunkOps))
+	macros := make([]int32, nchunks) // fused macros per chunk
 	t.nmacroUnique = 0
 	for c := 0; c < nchunks; c++ {
 		ops := t.chunkOps[t.cstart[c]:t.cstart[c+1]]
@@ -157,7 +158,7 @@ func (t *Trace) buildFused() {
 		for i := 0; i < len(ops); {
 			if f, n := fuseMacro(ops[i:], slots[i:], nlit); n > 0 {
 				fops = append(fops, f)
-				t.nmacroUnique++
+				macros[c]++
 				i += n
 				continue
 			}
@@ -165,17 +166,14 @@ func (t *Trace) buildFused() {
 			i++
 		}
 		t.fstart[c+1] = int32(len(fops))
+		t.nmacroUnique += int(macros[c])
 	}
 	t.fops = fops
 	// Per-replay dispatch totals, summed over each rank's chunk sequence.
 	t.fopsTotal, t.macroTotal = 0, 0
 	for _, c := range t.script {
-		for i := t.fstart[c]; i < t.fstart[c+1]; i++ {
-			t.fopsTotal++
-			if t.fops[i].kind == fMacro {
-				t.macroTotal++
-			}
-		}
+		t.fopsTotal += int(t.fstart[c+1] - t.fstart[c])
+		t.macroTotal += int(macros[c])
 	}
 }
 
@@ -435,11 +433,22 @@ func (t *Trace) detectCycle() {
 // collective generations. It reports false when the classes disagree on
 // the generation count, which rules out a global cycle. Detection and the
 // decoder's cycle validation (installCycle) share it, so a decoded cycle
-// is checked against the same segments detection would have found.
+// is checked against the same segments detection would have found. The
+// first class's generation count sizes one flat table that every class
+// fills its own stretch of.
 func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
+	G := 0
+	for _, ch := range t.script[t.sstart[reps[0]]:t.sstart[reps[0]+1]] {
+		for _, o := range t.chunkOps[t.cstart[ch]:t.cstart[ch+1]] {
+			if o.kind == topReduce {
+				G++
+			}
+		}
+	}
+	flat := make([]cycSeg, len(reps)*G)
 	segs := make([][]cycSeg, len(reps))
 	for c, r := range reps {
-		var out []cycSeg
+		out := flat[c*G : c*G : (c+1)*G]
 		cur := cycSeg{}
 		h := uint64(1469598103934665603)
 		nops := int32(0)
@@ -458,6 +467,9 @@ func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
 				h *= 1099511628211
 				nops++
 				if o.kind == topReduce {
+					if len(out) == G {
+						return nil, false
+					}
 					cur.hash, cur.nops = h, nops
 					out = append(out, cur)
 					nsrel, nsop := int32(si), int32(oi+1)
@@ -470,10 +482,10 @@ func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
 				}
 			}
 		}
-		segs[c] = out
-		if len(out) != len(segs[0]) {
+		if len(out) != G {
 			return nil, false
 		}
+		segs[c] = out
 	}
 	return segs, true
 }

@@ -4,7 +4,7 @@ package pace
 // attached (SetArtifactStore, normally by paceserve -artifact-dir), the
 // global trace cache and the per-family kernel caches fault in from disk
 // on miss and write back on build: a restarted process replays persisted
-// traces instead of re-recording them, and re-prices persisted kernels
+// traces instead of recompiling them, and re-prices persisted kernels
 // instead of re-evaluating the subtask flows. The store is strictly an
 // accelerator — any store or decode trouble falls back to compiling live,
 // so a poisoned artifact directory can never take evaluation down.

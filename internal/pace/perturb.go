@@ -44,7 +44,7 @@ func (e *Evaluator) traceAndKernel(cfg Config, ckptEvery int) (*mp.Trace, *costK
 	key := traceKey{px: d.PX, py: d.PY, nab: k.nab, nkb: k.nkb, iterations: cfg.Iterations, ckptEvery: ckptEvery}
 	t, err := traceCache.GetOrBuild(key, func() (*mp.Trace, error) {
 		return loadOrCompileTrace(key, func() (*mp.Trace, error) {
-			return e.compileTrace(d, k, cfg.Iterations, ckptEvery)
+			return compileTrace(d, k.nab, k.nkb, cfg.Iterations, ckptEvery)
 		})
 	})
 	if err != nil {

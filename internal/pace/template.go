@@ -11,9 +11,9 @@ import (
 // templateBody builds the pipeline template's rank function over the cost
 // kernel's parameter-table layout (see costKernel): every compute charge
 // and wire size is referenced by table index through ChargeParam/
-// SendParam, never by value. The same body therefore serves all three mp
-// backends — and on the event backend it can be *recorded* into a trace
-// whose ops carry only the indices, which is what makes a recorded shape
+// SendParam, never by value. The same body therefore runs live on the event
+// backend and compiles into a trace whose ops carry only the indices (a
+// class compile, templateClass), which is what makes a compiled shape
 // replayable under any platform's tables (internal/pace trace tier).
 // Marks 0 and 1 bracket the first iteration's sweep on rank 0 (the
 // SweepPerIter breakdown).
@@ -72,6 +72,29 @@ func templateBody(d grid.Decomp, nab, nkb, iterations, ckptEvery int) func(c *mp
 	}
 }
 
+// templateClass is the boundary class rule templateBody's op stream
+// follows: whether a rank is first, interior or last in x, and the same in
+// y. A rank's upstream and downstream neighbours in every octant, and with
+// them its receives and sends, depend only on which array edges it lies
+// on, and its partners are the offsets ±1 and ±PX wherever it lies. So two
+// ranks of one class record the same delta-encoded op stream. Rank 0, the
+// only rank that writes marks, is alone in its corner class.
+func templateClass(d grid.Decomp) func(rank int) int {
+	edge := func(i, n int) int {
+		switch {
+		case i == 0:
+			return 0
+		case i == n-1:
+			return 2
+		}
+		return 1
+	}
+	return func(rank int) int {
+		ix, iy := d.Coords(rank)
+		return 3*edge(iy, d.PY) + edge(ix, d.PX)
+	}
+}
+
 // Predict evaluates the model with the template evaluation engine: every
 // processor of the template is simulated with a virtual clock on the mp
 // runtime, communication priced by the fitted Eq. 3 curves, computation by
@@ -80,9 +103,9 @@ func templateBody(d grid.Decomp, nab, nkb, iterations, ckptEvery int) func(c *mp
 // Section 4).
 //
 // The default backend (Scheduler "") is the trace tier: the configuration
-// shape's communication script is compiled once (recorded on the event
-// backend) and replayed under this evaluator's cost tables — bit-identical
-// clocks to the event backend, no goroutines or channels on the replay.
+// shape's communication script is compiled once (from its rank classes)
+// and replayed under this evaluator's cost tables — bit-identical clocks
+// to the event backend, no goroutines or channels on the replay.
 // Scheduler "event" forces live evaluation on the event backend.
 func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	if err := cfg.Validate(); err != nil {

@@ -5,11 +5,21 @@ package pace
 // order — depends only on its shape (processor array, angle/k blocking,
 // iteration count), not on the platform or the cost curves; those enter
 // only as the parameter tables the ops index. So the script is compiled
-// once per shape (a recording run on the event backend) into an mp.Trace
-// and replayed per prediction point with the point's own kernel tables and
-// fitted network model: a sweep over platforms and cost curves pays one
-// compilation per shape and a goroutine-free, channel-free,
-// allocation-free replay per point.
+// once per shape into an mp.Trace and replayed per prediction point with
+// the point's own kernel tables and fitted network model: a sweep over
+// platforms and cost curves pays one compilation per shape and a
+// goroutine-free, channel-free, allocation-free replay per point.
+//
+// The compile is a class compile (mp.CompileClasses). The contract pace
+// keeps is that templateBody's delta-encoded op stream for a rank depends
+// only on the rank's boundary class (templateClass: first, interior or
+// last in x and in y), so the body runs once for the lowest rank of each
+// of at most nine classes, with no clocks, queues or parameter tables,
+// and every other rank shares its class's script. The trace is byte for
+// byte the one a recording run of every rank would give
+// (TestClassCompileMatchesRecorded), because traces number their chunks
+// in canonical first-appearance order rather than in the order a run
+// happened to intern them.
 //
 // The trace cache is process-global — deliberately wider than the
 // per-evaluator cache block (evalShared) — because traces are
@@ -186,7 +196,7 @@ func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, e
 	key := traceKey{px: d.PX, py: d.PY, nab: k.nab, nkb: k.nkb, iterations: iterations}
 	t, err := traceCache.GetOrBuild(key, func() (*mp.Trace, error) {
 		return loadOrCompileTrace(key, func() (*mp.Trace, error) {
-			return e.compileTrace(d, k, iterations, 0)
+			return compileTrace(d, k.nab, k.nkb, iterations, 0)
 		})
 	})
 	if err != nil {
@@ -228,27 +238,11 @@ func netDeterministic(net mp.NetworkModel) bool {
 	return ok && dc.CostsDeterministic()
 }
 
-// compileTrace records the shape's script by running the template body
-// once on a pooled event world. The recorded ops carry only table indices
-// and delta-encoded partners, so the trace is valid for every evaluator
-// sharing the shape.
-func (e *Evaluator) compileTrace(d grid.Decomp, k *costKernel, iterations, ckptEvery int) (*mp.Trace, error) {
-	w, release, err := e.acquireWorld(d.Size())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	charges := k.charges
-	if ckptEvery > 0 {
-		// The recording run needs a slot for the checkpoint charge index;
-		// its value is irrelevant here (replays re-price the recorded
-		// index), so record against zero cost.
-		ext := make([]float64, len(k.charges)+1)
-		copy(ext, k.charges)
-		charges = ext
-	}
-	w.SetParams(charges, k.sizes)
-	return w.RunRecorded(templateBody(d, k.nab, k.nkb, iterations, ckptEvery))
+// compileTrace compiles the shape's script from its rank classes (see the
+// top of this file). The ops carry only table indices and delta-encoded
+// partners, so the trace is valid for every evaluator sharing the shape.
+func compileTrace(d grid.Decomp, nab, nkb, iterations, ckptEvery int) (*mp.Trace, error) {
+	return mp.CompileClasses(d.Size(), templateClass(d), templateBody(d, nab, nkb, iterations, ckptEvery))
 }
 
 // replayerPoolCap bounds idle pooled replayers per evaluator family; a

@@ -31,7 +31,7 @@
 //     per size forever.
 //   - Template evaluations run on pace's trace tier by default: each
 //     configuration *shape* is compiled once into a communication script
-//     (a recording run on the event backend) and replayed per point with
+//     (from the template's rank classes) and replayed per point with
 //     the point's cost tables — goroutine- and channel-free, bit-identical
 //     to the event backend. /v1/sweep groups its points by shape so one
 //     worker's chunk shares the compiled trace and a warmed replayer.
@@ -115,7 +115,8 @@ type Config struct {
 	MemoShards int
 
 	// WorldPoolCap bounds each evaluator's idle pooled worlds (default
-	// pace.DefaultWorldPoolCap; <0 = unbounded).
+	// pace.DefaultWorldPoolCap; <0 = unbounded). Only the event scheduler
+	// runs on pooled worlds.
 	WorldPoolCap int
 
 	// MaxConcurrent bounds simultaneous model evaluations across all

@@ -452,6 +452,9 @@ func TestSweepBoundedMemoryAndEvictionStats(t *testing.T) {
 		c.ResponseCacheEntries = 4
 		c.ResponseCacheShards = 1
 		c.MaxSweepPoints = 1000
+		// The world pool serves only the event backend: the trace default
+		// compiles shapes without a world.
+		c.Scheduler = "event"
 	})
 	// 10 array sizes x 10 mk x 10 mmi = 1000 points over 10 world sizes.
 	arrays := make([]string, 10)
