@@ -56,7 +56,11 @@ type NetworkModel interface {
 
 // ComputeNoise perturbs compute charges, modelling OS interference and other
 // run-to-run variation. Implementations must be pure functions of their
-// arguments and the RNG stream so that simulations are reproducible.
+// arguments and the RNG stream so that simulations are reproducible. A
+// run calls Perturb in schedule order, interleaving ranks; a trace replay
+// under a deterministic net binds its noise first (BindNoise), calling
+// Perturb rank by rank, each rank's charges in program order. Both give
+// the same draws because each rank draws from its own stream.
 type ComputeNoise interface {
 	Perturb(seconds float64, rng *rand.Rand) float64
 }

@@ -350,13 +350,14 @@ func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 
 // TestSchedulerEquivalenceRandomPrograms fuzzes every backend with random
 // charge/exchange schedules under three option sets, one per replay path:
-// an RNG-drawing net (the general loop drawing per op), a deterministic
+// an RNG-drawing net (the perturbed loop drawing per op), a deterministic
 // net (the fused loop; steps that receive from both neighbours fuse into
 // two-receive macros, which park between their receives), and the
-// deterministic net with seeded random delays and a probe (the general
-// loop, perturbed). The trace backend replays its recording; every rank's
-// clock and the probe's clock/idle rows must match the event backend bit
-// for bit.
+// deterministic net with seeded random delays and a probe (the perturbed
+// loop). The trace backend replays its recording; every rank's clock and
+// the probe's clock/idle rows must match the event backend bit for bit.
+// A fourth input set, noisy random programs under delays and fail-stops
+// at every op index, runs in requireNoisyRandomEquivalence.
 func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 	const n, steps = 6, 15
 	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
@@ -437,6 +438,191 @@ func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 				}
 			}
 		}
+	}
+	var hit [5]bool
+	for trial := 0; trial < 6; trial++ {
+		requireNoisyRandomEquivalence(t, int64(2000+trial), &hit)
+	}
+	for k, ok := range hit {
+		if !ok {
+			t.Errorf("no delay landed before macro sub-step %d (recv 0, recv 1, charge, send 0, send 1)", k)
+		}
+	}
+}
+
+// noisyRandomProgram is a random ring exchange whose charges draw compute
+// noise: even steps charge a parameter (fused into two-receive macros
+// with their sends), odd steps a noisy literal (Comm.Charge, never
+// fused). Every rank marks its own slot once, and a checkpoint follows
+// every fifth step.
+func noisyRandomProgram(n, steps int, seed int64) func(c *Comm) error {
+	return func(c *Comm) error {
+		rng := rand.New(rand.NewSource(seed + int64(c.Rank())))
+		shape := rand.New(rand.NewSource(seed)) // identical on every rank
+		next := (c.Rank() + 1) % n
+		prev := (c.Rank() + n - 1) % n
+		for i := 0; i < steps; i++ {
+			both := shape.Intn(2) == 0
+			if i%2 == 0 {
+				c.ChargeParam(rng.Intn(3))
+			} else {
+				c.Charge(rng.Float64() * 1e-3)
+			}
+			c.SendN(next, 2*i, 64+rng.Intn(4096), nil)
+			if both {
+				c.SendN(prev, 2*i+1, 64+rng.Intn(4096), nil)
+			}
+			c.RecvN(prev, 2*i)
+			if both {
+				c.RecvN(next, 2*i+1)
+			}
+			if i%5 == 0 {
+				c.Barrier()
+			}
+			if i%5 == 4 {
+				c.Checkpoint(3)
+			}
+			if i == steps/2 {
+				c.Mark(c.Rank())
+			}
+		}
+		return nil
+	}
+}
+
+// macroSubStepsHit marks which macro sub-steps of the trace's fused
+// programs the delays land on: 0 and 1 the receives, 2 the charge, 3 and 4
+// the sends.
+func macroSubStepsHit(tr *Trace, delays []Delay, hit *[5]bool) {
+	for _, d := range delays {
+		opn := 0
+		for _, c := range tr.script[tr.sstart[d.Rank]:tr.sstart[d.Rank+1]] {
+			for i := tr.fstart[c]; i < tr.fstart[c+1]; i++ {
+				f := &tr.fops[i]
+				w := int(fopWidth(f))
+				if f.kind == fMacro && d.Op >= opn && d.Op < opn+w {
+					k, nr := d.Op-opn, int(f.nr)
+					switch {
+					case k < nr:
+						hit[k] = true
+					case k == nr:
+						hit[2] = true
+					default:
+						hit[3+k-nr-1] = true
+					}
+				}
+				opn += w
+			}
+		}
+	}
+}
+
+// requireNoisyRandomEquivalence runs one noisy random program under
+// delays and fail-stops drawn over every op index of every rank, on a
+// deterministic, a jittered and two hierarchical nets, and checks each
+// trace replay against its own event-backend run: clocks, marks, probe
+// rows and FailLog, bit for bit. On the deterministic net it also binds
+// the noise once (BindNoise) and replays three delay sets from the one
+// table.
+func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
+	t.Helper()
+	const n, steps = 6, 15
+	prog := noisyRandomProgram(n, steps, seed)
+	charges := []float64{3e-4, 7e-4, 1.1e-3, 2e-4} // entry 3: checkpoint write
+	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	noise := jitterNoise{0.3}
+	rec, err := NewWorld(n, Options{Net: det, Noise: noise, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetParams(charges, nil)
+	tr, err := rec.RunRecorded(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drng := rand.New(rand.NewSource(seed))
+	events := func() ([]Delay, []FailStop) {
+		var ds []Delay
+		for r := 0; r < n; r++ {
+			for op := 0; op < tr.RankOps(r); op++ {
+				if drng.Intn(4) == 0 {
+					ds = append(ds, Delay{Rank: r, Op: op, Seconds: drng.Float64() * 2e-3})
+				}
+			}
+		}
+		fs := make([]FailStop, 3)
+		for i := range fs {
+			r := drng.Intn(n)
+			fs[i] = FailStop{Rank: r, Op: drng.Intn(tr.RankOps(r)), Restart: drng.Float64() * 1e-3}
+		}
+		return ds, fs
+	}
+	// run executes the program on the event backend, or on the trace
+	// backend (record, then replay), and returns the world with its probe
+	// and fail log.
+	run := func(sched string, opts Options) (*World, *RunProbe, *FailLog) {
+		opts.Scheduler = sched
+		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
+		w, err := NewWorld(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetParams(charges, nil)
+		if err := w.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		if sched == SchedulerTrace {
+			w.Reset()
+			if err := w.Run(prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w, opts.Probe, opts.FailLog
+	}
+	same := func(name string, ew *World, ep *RunProbe, el *FailLog, clock func(int) float64, marks []float64, p *RunProbe, l *FailLog) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if ew.Clock(i) != clock(i) {
+				t.Fatalf("%s: rank %d clock event %v vs trace %v", name, i, ew.Clock(i), clock(i))
+			}
+		}
+		for i, m := range marks {
+			if ew.Marks()[i] != m {
+				t.Fatalf("%s: mark %d event %v vs trace %v", name, i, ew.Marks()[i], m)
+			}
+		}
+		requireSameProbe(t, name, "event vs trace", ep, p)
+		requireSameFailLog(t, name, "event vs trace", el, l)
+	}
+	nets := map[string]NetworkModel{
+		"det":              det,
+		"jitter":           jitterNet{alphaBeta{alpha: 1e-5, beta: 2e-9}, 0.1},
+		"two-level":        testHierNets()["two-level"],
+		"two-level-jitter": testHierNets()["two-level-jitter"],
+	}
+	for name, net := range nets {
+		ds, fs := events()
+		macroSubStepsHit(tr, ds, hit)
+		opts := Options{Net: net, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
+		ew, ep, el := run(SchedulerEvent, opts)
+		tw, tp, tl := run(SchedulerTrace, opts)
+		same(fmt.Sprintf("seed %d %s", seed, name), ew, ep, el, tw.Clock, tw.Marks(), tp, tl)
+	}
+
+	nt := BindNoise(tr, charges, noise, seed)
+	if nt == nil {
+		t.Fatal("BindNoise bound no table")
+	}
+	rp := NewReplayer()
+	for k := 0; k < 3; k++ {
+		ds, fs := events()
+		opts := Options{Net: det, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
+		ew, ep, el := run(SchedulerEvent, opts)
+		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
+		if err := rp.Replay(tr, opts, ReplayParams{Charges: charges, Noise: nt}); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("seed %d bound table, replay %d", seed, k), ew, ep, el, rp.Clock, rp.Marks(), opts.Probe, opts.FailLog)
 	}
 }
 

@@ -73,6 +73,7 @@ package mp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -134,7 +135,6 @@ type Trace struct {
 	// Derived replay acceleration state, built by finalize() in both
 	// constructors (recording and decoding); immutable like the rest.
 	nslots       int        // distinct message streams per rank (buildSlots)
-	oslot        []uint8    // stream slot of each chunkOps send or receive, parallel to chunkOps
 	fops         []fop      // fused programs, per chunk (see tracecycle.go)
 	fstart       []int32    // chunk c's fused ops are fops[fstart[c]:fstart[c+1]]
 	nmacroUnique int        // interned fused macro count
@@ -203,6 +203,13 @@ type ReplayParams struct {
 	// and the deterministic unperturbed replay path; Replay returns
 	// ErrCannotExtrapolate otherwise. 0 replays exactly as recorded.
 	ExtraCycles int
+
+	// Noise, when non-nil, supplies the replay's compute noise draws:
+	// a table BindNoise made for this trace, these Charges, Options.Noise
+	// and Options.Seed, under a deterministic net. Replays of a matched set
+	// share one table; without one, a noisy replay under a deterministic
+	// net binds its own for the replay's duration.
+	Noise *NoiseTable
 }
 
 // --- recording ---
@@ -524,14 +531,14 @@ var ErrTooManyStreams = fmt.Errorf("mp: trace uses more than %d distinct message
 // buildSlots gives every message stream of the trace a fixed slot: the
 // distinct receiver-side keys (source offset, tag) are numbered 0..D−1 in
 // order of first appearance in the interned chunks, and each send and
-// receive op gets its key's slot in oslot. A receive keys on its own
-// (src offset, tag); a send on the key its receiver sees, (−dst offset,
-// tag). Both replay loops then index rank r's stream j at r·D+j in one
-// flat table and never search for a stream. The slots live beside the
-// ops rather than in top: a wider top slows every recorded op.
-func (t *Trace) buildSlots() error {
+// receive op gets its key's slot, returned parallel to chunkOps. A receive
+// keys on its own (src offset, tag); a send on the key its receiver sees,
+// (−dst offset, tag). buildFused writes the slots into the fused programs,
+// so both replay loops index rank r's stream j at r·D+j in one flat table
+// and never search for a stream.
+func (t *Trace) buildSlots() ([]uint8, error) {
 	keys := make([]uint64, 0, maxStreamSlots) // slot j's key
-	t.oslot = make([]uint8, len(t.chunkOps))
+	slots := make([]uint8, len(t.chunkOps))
 	for i := range t.chunkOps {
 		o := &t.chunkOps[i]
 		var k uint64
@@ -546,15 +553,15 @@ func (t *Trace) buildSlots() error {
 		s := slices.Index(keys, k)
 		if s < 0 {
 			if len(keys) == maxStreamSlots {
-				return ErrTooManyStreams
+				return nil, ErrTooManyStreams
 			}
 			s = len(keys)
 			keys = append(keys, k)
 		}
-		t.oslot[i] = uint8(s)
+		slots[i] = uint8(s)
 	}
 	t.nslots = len(keys)
-	return nil
+	return slots, nil
 }
 
 // --- replay ---
@@ -621,7 +628,8 @@ type Replayer struct {
 	// (cost class, size) pair is priced once per replay into the price
 	// tables — entry cls*ns+u prices size u at class cls, a flat net
 	// degenerating to the single-class prefix — so the op loop does pure
-	// array arithmetic whatever the interconnect's shape.
+	// array arithmetic whatever the interconnect's shape. A nil net prices
+	// every entry at zero.
 	bytes    []int32
 	sendSec  []float64
 	availSec []float64
@@ -637,7 +645,7 @@ type Replayer struct {
 	rk      []rrank
 	streams []rstream
 	nslots  int
-	rngs    []*rand.Rand
+	rngs    []*rand.Rand // per-rank streams, made only when the net draws or noise draws live
 	rngOK   []bool
 
 	heap      clockHeap
@@ -654,24 +662,18 @@ type Replayer struct {
 
 	marks []float64
 
-	// Fault-injection cursors and probe state (Options.Delays/Fails/
-	// Probe), in parallel slices rather than rrank so the unperturbed hot
-	// path — and its zero-allocation guarantee — is untouched. collGen
-	// mirrors the event backend's collective generation counter for probe
-	// rows. Only the general loop reads this state; the fused loop never
-	// runs a perturbed replay. failing gates the fail-stop machinery (fqs
-	// cursors, ckpts rewind targets) within it.
-	injecting bool
-	failing   bool
-	dqs       [][]Delay
-	fqs       [][]failCursor
-	ckpts     []float64
-	opns      []int32
-	idles     []float64
-	collGen   int
+	// Perturbed-loop state (runRankPerturbed): one prank per rank beside
+	// rk, so the fused loop's records stay as they are and unperturbed
+	// replays touch none of it. nv is this replay's bound noise table (nil
+	// without noise, or when noise draws live); Replay drops it on return,
+	// so a pooled replayer keeps no table. collGen mirrors the event
+	// backend's collective generation counter for probe rows.
+	pr      []prank
+	nv      *NoiseTable
+	collGen int
 
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
-	// fused loop (deterministic costs, no perturbation) over the general
+	// fused loop (deterministic costs, no perturbation) over the perturbed
 	// loop; cycOn tracks a detected cycle through its boundaries; the stat
 	// counters feed Stats(). The plan memo fields cache last-cycle
 	// boundary clocks of completed replays keyed by their exact inputs.
@@ -706,10 +708,39 @@ type rrank struct {
 	clock        float64
 	collDone     float64 // resolved collective completion clock
 	spos         int32   // cursor into Trace.script
-	opos         int32   // cursor within the current chunk (fused index on the fused path)
+	opos         int32   // cursor within the current chunk's fused program
 	status       uint8
 	fsub         uint8 // receives consumed by a parked fused macro (resume sub-step)
 	collResolved bool  // collDone is pending consumption by the reduce op
+}
+
+// prank is one rank's perturbed-loop state: its pending injected events,
+// checkpoint, probe idle and noise cursor. The loop keeps idle and opn in
+// locals while the rank runs and writes them back when it parks or ends.
+type prank struct {
+	dq       []Delay      // pending delays, by op index
+	fq       []failCursor // pending fail-stops, by op index
+	lastCkpt float64      // clock of the last checkpoint: the failure rewind target
+	idle     float64      // accumulated idle seconds (RunProbe)
+	opn      int          // scalar op index of the current fused op's first sub-step
+	ev       int          // op index of the next pending delay or fail-stop; noEvent if none
+	nc       int32        // next entry of the bound noise table (NoiseTable.vals)
+}
+
+// noEvent is prank.ev when a rank has no injected event left.
+const noEvent = math.MaxInt
+
+// nextEvent returns the op index of the rank's next pending delay or
+// fail-stop.
+func (ps *prank) nextEvent() int {
+	ev := noEvent
+	if len(ps.dq) > 0 {
+		ev = ps.dq[0].Op
+	}
+	if len(ps.fq) > 0 && int(ps.fq[0].op) < ev {
+		ev = int(ps.fq[0].op)
+	}
+	return ev
 }
 
 // NewReplayer returns an empty replayer ready for Replay.
@@ -737,13 +768,20 @@ func (r *Replayer) Marks() []float64 { return r.marks }
 // Clocks, marks and schedule order are bit-identical to running the
 // recorded program on the event backend with the same options and params.
 func (r *Replayer) Replay(t *Trace, opts Options, p ReplayParams) error {
-	if err := r.prepare(t, opts, p); err != nil {
-		return err
+	err := r.prepare(t, opts, p)
+	if err == nil {
+		err = r.run()
 	}
+	r.nv = nil
+	return err
+}
+
+// run schedules ranks until every one has finished.
+func (r *Replayer) run() error {
 	for {
 		id := r.next()
 		if id < 0 {
-			if r.doneCount == t.n {
+			if r.doneCount == r.t.n {
 				if r.planGot && r.planHit < 0 {
 					r.planStore()
 				}
@@ -753,7 +791,11 @@ func (r *Replayer) Replay(t *Trace, opts Options, p ReplayParams) error {
 			// guards against corrupted or hand-built traces.
 			return errors.New("mp: trace replay stalled (incomplete trace)")
 		}
-		r.runRank(id)
+		if r.fusedPath {
+			r.runRankFused(id)
+		} else {
+			r.runRankPerturbed(id)
+		}
 		if r.cycErr != nil {
 			return r.cycErr
 		}
@@ -795,6 +837,23 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.det = opts.Net == nil || netIsDeterministic(opts.Net)
 	r.cnet, r.ncls = classesOf(opts.Net)
 	r.charges = p.Charges
+	// The fused loop (and with it extrapolation) runs only when costs are
+	// deterministic and nothing perturbs the replay; every other
+	// combination takes the perturbed loop.
+	injecting := len(opts.Delays) > 0 || len(opts.Fails) > 0
+	r.fusedPath = r.det && !injecting && opts.Probe == nil && opts.Noise == nil
+	r.nv = nil
+	if nt := p.Noise; nt != nil {
+		if opts.Noise == nil || !r.det {
+			return errors.New("mp: a bound noise table needs Options.Noise and a deterministic net")
+		}
+		if nt.t != t || nt.seed != opts.Seed || !f64SliceEqual(nt.charges, p.Charges) {
+			return errors.New("mp: noise table bound for another trace, seed or charge table")
+		}
+		r.nv = nt
+	} else if opts.Noise != nil && r.det {
+		r.nv = BindNoise(t, p.Charges, opts.Noise, opts.Seed)
+	}
 
 	nlit := len(t.sizes)
 	ns := nlit + len(p.Sizes)
@@ -804,10 +863,17 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	for i, b := range p.Sizes {
 		r.bytes[nlit+i] = int32(b)
 	}
-	if net := opts.Net; net != nil && r.det {
+	if r.det {
 		r.sendSec = resizeF(r.sendSec, r.ncls*ns)
 		r.availSec = resizeF(r.availSec, r.ncls*ns)
 		r.recvSec = resizeF(r.recvSec, r.ncls*ns)
+	}
+	if net := opts.Net; net == nil {
+		// Zero prices, read by the perturbed loop's deterministic arms.
+		clear(r.sendSec)
+		clear(r.availSec)
+		clear(r.recvSec)
+	} else if r.det {
 		for i := 0; i < ns; i++ {
 			b := int(r.bytes[i])
 			if r.cnet == nil {
@@ -829,8 +895,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	if len(r.rk) != n || !sameTrace {
 		r.rk = make([]rrank, n)
 		r.streams = make([]rstream, n*t.nslots)
-		r.rngs = make([]*rand.Rand, n)
-		r.rngOK = make([]bool, n)
 		if cap(r.heap.e) < n {
 			r.heap.e = make([]heapEntry, 0, n)
 		}
@@ -844,8 +908,16 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		}
 		for i := 0; i < n; i++ {
 			r.rk[i] = rrank{}
-			r.rngOK[i] = false
 		}
+	}
+	// Per-rank RNG streams exist only for nets that draw; noise under a
+	// deterministic net reads its bound table instead.
+	if !r.det || (opts.Noise != nil && r.nv == nil) {
+		if len(r.rngs) != n {
+			r.rngs = make([]*rand.Rand, n)
+			r.rngOK = make([]bool, n)
+		}
+		clear(r.rngOK)
 	}
 	// Reset cursors start every rank at its script head; the heap is
 	// seeded in id order, which already satisfies the (clock, id) ordering
@@ -864,33 +936,29 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.collRngOK = false
 	r.redMemo = sizeCost{bytes: -1}
 	r.collGen = 0
-	r.injecting = len(opts.Delays) > 0 || len(opts.Fails) > 0
-	r.failing = len(opts.Fails) > 0
-	r.dqs = nil
-	r.fqs = nil
-	if r.injecting {
-		r.dqs = rankDelays(n, opts.Delays)
-		if r.dqs == nil {
-			r.dqs = make([][]Delay, n)
+	if !r.fusedPath {
+		if cap(r.pr) < n {
+			r.pr = make([]prank, n)
 		}
-	}
-	if r.failing {
-		r.fqs = rankFails(n, opts.Fails)
-		r.ckpts = resizeF(r.ckpts, n)
-		for i := 0; i < n; i++ {
-			r.ckpts[i] = 0
+		r.pr = r.pr[:n]
+		dqs, fqs := rankDelays(n, opts.Delays), rankFails(n, opts.Fails)
+		for i := range r.pr {
+			ps := prank{}
+			if dqs != nil {
+				ps.dq = dqs[i]
+			}
+			if fqs != nil {
+				ps.fq = fqs[i]
+			}
+			if r.nv != nil {
+				ps.nc = r.nv.start[i]
+			}
+			ps.ev = ps.nextEvent()
+			r.pr[i] = ps
 		}
 	}
 	if l := opts.FailLog; l != nil {
 		l.reset(len(opts.Fails))
-	}
-	if r.injecting || opts.Probe != nil {
-		r.opns = resizeI32(r.opns, n)
-		r.idles = resizeF(r.idles, n)
-		for i := 0; i < n; i++ {
-			r.opns[i] = 0
-			r.idles[i] = 0
-		}
 	}
 	if p := opts.Probe; p != nil {
 		p.reset(n)
@@ -899,10 +967,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	for i := range r.marks {
 		r.marks[i] = 0
 	}
-	// Steady-state cycle gating: the fused loop (and with it extrapolation)
-	// runs only when costs are deterministic and nothing perturbs the
-	// replay; every other combination takes the general loop.
-	r.fusedPath = r.det && !r.injecting && opts.Probe == nil && opts.Noise == nil
 	r.cycOn = false
 	r.cycErr = nil
 	r.cycVirt, r.cycDone, r.cycRec, r.cycGen = 0, 0, 0, 0
@@ -1050,68 +1114,125 @@ func (r *Replayer) release(done float64) {
 	r.collWaiters = r.collWaiters[:0]
 }
 
-// runRank runs one rank until it blocks or finishes, on the fused loop
-// when the replay takes the fused path (deterministic costs, nothing
-// perturbed: macro dispatch and steady-state extrapolation, tracecycle.go)
-// and on the general loop otherwise.
-func (r *Replayer) runRank(id int) {
-	if r.fusedPath {
-		r.runRankFused(id)
-	} else {
-		r.runRankGeneral(id)
-	}
+// maxBoundDraws caps a bound noise table at 16 MB of draws. A
+// sweep_perturb point binds at most a few hundred thousand; past the cap a
+// replay draws live from per-rank streams instead of holding the table.
+const maxBoundDraws = 1 << 21
+
+// NoiseTable is compute noise bound to a replay's inputs: every draw a
+// noisy replay of one trace, charge table, noise model and seed makes
+// under a deterministic net, per rank in program order. Under such a net
+// noise is the only thing that draws, and each rank draws from its own
+// stream, so the draws do not depend on the schedule, on injected delays
+// or on fail-stops, and one table serves every replay of a matched set.
+// A table is immutable and may be shared by concurrent replays.
+type NoiseTable struct {
+	t       *Trace
+	seed    int64
+	charges []float64 // copy of the charge table the draws were bound for
+	start   []int32   // rank r's draws are vals[start[r]:start[r+1]]
+	vals    []float64 // noised charges
 }
 
-// runRankGeneral executes one rank's scalar script ops until the rank
-// blocks or finishes. It serves every replay off the fused path: RNG-drawing
-// cost models (which draw per op in recorded program order) and perturbed
-// replays, with fault injection, compute noise and probe accounting woven
-// into the arms. With all of those off it reduces to plain array
-// arithmetic. Clocks follow the event scheduler's law, so every replay is
-// bit-identical to the event backend under the same options.
-func (r *Replayer) runRankGeneral(id int) {
+// BindNoise draws the compute noise of a replay of t under charges, noise
+// and seed, with one rand.Rand reseeded per rank exactly as the event
+// backend seeds its rank streams. It calls noise.Perturb rank by rank,
+// each rank's charges in program order. It returns nil when there is
+// nothing to bind (no noise, or charges shorter than t references) and when
+// the table would hold more than maxBoundDraws draws; a replay then draws
+// live.
+func BindNoise(t *Trace, charges []float64, noise ComputeNoise, seed int64) *NoiseTable {
+	if noise == nil || int(t.maxChPar) >= len(charges) {
+		return nil
+	}
+	// Each chunk's noisy charges in program order; a rank draws its chunks'
+	// lists in script order.
+	nchunks := len(t.fstart) - 1
+	cst := make([]int32, nchunks+1)
+	var cs []float64
+	for c := 0; c < nchunks; c++ {
+		for i := t.fstart[c]; i < t.fstart[c+1]; i++ {
+			if s, ok := noisyCharge(&t.fops[i], t.lits, charges); ok {
+				cs = append(cs, s)
+			}
+		}
+		cst[c+1] = int32(len(cs))
+	}
+	start := make([]int32, t.n+1)
+	total := 0
+	for rank := 0; rank < t.n; rank++ {
+		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
+			total += int(cst[c+1] - cst[c])
+		}
+		if total > maxBoundDraws {
+			return nil
+		}
+		start[rank+1] = int32(total)
+	}
+	vals := make([]float64, 0, total)
+	var rng *rand.Rand
+	for rank := 0; rank < t.n; rank++ {
+		if start[rank+1] == start[rank] {
+			continue
+		}
+		seed := seed + int64(rank)*0x9E3779B9
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
+		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
+			for _, s := range cs[cst[c]:cst[c+1]] {
+				vals = append(vals, noise.Perturb(s, rng))
+			}
+		}
+	}
+	return &NoiseTable{t: t, seed: seed, charges: slices.Clone(charges), start: start, vals: vals}
+}
+
+// noisyCharge reports whether fused op f makes a noise draw and the charge
+// it perturbs: parametric charges (scalar or inside a macro) when positive,
+// and noisy literals. Exact literals and checkpoints never draw.
+func noisyCharge(f *fop, lits, charges []float64) (float64, bool) {
+	switch {
+	case f.kind == topChargeNoisy:
+		return lits[f.arg0], true
+	case f.kind == topChargeParam:
+		return charges[f.arg0], charges[f.arg0] > 0
+	case f.kind == fMacro && f.clit == 0:
+		return charges[f.arg2], charges[f.arg2] > 0
+	}
+	return 0, false
+}
+
+// runRankPerturbed runs one rank's fused program until the rank blocks or
+// finishes. It serves every replay the fused loop does not: compute noise,
+// injected delays and fail-stops, probes and RNG-drawing nets. It never
+// extrapolates. A macro runs sub-step by sub-step (recv 0, recv 1, charge,
+// send 0, send 1), and sub-step k of a macro whose first op has index opn
+// has op index opn+k, so an injected event lands before exactly the
+// sub-step its op index names. Delays and fail-stops at an op index are
+// consumed at its first execution, so a receive or collective that parks
+// and re-executes cannot apply them twice. Costs and schedule law are the
+// fused loop's, and clocks are bit-identical to the event backend.
+func (r *Replayer) runRankPerturbed(id int) {
 	t := r.t
-	net := r.opts.Net
-	noise := r.opts.Noise
-	det := r.det
-	cnet, ns := r.cnet, r.ns
 	lits, charges := t.lits, r.charges
+	probe := r.opts.Probe
+	det, cnet, ns := r.det, r.cnet, r.ns
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	self := &r.rk[id]
+	ps := &r.pr[id]
 	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
-	clock := self.clock
-	sp, op := self.spos, self.opos
+	clock, idle := self.clock, ps.idle
+	sp, op, opn := self.spos, self.opos, ps.opn
+	sub := self.fsub
+	self.fsub = 0
 	sEnd := t.sstart[id+1]
-	// Fault-injection cursor and probe accumulator, in registers for the
-	// loop and written back on park/finish. Delays for an op index are
-	// consumed in full at its first execution, so the park-and-re-execute
-	// paths (receive, collective) cannot double-apply them.
-	probe := r.opts.Probe
-	inj := r.injecting
-	failing := r.failing
-	flog := r.opts.FailLog
-	var (
-		dq       []Delay
-		fq       []failCursor
-		lastCkpt float64
-		opn      int32
-		idle     float64
-	)
-	if inj {
-		dq, opn = r.dqs[id], r.opns[id]
-	}
-	if failing {
-		fq, lastCkpt = r.fqs[id], r.ckpts[id]
-	}
-	if probe != nil {
-		idle = r.idles[id]
-	}
-	var chunk []top
-	var slots []uint8 // chunk's stream slots
+	var chunk []fop
 	if sp < sEnd {
 		c := t.script[sp]
-		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-		slots = t.oslot[t.cstart[c]:t.cstart[c+1]]
+		chunk = t.fops[t.fstart[c]:t.fstart[c+1]]
 	}
 	status := evDone
 run:
@@ -1126,166 +1247,257 @@ run:
 				break
 			}
 			c := t.script[sp]
-			chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-			slots = t.oslot[t.cstart[c]:t.cstart[c+1]]
+			chunk = t.fops[t.fstart[c]:t.fstart[c+1]]
 			continue
 		}
-		o := &chunk[op]
-		if inj {
-			for len(dq) > 0 && dq[0].Op == int(opn) {
-				clock += dq[0].Seconds
-				dq = dq[1:]
-			}
-			// Failures land after co-located delays, mirroring
-			// Comm.injectFaults: the delay's damage is part of the rework a
-			// failure at the same op re-executes.
-			for len(fq) > 0 && fq[0].op == opn {
-				f := fq[0]
-				fq = fq[1:]
-				rework := clock - lastCkpt
-				if flog != nil {
-					flog.events[f.slot] = FailEvent{
-						Rank: id, Op: int(f.op), At: clock,
-						LastCkpt: lastCkpt, Rework: rework, Restart: f.restart,
-						Applied: true,
+		f := &chunk[op]
+		if f.kind == fMacro {
+			// Sub-steps in recorded order; an RNG-drawing net prices
+			// through send and consume, a deterministic one from its tables.
+			at := opn
+			if f.nr > 0 && sub == 0 {
+				if at == ps.ev {
+					clock = r.inject(id, ps, clock)
+				}
+				m, ok := streams[f.arg0].take()
+				if !ok {
+					status = evBlocked // fsub stays 0: resume re-executes recv 0
+					break run
+				}
+				if det {
+					if m.avail > clock {
+						idle += m.avail - clock
+						clock = m.avail
 					}
+					clock += m.aux
+				} else {
+					clock, idle = r.consume(id, m, clock, idle)
 				}
-				clock += rework + f.restart
+				sub = 1
 			}
-		}
-		switch o.kind {
-		case topChargeParam:
-			if s := charges[o.arg0]; s > 0 {
-				if noise != nil {
-					s = noise.Perturb(s, r.rng(id))
+			if f.nr > 1 {
+				if at+1 == ps.ev {
+					clock = r.inject(id, ps, clock)
 				}
-				clock += s
+				m, ok := streams[f.arg1].take()
+				if !ok {
+					status = evBlocked
+					self.fsub = 1 // recv 0 consumed; resume at recv 1
+					break run
+				}
+				if det {
+					if m.avail > clock {
+						idle += m.avail - clock
+						clock = m.avail
+					}
+					clock += m.aux
+				} else {
+					clock, idle = r.consume(id, m, clock, idle)
+				}
+			}
+			sub = 0
+			at += int(f.nr)
+			if at == ps.ev {
+				clock = r.inject(id, ps, clock)
+			}
+			if f.clit != 0 {
+				clock += lits[f.arg2]
+			} else if s := charges[f.arg2]; s > 0 {
+				clock += r.noisy(id, ps, s)
+			}
+			if f.ns > 0 {
+				if at+1 == ps.ev {
+					clock = r.inject(id, ps, clock)
+				}
+				dst, u := id+int(f.s0dst), int(f.s0u)
+				if det {
+					if cnet != nil {
+						u += cnet.ClassOf(id, dst) * ns
+					}
+					r.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
+					clock += sendSec[u]
+				} else {
+					clock = r.send(id, dst, f.s0slot, u, clock)
+				}
+			}
+			if f.ns > 1 {
+				if at+2 == ps.ev {
+					clock = r.inject(id, ps, clock)
+				}
+				dst, u := id+int(f.s1dst), int(f.s1u)
+				if det {
+					if cnet != nil {
+						u += cnet.ClassOf(id, dst) * ns
+					}
+					r.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
+					clock += sendSec[u]
+				} else {
+					clock = r.send(id, dst, f.s1slot, u, clock)
+				}
+			}
+			opn = at + 1 + int(f.ns)
+			op++
+			continue
+		}
+		if opn == ps.ev {
+			clock = r.inject(id, ps, clock)
+		}
+		switch f.kind {
+		case topChargeParam:
+			if s := charges[f.arg0]; s > 0 {
+				clock += r.noisy(id, ps, s)
 			}
 		case topCkpt:
 			// Exact charge — checkpoint I/O is not subject to compute noise
 			// — then pin the rewind target, as Comm.Checkpoint does.
-			if s := charges[o.arg0]; s > 0 {
+			if s := charges[f.arg0]; s > 0 {
 				clock += s
 			}
-			lastCkpt = clock
+			ps.lastCkpt = clock
 		case topChargeLit:
-			clock += lits[o.arg0]
+			clock += lits[f.arg0]
 		case topChargeNoisy:
-			s := lits[o.arg0]
-			if noise != nil {
-				s = noise.Perturb(s, r.rng(id))
-			}
-			clock += s
-		case topSendLit, topSendParam:
-			u := int(o.arg2)
-			if o.kind == topSendParam {
-				u += len(t.sizes)
-			}
-			dst := id + int(o.arg0)
-			start := clock
-			avail := start
-			var aux float64 // unread when net == nil
-			if net != nil {
-				ui := u // class-resolved table index: cls*ns + size index
-				if cnet != nil {
-					ui += cnet.ClassOf(id, dst) * ns
-				}
-				if det {
-					clock = start + sendSec[ui]
-					avail = start + availSec[ui]
-					aux = recvSec[ui]
-				} else {
-					rng := r.rng(id)
-					b := int(r.bytes[u])
-					if cnet != nil {
-						cls := ui / ns
-						clock = start + cnet.SendOverheadClass(cls, b, rng)
-						avail = start + cnet.TransitClass(cls, b, rng)
-					} else {
-						clock = start + net.SendOverhead(b, rng)
-						avail = start + net.Transit(b, rng)
-					}
-					aux = float64(ui)
-				}
-			}
-			r.deliver(dst, slots[op], avail, aux)
+			clock += r.noisy(id, ps, lits[f.arg0])
+		case fSend:
+			clock = r.send(id, id+int(f.arg0), uint8(f.arg1), int(f.arg2), clock)
 		case topRecv:
-			m, ok := streams[slots[op]].take()
+			m, ok := streams[f.arg0].take()
 			if !ok {
-				// Park at this op; when woken, the outer loop re-enters
-				// runRank and the receive re-executes with the message
-				// queued.
 				status = evBlocked
 				break run
 			}
-			if m.avail > clock {
-				if probe != nil {
-					idle += m.avail - clock
-				}
-				clock = m.avail
-			}
-			if net != nil {
-				if det {
-					clock += m.aux
-				} else {
-					ui := int(m.aux)
-					if cnet != nil {
-						clock += cnet.RecvOverheadClass(ui/ns, int(r.bytes[ui%ns]), r.rng(id))
-					} else {
-						clock += net.RecvOverhead(int(r.bytes[ui]), r.rng(id))
-					}
-				}
-			}
+			clock, idle = r.consume(id, m, clock, idle)
 		case topReduce:
 			if self.collResolved {
 				// Resume after the closer resolved the generation; the
 				// entry clock was frozen at park, so the idle delta matches
 				// the event backend's done-minus-entry accounting.
 				self.collResolved = false
-				if probe != nil {
-					idle += self.collDone - clock
-				}
+				idle += self.collDone - clock
 				clock = self.collDone
 				break
 			}
 			if probe != nil {
 				probe.record(r.collGen, id, clock, idle)
 			}
-			done, closed := r.reduce(id, clock, o.arg0)
+			done, closed := r.reduce(id, clock, f.arg0)
 			if !closed {
-				// Park inside the collective; the closing rank resolves the
-				// generation and the re-executed op consumes it on resume.
 				status = rBlockedColl
 				break run
 			}
 			r.collGen++
 			r.release(done)
-			if probe != nil {
-				idle += done - clock
-			}
+			idle += done - clock
 			clock = done
 		case topMark:
-			r.marks[o.arg0] = clock
+			r.marks[f.arg0] = clock
 		}
+		opn++
 		op++
-		if inj {
-			opn++
-		}
 	}
 	self.clock = clock
 	self.spos, self.opos = sp, op
 	self.status = status
+	ps.idle, ps.opn = idle, opn
 	if status == evDone {
 		self.opos = 0
 		r.doneCount++
 	}
-	if inj {
-		r.dqs[id], r.opns[id] = dq, opn
+}
+
+// inject applies the delays and then the fail-stops pending at the rank's
+// next event index ps.ev, in Comm.injectFaults' order (a delay's damage is
+// part of the rework a failure at the same op re-executes), and advances
+// ps.ev.
+func (r *Replayer) inject(id int, ps *prank, clock float64) float64 {
+	at := ps.ev
+	for len(ps.dq) > 0 && ps.dq[0].Op == at {
+		clock += ps.dq[0].Seconds
+		ps.dq = ps.dq[1:]
 	}
-	if failing {
-		r.fqs[id], r.ckpts[id] = fq, lastCkpt
+	for len(ps.fq) > 0 && int(ps.fq[0].op) == at {
+		f := ps.fq[0]
+		ps.fq = ps.fq[1:]
+		rework := clock - ps.lastCkpt
+		if l := r.opts.FailLog; l != nil {
+			l.events[f.slot] = FailEvent{
+				Rank: id, Op: int(f.op), At: clock,
+				LastCkpt: ps.lastCkpt, Rework: rework, Restart: f.restart,
+				Applied: true,
+			}
+		}
+		clock += rework + f.restart
 	}
-	if probe != nil {
-		r.idles[id] = idle
+	ps.ev = ps.nextEvent()
+	return clock
+}
+
+// noisy returns the positive compute charge s as the replay applies it:
+// the rank's next bound draw, a live draw from its stream, or s itself
+// without noise.
+func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
+	if r.nv != nil {
+		s = r.nv.vals[ps.nc]
+		ps.nc++
+		return s
 	}
+	if n := r.opts.Noise; n != nil {
+		return n.Perturb(s, r.rng(id))
+	}
+	return s
+}
+
+// send prices rank id's send of unified size index u to dst at clock,
+// delivers it to dst's stream slot and returns the sender's clock. Under
+// an RNG-drawing net it draws the send overhead and then the transit from
+// the rank's stream, and the receiver prices its overhead on completion.
+func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
+	net := r.opts.Net
+	if net == nil {
+		r.deliver(dst, slot, clock, 0)
+		return clock
+	}
+	ui := u // class-resolved table index: cls*ns + size index
+	if r.cnet != nil {
+		ui += r.cnet.ClassOf(id, dst) * r.ns
+	}
+	if r.det {
+		r.deliver(dst, slot, clock+r.availSec[ui], r.recvSec[ui])
+		return clock + r.sendSec[ui]
+	}
+	rng := r.rng(id)
+	b := int(r.bytes[u])
+	var busy, avail float64
+	if r.cnet != nil {
+		cls := ui / r.ns
+		busy = r.cnet.SendOverheadClass(cls, b, rng)
+		avail = r.cnet.TransitClass(cls, b, rng)
+	} else {
+		busy = net.SendOverhead(b, rng)
+		avail = net.Transit(b, rng)
+	}
+	r.deliver(dst, slot, clock+avail, float64(ui))
+	return clock + busy
+}
+
+// consume completes rank id's receive of m at clock: waiting for the
+// message counts as idle, then the receive overhead is charged. It returns
+// the new clock and idle total.
+func (r *Replayer) consume(id int, m rmsg, clock, idle float64) (float64, float64) {
+	if m.avail > clock {
+		idle += m.avail - clock
+		clock = m.avail
+	}
+	net := r.opts.Net
+	switch {
+	case net == nil:
+	case r.det:
+		clock += m.aux
+	case r.cnet != nil:
+		ui := int(m.aux)
+		clock += r.cnet.RecvOverheadClass(ui/r.ns, int(r.bytes[ui%r.ns]), r.rng(id))
+	default:
+		clock += net.RecvOverhead(int(r.bytes[int(m.aux)]), r.rng(id))
+	}
+	return clock, idle
 }

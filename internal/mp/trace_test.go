@@ -3,6 +3,7 @@ package mp
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pacesweep/internal/artifact"
@@ -517,6 +518,57 @@ func TestTraceStreamSlotCap(t *testing.T) {
 	_, err = DecodeTrace(tr.EncodeBinary())
 	if !errors.Is(err, artifact.ErrFormat) || !errors.Is(err, ErrTooManyStreams) {
 		t.Fatalf("trace over the cap: err = %v, want ErrFormat wrapping ErrTooManyStreams", err)
+	}
+}
+
+// TestTraceReplayBoundNoise: a noisy replay under a deterministic net
+// binds its noise (one rand.Rand for the whole bind) instead of making a
+// rand.Rand per rank, and the replayer keeps no table once Replay returns.
+// A table bound for another seed is refused.
+func TestTraceReplayBoundNoise(t *testing.T) {
+	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}, Noise: jitterNoise{0.2}, Seed: 4}
+	w, err := NewWorld(8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetParams([]float64{1e-4}, nil)
+	tr, err := w.RunRecorded(wavefrontProgram(4, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplayer()
+	if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if rp.Clock(i) != w.Clock(i) {
+			t.Fatalf("rank %d: replay %v, event %v", i, rp.Clock(i), w.Clock(i))
+		}
+	}
+	if len(rp.rngs) != 0 || rp.nv != nil {
+		t.Fatalf("replayer kept %d rank RNGs and table %p", len(rp.rngs), rp.nv)
+	}
+	// One table serves concurrent replays.
+	nt := BindNoise(tr, []float64{1e-4}, opts.Noise, opts.Seed)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rp := NewReplayer()
+			if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}, Noise: nt}); err != nil {
+				t.Error(err)
+				return
+			}
+			if rp.Makespan() != w.Makespan() {
+				t.Errorf("shared-table makespan %v, event %v", rp.Makespan(), w.Makespan())
+			}
+		}()
+	}
+	wg.Wait()
+	other := BindNoise(tr, []float64{1e-4}, opts.Noise, opts.Seed+1)
+	if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}, Noise: other}); err == nil {
+		t.Fatal("replay accepted a table bound for another seed")
 	}
 }
 

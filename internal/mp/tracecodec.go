@@ -236,6 +236,15 @@ func (t *Trace) installCycle(m *traceCycleMeta) error {
 			return fmt.Errorf("trace: cycle class %d has no ranks", c)
 		}
 	}
+	// Check the declared generation count and the segment table's size
+	// before segmentClasses allocates it.
+	if g := t.rankGens(rep[0]); m.gens != g {
+		return fmt.Errorf("trace: cycle metadata declares %d generations, class 0 runs %d", m.gens, g)
+	}
+	if m.nclass*m.gens > maxCycleSegments {
+		return fmt.Errorf("trace: %d cycle classes of %d generations exceed %d segments",
+			m.nclass, m.gens, maxCycleSegments)
+	}
 	segs, ok := t.segmentClasses(rep)
 	if !ok {
 		return fmt.Errorf("trace: cycle classes disagree on the generation count")

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -301,7 +302,7 @@ func TestTraceCodecRefusesOutOfRangeOps(t *testing.T) {
 // and with the checksum trailer resealed, so that mutations reach the
 // decoder's tables rather than stopping at the checksum. Decoding never
 // panics; an accepted input re-encodes byte-identically and replays
-// without panicking, on the fused and the general loop, under parameter
+// without panicking, on the fused and the perturbed loop, under parameter
 // tables sized from its header maxima. The seed corpus in
 // testdata/fuzz/FuzzDecodeTrace holds EncodeBinary artifacts of a ring
 // (recordParamRing, 4 ranks), a template-like wavefront
@@ -339,10 +340,60 @@ func FuzzDecodeTrace(f *testing.F) {
 		for _, opts := range []Options{
 			{Net: detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}},
 			{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}, Seed: 3},
+			{Net: detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}, Noise: jitterNoise{0.05}, Seed: 5, Probe: &RunProbe{}},
 		} {
 			_ = rp.Replay(tr, opts, p) // a stalled replay is an error, not a panic
 		}
 	})
+}
+
+// segmentBombArtifact encodes a 1.3 MB trace whose cycle block asks the
+// decoder for a 15 GB segment table: 64 ranks, each its own cycle class,
+// each running one 100,000-reduce chunk 100 times, so 64 classes × 10^7
+// generations. The checksum is valid.
+func segmentBombArtifact() []byte {
+	const n, reps, reduces = 64, 100, 100_000
+	t := &Trace{
+		n: n, maxChPar: -1, maxSzPar: -1, ops: n * reps * reduces,
+		chunkOps: make([]top, reduces),
+		cstart:   []int32{0, reduces},
+		script:   make([]int32, n*reps),
+		sstart:   make([]int32, n+1),
+	}
+	for i := range t.chunkOps {
+		t.chunkOps[i] = top{kind: topReduce, arg0: 1}
+	}
+	for r := range t.sstart {
+		t.sstart[r] = int32(r * reps)
+	}
+	gens := reps * reduces
+	t.cyc = traceCycle{
+		detected: true, period: 1, prefix: 1, cycles: gens - 2, gens: gens,
+		classOf: make([]int32, n),
+		first:   make([]cycCursor, n),
+		last:    make([]cycCursor, n),
+	}
+	for r := range t.cyc.classOf {
+		t.cyc.classOf[r] = int32(r)
+	}
+	return t.EncodeBinary()
+}
+
+// TestTraceCodecRefusesSegmentBomb: a trace artifact whose cycle classes ×
+// generations exceed maxCycleSegments is refused with ErrFormat before the
+// segment table is allocated.
+func TestTraceCodecRefusesSegmentBomb(t *testing.T) {
+	data := segmentBombArtifact()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTrace(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, artifact.ErrFormat) {
+		t.Fatalf("err = %v, want ErrFormat", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("decoding a %d-byte artifact allocated %d MB", len(data), got>>20)
+	}
 }
 
 // TestTraceCodecDecodesAnyChunkOrder: traces number their chunks in

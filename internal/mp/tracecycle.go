@@ -29,11 +29,13 @@ package mp
 //     cycle is replayed for real and the next one re-validates on the far
 //     side (cycBoundary; DESIGN.md has the argument).
 //
-// Correctness envelope: extrapolation runs only on the fused loop, the
-// deterministic-cost unperturbed replay path (jitter nets, noise, injected
-// delays, fail-stop events and probes all force the general loop, which
-// replays in full). Jumps additionally require every message stream to be empty at
-// the boundary — the transplant moves only the uniform post-collective
+// Correctness envelope: both replay loops run the fused program, but
+// extrapolation runs only on the fused loop, the deterministic-cost
+// unperturbed replay path. Jitter nets, noise, injected delays, fail-stop
+// events and probes take the perturbed loop (runRankPerturbed), which
+// executes macros sub-step by sub-step and never extrapolates, so those
+// replays run in full. Jumps additionally require every message stream to
+// be empty at the boundary — the transplant moves only the uniform post-collective
 // clock, never in-flight state — and the final steady cycle is always
 // replayed for real so marks written inside the cycle body carry their
 // last-execution values. Under those rules extrapolated clocks and marks
@@ -130,10 +132,11 @@ type traceCycle struct {
 // cycle follows, detected on recording and installed from the artifact on
 // decoding.
 func (t *Trace) finalize() error {
-	if err := t.buildSlots(); err != nil {
+	slots, err := t.buildSlots()
+	if err != nil {
 		return err
 	}
-	t.buildFused()
+	t.buildFused(slots)
 	t.collectReduceSizes()
 	return nil
 }
@@ -144,8 +147,8 @@ func (t *Trace) finalize() error {
 // is a greedy per-chunk scan (macros never span chunks or collectives):
 // up to two receives, exactly one charge (literal or parametric), up to
 // two sends fuse into one fMacro; everything else passes through as a
-// width-1 fused op.
-func (t *Trace) buildFused() {
+// width-1 fused op. slots holds each chunk op's stream slot (buildSlots).
+func (t *Trace) buildFused(slots []uint8) {
 	nlit := int32(len(t.sizes))
 	nchunks := len(t.cstart) - 1
 	t.fstart = make([]int32, nchunks+1)
@@ -154,15 +157,15 @@ func (t *Trace) buildFused() {
 	t.nmacroUnique = 0
 	for c := 0; c < nchunks; c++ {
 		ops := t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-		slots := t.oslot[t.cstart[c]:t.cstart[c+1]]
+		sl := slots[t.cstart[c]:t.cstart[c+1]]
 		for i := 0; i < len(ops); {
-			if f, n := fuseMacro(ops[i:], slots[i:], nlit); n > 0 {
+			if f, n := fuseMacro(ops[i:], sl[i:], nlit); n > 0 {
 				fops = append(fops, f)
 				macros[c]++
 				i += n
 				continue
 			}
-			fops = append(fops, scalarFop(&ops[i], slots[i], nlit))
+			fops = append(fops, scalarFop(&ops[i], sl[i], nlit))
 			i++
 		}
 		t.fstart[c+1] = int32(len(fops))
@@ -429,21 +432,40 @@ func (t *Trace) detectCycle() {
 	}
 }
 
-// segmentClasses splits each class representative's op stream into its
-// collective generations. It reports false when the classes disagree on
-// the generation count, which rules out a global cycle. Detection and the
-// decoder's cycle validation (installCycle) share it, so a decoded cycle
-// is checked against the same segments detection would have found. The
-// first class's generation count sizes one flat table that every class
-// fills its own stretch of.
-func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
-	G := 0
-	for _, ch := range t.script[t.sstart[reps[0]]:t.sstart[reps[0]+1]] {
+// maxCycleSegments caps classes × generations, the size of the segment
+// table that cycle detection and the decoder's cycle validation build (24
+// bytes an entry, 96 MiB at the cap). A template trace pace compiles has
+// at most nine script classes, one per boundary class (pace.templateClass),
+// so it fits under the cap up to 466,000 iterations, far beyond what a
+// full-length compile and replay can serve. A recorded trace over the cap
+// gets no cycle; a decoded one that declares a cycle is refused.
+const maxCycleSegments = 1 << 22
+
+// rankGens counts the collective generations of one rank's script.
+func (t *Trace) rankGens(rank int32) int {
+	g := 0
+	for _, ch := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
 		for _, o := range t.chunkOps[t.cstart[ch]:t.cstart[ch+1]] {
 			if o.kind == topReduce {
-				G++
+				g++
 			}
 		}
+	}
+	return g
+}
+
+// segmentClasses splits each class representative's op stream into its
+// collective generations. It reports false when the classes disagree on
+// the generation count, which rules out a global cycle, and when classes ×
+// generations exceeds maxCycleSegments. Detection and the decoder's cycle
+// validation (installCycle) share it, so a decoded cycle is checked
+// against the same segments detection would have found. The first class's
+// generation count sizes one flat table that every class fills its own
+// stretch of.
+func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
+	G := t.rankGens(reps[0])
+	if len(reps)*G > maxCycleSegments {
+		return nil, false
 	}
 	flat := make([]cycSeg, len(reps)*G)
 	segs := make([][]cycSeg, len(reps))
@@ -978,9 +1000,9 @@ func (r *Replayer) planStore() {
 // fused program: macro steps execute as one dispatch with sub-step resume
 // (rrank.fsub counts consumed receives when parked mid-macro), sends use
 // pre-resolved unified size indices, and the collective-close arm drives
-// cycBoundary. Costs and schedule law are identical to runRankGeneral's,
+// cycBoundary. Costs and schedule law are identical to runRankPerturbed's,
 // so clocks stay bit-identical; only dispatch overhead differs. The
-// per-op arms are written out here rather than shared with the general
+// per-op arms are written out here rather than shared with the perturbed
 // loop: moving send pricing and receive consumption into shared methods
 // measured 5-12% more time per fused op (servebench predict_replay,
 // mp.replay_ns_per_fused_op, 2-vCPU Xeon VM).
@@ -1098,7 +1120,7 @@ func (r *Replayer) runRankFused(id int) {
 				clock += s
 			}
 		case topChargeLit, topChargeNoisy:
-			// Noise is nil on this path (noise forces the general loop),
+			// Noise is nil on this path (noise takes the perturbed loop),
 			// so a noisy charge replays at its recorded literal.
 			clock += lits[f.arg0]
 		case fSend:

@@ -11,6 +11,7 @@ package pace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pacesweep/internal/mp"
 )
@@ -76,30 +77,10 @@ func (e *Evaluator) TraceForCkpt(cfg Config, ckptEvery int) (*mp.Trace, error) {
 // when non-nil. A nil delays slice with the same noise and seed is the
 // matched baseline: noise draws per rank are in program order on every
 // backend, so baseline and perturbed runs see identical draw sequences
-// and their clock difference is exactly the injected damage.
+// and their clock difference is exactly the injected damage. A caller
+// replaying both opens one MatchedSet instead, which binds the noise once.
 func (e *Evaluator) RunPerturbed(cfg Config, delays []mp.Delay, noise mp.ComputeNoise, seed int64, probe *mp.RunProbe) (PerturbedRun, error) {
-	t, k, err := e.traceAndKernel(cfg, 0)
-	if err != nil {
-		return PerturbedRun{}, err
-	}
-	rp, release := e.acquireReplayer()
-	defer release()
-	err = rp.Replay(t, mp.Options{
-		Net:    e.HW.Net(),
-		Noise:  noise,
-		Seed:   seed,
-		Delays: delays,
-		Probe:  probe,
-	}, mp.ReplayParams{Charges: k.charges, Sizes: k.sizes})
-	if err != nil {
-		return PerturbedRun{}, err
-	}
-	traceReplays.Add(1)
-	clocks := make([]float64, t.Ranks())
-	for i := range clocks {
-		clocks[i] = rp.Clock(i)
-	}
-	return PerturbedRun{Makespan: rp.Makespan(), Clocks: clocks}, nil
+	return e.RunResilient(cfg, ResilientOptions{Delays: delays, Noise: noise, Seed: seed, Probe: probe})
 }
 
 // ResilientOptions parameterise a resilient replay: a checkpointed
@@ -121,42 +102,104 @@ type ResilientOptions struct {
 // compiled script under injected fail-stop failures. Like RunPerturbed it
 // runs on the trace tier, bypasses the prediction memo, and keeps the
 // matched-baseline property: identical options minus the failures give a
-// baseline whose clock difference is exactly the failure damage. The
-// checkpoint charge is appended to a copy of the kernel's charge table at
-// replay time, so cached kernels and unperturbed replays are untouched.
+// baseline whose clock difference is exactly the failure damage. It is a
+// MatchedSet of one replay.
 func (e *Evaluator) RunResilient(cfg Config, o ResilientOptions) (PerturbedRun, error) {
+	set, err := e.OpenMatchedSet(cfg, SetOptions{
+		CkptEvery: o.CkptEvery, CkptSeconds: o.CkptSeconds, Noise: o.Noise, Seed: o.Seed,
+	})
+	if err != nil {
+		return PerturbedRun{}, err
+	}
+	defer set.Close()
+	return set.Run(SetRun{Delays: o.Delays, Fails: o.Fails, Probe: o.Probe, FailLog: o.FailLog})
+}
+
+// SetOptions are what every replay of a matched set shares: the
+// checkpointed shape, the noise model and the seed.
+type SetOptions struct {
+	CkptEvery   int     // checkpoint period in iterations (0: none)
+	CkptSeconds float64 // charge per checkpoint op (exact, no noise)
+	Noise       mp.ComputeNoise
+	Seed        int64
+}
+
+// SetRun is one replay of a matched set: its own injected events and
+// recorders. The zero SetRun is the set's baseline.
+type SetRun struct {
+	Delays  []mp.Delay
+	Fails   []mp.FailStop
+	Probe   *mp.RunProbe
+	FailLog *mp.FailLog
+}
+
+// MatchedSet replays one configuration several times under one noise
+// model and seed, as the idle-wave and resilience analyses need: a
+// baseline plus perturbed runs whose clock differences are exactly the
+// injected damage. The set holds one pooled replayer and, under a
+// deterministic net with noise, one bound noise table (mp.BindNoise), so
+// the per-rank noise streams are seeded and drawn once for the whole set
+// instead of once per replay. Close returns the replayer and drops the
+// table. A MatchedSet is not safe for concurrent use.
+type MatchedSet struct {
+	t       *mp.Trace
+	opts    mp.Options
+	params  mp.ReplayParams
+	rp      *mp.Replayer
+	release func()
+}
+
+// OpenMatchedSet resolves the configuration's (checkpointed) trace and
+// cost kernel and binds the set's noise. The checkpoint charge is appended
+// to a copy of the kernel's charge table, so cached kernels and
+// unperturbed replays are untouched.
+func (e *Evaluator) OpenMatchedSet(cfg Config, o SetOptions) (*MatchedSet, error) {
 	if o.CkptSeconds < 0 || math.IsNaN(o.CkptSeconds) || math.IsInf(o.CkptSeconds, 0) {
-		return PerturbedRun{}, fmt.Errorf("pace: checkpoint seconds %v invalid", o.CkptSeconds)
+		return nil, fmt.Errorf("pace: checkpoint seconds %v invalid", o.CkptSeconds)
 	}
 	t, k, err := e.traceAndKernel(cfg, o.CkptEvery)
 	if err != nil {
-		return PerturbedRun{}, err
+		return nil, err
 	}
 	charges := k.charges
 	if o.CkptEvery > 0 {
-		ext := make([]float64, len(k.charges)+1)
-		copy(ext, k.charges)
-		ext[len(k.charges)] = o.CkptSeconds
-		charges = ext
+		charges = append(slices.Clip(k.charges), o.CkptSeconds)
 	}
-	rp, release := e.acquireReplayer()
-	defer release()
-	err = rp.Replay(t, mp.Options{
-		Net:     e.HW.Net(),
-		Noise:   o.Noise,
-		Seed:    o.Seed,
-		Delays:  o.Delays,
-		Fails:   o.Fails,
-		FailLog: o.FailLog,
-		Probe:   o.Probe,
-	}, mp.ReplayParams{Charges: charges, Sizes: k.sizes})
-	if err != nil {
+	s := &MatchedSet{
+		t:      t,
+		opts:   mp.Options{Net: e.HW.Net(), Noise: o.Noise, Seed: o.Seed},
+		params: mp.ReplayParams{Charges: charges, Sizes: k.sizes},
+	}
+	if o.Noise != nil && netDeterministic(s.opts.Net) {
+		s.params.Noise = mp.BindNoise(t, charges, o.Noise, o.Seed)
+	}
+	s.rp, s.release = e.acquireReplayer()
+	return s, nil
+}
+
+// Trace returns the set's compiled script, for mapping iterations onto op
+// indices (Trace.OpIndexOfReduce).
+func (s *MatchedSet) Trace() *mp.Trace { return s.t }
+
+// Run replays the set's configuration under one run's perturbations.
+func (s *MatchedSet) Run(run SetRun) (PerturbedRun, error) {
+	opts := s.opts
+	opts.Delays, opts.Fails, opts.Probe, opts.FailLog = run.Delays, run.Fails, run.Probe, run.FailLog
+	if err := s.rp.Replay(s.t, opts, s.params); err != nil {
 		return PerturbedRun{}, err
 	}
 	traceReplays.Add(1)
-	clocks := make([]float64, t.Ranks())
+	clocks := make([]float64, s.t.Ranks())
 	for i := range clocks {
-		clocks[i] = rp.Clock(i)
+		clocks[i] = s.rp.Clock(i)
 	}
-	return PerturbedRun{Makespan: rp.Makespan(), Clocks: clocks}, nil
+	return PerturbedRun{Makespan: s.rp.Makespan(), Clocks: clocks}, nil
+}
+
+// Close returns the set's replayer to the pool and drops its noise table.
+func (s *MatchedSet) Close() {
+	if s.release != nil {
+		s.release()
+	}
+	s.rp, s.release, s.params.Noise = nil, nil, nil
 }

@@ -4,7 +4,8 @@
 // package maps iterations onto the compiled communication script via the
 // trace's collective structure) plus an optional stochastic compute-noise
 // model. Run replays the configuration twice on the trace tier — once
-// perturbed, once as a matched baseline with the identical seed and noise —
+// perturbed, once as a matched baseline with the identical seed and noise,
+// both in one pace.MatchedSet that binds the noise once —
 // and differences the per-generation collective-entry timelines. Because
 // noise draws are consumed in program order on every backend and injected
 // delays add constant seconds without consuming draws, the two runs see
@@ -222,21 +223,22 @@ func Run(ev *pace.Evaluator, cfg pace.Config, sc Scenario, perRank bool) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	t, err := ev.TraceFor(cfg)
+	set, err := ev.OpenMatchedSet(cfg, pace.SetOptions{Noise: noise, Seed: sc.Seed})
 	if err != nil {
 		return nil, err
 	}
-	delays, injected, err := delaysFor(t, sc)
+	defer set.Close()
+	delays, injected, err := delaysFor(set.Trace(), sc)
 	if err != nil {
 		return nil, err
 	}
 
 	baseProbe, pertProbe := &mp.RunProbe{}, &mp.RunProbe{}
-	base, err := ev.RunPerturbed(cfg, nil, noise, sc.Seed, baseProbe)
+	base, err := set.Run(pace.SetRun{Probe: baseProbe})
 	if err != nil {
 		return nil, err
 	}
-	pert, err := ev.RunPerturbed(cfg, delays, noise, sc.Seed, pertProbe)
+	pert, err := set.Run(pace.SetRun{Delays: delays, Probe: pertProbe})
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func hierModel() *hwmodel.Model {
 	return m
 }
 
-func testEvaluator(t *testing.T, m *hwmodel.Model) *pace.Evaluator {
+func testEvaluator(t testing.TB, m *hwmodel.Model) *pace.Evaluator {
 	t.Helper()
 	analysis, err := capp.SweepKernelAnalysis()
 	if err != nil {
@@ -286,5 +286,42 @@ func TestRunRejects(t *testing.T) {
 	badCfg.Iterations = 0
 	if _, err := Run(ev, badCfg, sc, false); err == nil {
 		t.Fatal("accepted invalid configuration")
+	}
+}
+
+// BenchmarkPerturbRun times perturb.Run, a baseline and a perturbed replay
+// sharing one noise binding, over a sweep's shape mix: six arrays from
+// 8x8 to 16x16, each with mk 10 and 25 and mmi 3 and 6, 40x40x50 cells per
+// processor and 12 iterations, under one 3 s delay plus 2% uniform noise.
+// One op is one shape's Run; traces are compiled before the timer starts.
+func BenchmarkPerturbRun(b *testing.B) {
+	ev := testEvaluator(b, testModel())
+	var cfgs []pace.Config
+	for _, a := range [][2]int{{8, 8}, {8, 12}, {12, 12}, {8, 16}, {16, 12}, {16, 16}} {
+		for _, mk := range []int{10, 25} {
+			for _, mmi := range []int{3, 6} {
+				cfg := testConfig(a[0], a[1])
+				cfg.Grid = grid.Global{NX: 40 * a[0], NY: 40 * a[1], NZ: 50}
+				cfg.MK, cfg.MMI = mk, mmi
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	sc := Scenario{
+		Seed:   17,
+		Delays: []DelaySpec{{Rank: 5, Iteration: 2, Seconds: 3}},
+		Noise:  &NoiseSpec{Kind: "uniform", Frac: 0.02},
+	}
+	for _, cfg := range cfgs {
+		if _, err := Run(ev, cfg, sc, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ev, cfgs[i%len(cfgs)], sc, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -281,38 +281,33 @@ func sampleFails(rng *rand.Rand, tr *mp.Trace, probe *mp.RunProbe, spec FailureS
 
 // evalInterval computes the expected makespan for one checkpoint period:
 // a checkpointed baseline (probe attached, for the time→iteration map)
-// plus one replay per sampled failure scenario.
+// plus one replay per sampled failure scenario, all one matched set that
+// shares the trace, the noise binding and one replayer.
 func evalInterval(ev *pace.Evaluator, cfg pace.Config, st Study, noise mp.ComputeNoise, interval int) (ckpt float64, outcomes []ScenarioOutcome, err error) {
 	ck := st.Checkpoint
-	probe := &mp.RunProbe{}
-	base, err := ev.RunResilient(cfg, pace.ResilientOptions{
+	set, err := ev.OpenMatchedSet(cfg, pace.SetOptions{
 		CkptEvery:   interval,
 		CkptSeconds: ck.CheckpointSeconds,
 		Noise:       noise,
 		Seed:        st.Seed,
-		Probe:       probe,
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	tr, err := ev.TraceForCkpt(cfg, interval)
+	defer set.Close()
+	probe := &mp.RunProbe{}
+	base, err := set.Run(pace.SetRun{Probe: probe})
 	if err != nil {
 		return 0, nil, err
 	}
+	tr := set.Trace()
 	ranks := cfg.Decomp.Size()
 	flog := &mp.FailLog{}
 	outcomes = make([]ScenarioOutcome, 0, st.Failure.scenarios())
 	for s := 0; s < st.Failure.scenarios(); s++ {
 		rng := rand.New(rand.NewSource(scenarioSeed(st.Seed, s)))
 		fails := sampleFails(rng, tr, probe, st.Failure, ck.RestartSeconds, ranks, cfg.Iterations, base.Makespan)
-		run, err := ev.RunResilient(cfg, pace.ResilientOptions{
-			CkptEvery:   interval,
-			CkptSeconds: ck.CheckpointSeconds,
-			Fails:       fails,
-			Noise:       noise,
-			Seed:        st.Seed,
-			FailLog:     flog,
-		})
+		run, err := set.Run(pace.SetRun{Fails: fails, FailLog: flog})
 		if err != nil {
 			return 0, nil, err
 		}
