@@ -21,7 +21,10 @@
 // some are still blocked). Options.Scheduler selects between executing the
 // program on that loop (SchedulerEvent, the default) and the trace backend
 // (SchedulerTrace), which records the first Run on the same loop and
-// replays the recorded script on every later one (trace.go).
+// replays the recorded script on every later one (trace.go). A lone large
+// deterministic replay uses one idle core more: it splits its ranks over
+// two workers whose clocks are bit-identical to the serial replay's
+// (parallel.go).
 package mp
 
 import (
@@ -307,7 +310,7 @@ func (w *World) Run(f func(c *Comm) error) error {
 	}
 	w.ran = true
 	if p := w.opts.Probe; p != nil {
-		p.reset(w.n)
+		p.reset(w.n, 0)
 	}
 	if l := w.opts.FailLog; l != nil {
 		l.reset(len(w.opts.Fails))
@@ -370,7 +373,7 @@ func (w *World) RunRecorded(f func(c *Comm) error) (*Trace, error) {
 	}
 	w.ran = true
 	if p := w.opts.Probe; p != nil {
-		p.reset(w.n)
+		p.reset(w.n, 0)
 	}
 	if l := w.opts.FailLog; l != nil {
 		l.reset(len(w.opts.Fails))

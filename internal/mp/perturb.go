@@ -16,6 +16,7 @@ package mp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -88,23 +89,33 @@ type RunProbe struct {
 	idle   []float64
 }
 
-func (p *RunProbe) reset(n int) {
+// reset empties the probe for a run of n ranks and makes room for gens
+// generations, when the caller knows how many the run has, so that a trace
+// replay grows each matrix at most once.
+func (p *RunProbe) reset(n, gens int) {
 	p.n = n
-	p.clocks = p.clocks[:0]
-	p.idle = p.idle[:0]
+	p.clocks = slices.Grow(p.clocks[:0], gens*n)
+	p.idle = slices.Grow(p.idle[:0], gens*n)
 }
 
 // record writes rank's entry state for collective generation gen, growing
-// the matrices on first touch of a generation. Both backends call it from
-// one rank at a time, so it needs no lock.
+// the matrices to cover the generation, zeroed, on its first touch. Both
+// backends call it from one rank at a time, so it needs no lock.
 func (p *RunProbe) record(gen, rank int, clock, idle float64) {
-	need := (gen + 1) * p.n
-	for len(p.clocks) < need {
-		p.clocks = append(p.clocks, 0)
-		p.idle = append(p.idle, 0)
+	if need := (gen + 1) * p.n; len(p.clocks) < need {
+		p.clocks = zeroTo(p.clocks, need)
+		p.idle = zeroTo(p.idle, need)
 	}
 	p.clocks[gen*p.n+rank] = clock
 	p.idle[gen*p.n+rank] = idle
+}
+
+// zeroTo extends s to length n, the new elements zero, in one step.
+func zeroTo(s []float64, n int) []float64 {
+	m := len(s)
+	s = slices.Grow(s, n-m)[:n]
+	clear(s[m:])
+	return s
 }
 
 // Ranks returns the probed world size.

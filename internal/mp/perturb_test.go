@@ -252,3 +252,63 @@ func TestRunProbeTimelines(t *testing.T) {
 		t.Fatalf("after rerun: generations = %d, want %d", got, want)
 	}
 }
+
+// TestRunProbeRecordAllocs: recording G generations into a fresh probe
+// sized for them takes a constant number of allocations, two (one per
+// matrix) outside the race detector, whatever G; so does a warmed replay
+// into a fresh probe, which sizes the probe from the trace.
+func TestRunProbeRecordAllocs(t *testing.T) {
+	const n = 16
+	record := func(gens int) float64 {
+		got := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			var p RunProbe
+			p.reset(n, gens)
+			for g := 0; g < gens; g++ {
+				for r := 0; r < n; r++ {
+					p.record(g, r, float64(g), float64(r))
+				}
+			}
+			got = p.Generations()
+		})
+		if got != gens {
+			t.Fatalf("%d generations recorded as %d", gens, got)
+		}
+		return allocs
+	}
+	one := record(1)
+	for _, gens := range []int{13, 1000} {
+		if a := record(gens); a != one || a > 4 {
+			t.Errorf("%d generations: %v allocations, one generation %v", gens, a, one)
+		}
+	}
+	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	replay := func(iters int) float64 {
+		w, err := NewWorld(12, Options{Net: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := w.RunRecorded(wavefrontProgram(4, 3, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp := NewReplayer()
+		opts := Options{Net: net, Probe: &RunProbe{}}
+		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			opts.Probe = &RunProbe{}
+			if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if g := opts.Probe.Generations(); g != iters+1 {
+			t.Fatalf("probe recorded %d generations, want %d", g, iters+1)
+		}
+		return allocs
+	}
+	if short, long := replay(4), replay(200); long != short || long > 6 {
+		t.Errorf("warmed replay into a fresh probe: %v allocations at 201 generations, %v at 5", long, short)
+	}
+}

@@ -141,6 +141,8 @@ type Trace struct {
 	fopsTotal    int        // fused dispatches per full replay
 	macroTotal   int        // macro dispatches per full replay
 	redSizes     []int      // distinct collective payload byte counts
+	sharedMark   bool       // some mark slot has two writer ranks (parallel.go)
+	gens         int        // collective generations (rank 0's collectives)
 	cyc          traceCycle // detected steady-state cycle (tracecycle.go)
 }
 
@@ -648,17 +650,19 @@ type Replayer struct {
 	rngs    []*rand.Rand // per-rank streams, made only when the net draws or noise draws live
 	rngOK   []bool
 
-	heap      clockHeap
-	slot      int
-	slotClock float64
-	doneCount int
+	// Scheduling. w is the replay's first worker and, on a serial replay,
+	// its only one: it runs every rank. A parallel fused replay
+	// (parallel.go) splits the ranks into contiguous ranges over ws, whose
+	// helpers and shared state live in par.
+	w      rworker
+	ws     []*rworker // this replay's workers; ws[0] == &w
+	par    *parState  // nil until the replayer's first parallel replay
+	serial string     // why an unperturbed replay ran on one worker ("" when it did not)
+	extraP int32      // Ps this replay reserved for helper workers (replayPs)
 
-	collArrived int
-	collMax     float64
-	collWaiters []int32
-	collRng     *rand.Rand
-	collRngOK   bool
-	redMemo     sizeCost // reduce-cost memo keyed by payload bytes (det nets)
+	collRng   *rand.Rand
+	collRngOK bool
+	redMemo   sizeCost // reduce-cost memo keyed by payload bytes (det nets)
 
 	marks []float64
 
@@ -744,7 +748,7 @@ func (ps *prank) nextEvent() int {
 }
 
 // NewReplayer returns an empty replayer ready for Replay.
-func NewReplayer() *Replayer { return &Replayer{slot: -1} }
+func NewReplayer() *Replayer { return &Replayer{} }
 
 // Makespan returns the maximum final clock of the last replay.
 func (r *Replayer) Makespan() float64 {
@@ -768,37 +772,58 @@ func (r *Replayer) Marks() []float64 { return r.marks }
 // Clocks, marks and schedule order are bit-identical to running the
 // recorded program on the event backend with the same options and params.
 func (r *Replayer) Replay(t *Trace, opts Options, p ReplayParams) error {
-	err := r.prepare(t, opts, p)
-	if err == nil {
-		err = r.run()
+	replayPs.Add(1)
+	defer r.unbind()
+	if err := r.prepare(t, opts, p); err != nil {
+		return err
 	}
-	r.nv = nil
-	return err
+	if len(r.ws) > 1 {
+		return r.runParallel()
+	}
+	return r.run()
 }
 
-// run schedules ranks until every one has finished.
+// unbind releases what a replay holds only while it runs: its Ps in
+// replayPs and its noise table.
+func (r *Replayer) unbind() {
+	replayPs.Add(-1 - r.extraP)
+	r.extraP = 0
+	r.nv = nil
+}
+
+// errStalled reports a replay in which no rank can run while some have not
+// finished. It is unreachable for traces built by a completed recording
+// run; it guards against corrupted or hand-built traces.
+var errStalled = errors.New("mp: trace replay stalled (incomplete trace)")
+
+// run schedules every rank on the replayer's one worker until each has
+// finished.
 func (r *Replayer) run() error {
+	w := &r.w
 	for {
-		id := r.next()
+		id := w.next()
 		if id < 0 {
-			if r.doneCount == r.t.n {
-				if r.planGot && r.planHit < 0 {
-					r.planStore()
-				}
-				return nil
+			if w.doneCount < r.t.n {
+				return errStalled
 			}
-			// Unreachable for traces built by a completed recording run;
-			// guards against corrupted or hand-built traces.
-			return errors.New("mp: trace replay stalled (incomplete trace)")
+			r.finish()
+			return nil
 		}
 		if r.fusedPath {
-			r.runRankFused(id)
+			w.runRankFused(id)
 		} else {
 			r.runRankPerturbed(id)
 		}
 		if r.cycErr != nil {
 			return r.cycErr
 		}
+	}
+}
+
+// finish does the bookkeeping of a replay that ran to completion.
+func (r *Replayer) finish() {
+	if r.planGot && r.planHit < 0 {
+		r.planStore()
 	}
 }
 
@@ -895,9 +920,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	if len(r.rk) != n || !sameTrace {
 		r.rk = make([]rrank, n)
 		r.streams = make([]rstream, n*t.nslots)
-		if cap(r.heap.e) < n {
-			r.heap.e = make([]heapEntry, 0, n)
-		}
 	} else {
 		// Same trace, same slots: message capacity is reused. A replay
 		// that failed part-way may have left messages or waiting flags.
@@ -919,20 +941,12 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		}
 		clear(r.rngOK)
 	}
-	// Reset cursors start every rank at its script head; the heap is
-	// seeded in id order, which already satisfies the (clock, id) ordering
-	// at clock zero.
+	// Reset cursors start every rank at its script head.
 	r.t = t
-	r.heap.e = r.heap.e[:0]
 	for i := 0; i < n; i++ {
 		r.rk[i].spos = t.sstart[i]
 		r.rk[i].status = evReady
-		r.heap.e = append(r.heap.e, heapEntry{clock: 0, id: i})
 	}
-	r.slot = -1
-	r.doneCount = 0
-	r.collArrived = 0
-	r.collWaiters = r.collWaiters[:0]
 	r.collRngOK = false
 	r.redMemo = sizeCost{bytes: -1}
 	r.collGen = 0
@@ -961,7 +975,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		l.reset(len(opts.Fails))
 	}
 	if p := opts.Probe; p != nil {
-		p.reset(n)
+		p.reset(n, t.gens)
 	}
 	r.marks = resizeF(r.marks, t.nmarks)
 	for i := range r.marks {
@@ -987,6 +1001,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		r.planScan()
 		r.priceCostBits()
 	}
+	r.startWorkers(r.admit(t))
 	return nil
 }
 
@@ -1021,38 +1036,102 @@ func (r *Replayer) collRngStream() *rand.Rand {
 	return r.collRng
 }
 
+// rworker schedules the ranks [lo, lo+n) of a replay with the event
+// scheduler's discipline: a handoff slot plus a (key, id) min-heap, the
+// key being the rank's clock. A serial replay has one worker over every
+// rank. On a parallel replay each worker runs its own range, keyed by
+// distance to the range's edges (edgeKey), and a send to another worker's
+// rank waits in out until the sending rank parks (parallel.go).
+type rworker struct {
+	r       *Replayer
+	lo, n   int       // owned ranks: [lo, lo+n)
+	rk      []rrank   // the replayer's rank records (all ranks)
+	streams []rstream // the owned ranks' streams: rank lo+i's slot j at i*nslots+j
+	nslots  int
+
+	heap      clockHeap
+	slot      int
+	slotClock float64
+	doneCount int // owned ranks finished
+
+	collArrived int     // owned ranks inside the open collective
+	collMax     float64 // their latest arrival clock
+	collWords   int32   // payload length of the latest arrival
+	collWaiters []int32
+
+	// Parallel replays only (parallel.go).
+	idx  int    // position in Replayer.ws
+	out  []xmsg // sends to other workers' ranks since the last flush, in send order
+	in   []xmsg // scratch: the inbox being applied
+	edge bool   // order ranks by distance to the range's edges, not by clock
+	loop func() // helper goroutine body (work), made once
+}
+
+// reset seeds the worker for a replay over ranks [lo, lo+n): every rank
+// runnable at clock zero, nothing in a collective, nothing to flush.
+func (w *rworker) reset(r *Replayer, idx, lo, n int, edge bool) {
+	w.r, w.idx, w.lo, w.n, w.edge = r, idx, lo, n, edge
+	w.rk, w.streams, w.nslots = r.rk, r.streams[lo*r.nslots:(lo+n)*r.nslots], r.nslots
+	if cap(w.heap.e) < n {
+		w.heap.e = make([]heapEntry, 0, n)
+	}
+	w.seed(0)
+	w.doneCount = 0
+	w.collArrived = 0
+	w.collWaiters = w.collWaiters[:0]
+	w.out = w.out[:0]
+}
+
 // wake marks a blocked rank runnable, mirroring the event scheduler's
 // handoff-slot discipline exactly (same displacement rule, same frozen
 // block-time clocks), so the replay schedule is the event schedule.
-func (r *Replayer) wake(id int) {
-	r.rk[id].status = evReady
-	clock := r.rk[id].clock
-	s := r.slot
+func (w *rworker) wake(id int) {
+	w.rk[id].status = evReady
+	clock := w.key(id, w.rk[id].clock)
+	s := w.slot
 	if s < 0 {
-		r.slot, r.slotClock = id, clock
+		w.slot, w.slotClock = id, clock
 		return
 	}
-	if clock < r.slotClock || (clock == r.slotClock && id < s) {
-		id, clock, r.slot, r.slotClock = s, r.slotClock, id, clock
+	if clock < w.slotClock || (clock == w.slotClock && id < s) {
+		id, clock, w.slot, w.slotClock = s, w.slotClock, id, clock
 	}
-	r.heap.push(heapEntry{clock: clock, id: id})
+	w.heap.push(heapEntry{clock: clock, id: id})
+}
+
+// key is rank id's scheduling key at clock.
+func (w *rworker) key(id int, clock float64) float64 {
+	if w.edge {
+		return w.edgeKey(id)
+	}
+	return clock
+}
+
+// seed makes every owned rank runnable at clock, with an empty slot. In
+// the serial order the pushes arrive sorted and cost no sifting.
+func (w *rworker) seed(clock float64) {
+	w.slot = -1
+	w.heap.e = w.heap.e[:0]
+	for i := w.lo; i < w.lo+w.n; i++ {
+		w.heap.push(heapEntry{clock: w.key(i, clock), id: i})
+	}
 }
 
 // next picks the runnable rank with the smallest (clock, id) from the
 // slot or the heap; -1 when none is runnable.
-func (r *Replayer) next() int {
+func (w *rworker) next() int {
 	for {
-		if s := r.slot; s >= 0 {
-			if r.heap.len() == 0 || !entryLess(r.heap.top(), heapEntry{clock: r.slotClock, id: s}) {
-				r.slot = -1
+		if s := w.slot; s >= 0 {
+			if w.heap.len() == 0 || !entryLess(w.heap.top(), heapEntry{clock: w.slotClock, id: s}) {
+				w.slot = -1
 				return s
 			}
 		}
-		if r.heap.len() == 0 {
+		if w.heap.len() == 0 {
 			return -1
 		}
-		e := r.heap.pop()
-		if r.rk[e.id].status != evReady {
+		e := w.heap.pop()
+		if w.rk[e.id].status != evReady {
 			continue
 		}
 		return e.id
@@ -1060,14 +1139,34 @@ func (r *Replayer) next() int {
 }
 
 // deliver appends a message to stream slot of rank dst and wakes dst if
-// it is parked on a receive from exactly that stream.
-func (r *Replayer) deliver(dst int, slot uint8, avail, aux float64) {
-	st := &r.streams[dst*r.nslots+int(slot)]
+// it is parked on a receive from exactly that stream. A message to another
+// worker's rank goes to out instead; the owner applies it after the next
+// flush. The stream index is relative to the worker's range, so one
+// comparison both tests ownership and bounds the index.
+func (w *rworker) deliver(dst int, slot uint8, avail, aux float64) {
+	i := (dst-w.lo)*w.nslots + int(slot)
+	if uint(i) >= uint(len(w.streams)) {
+		w.post(dst, slot, avail, aux)
+		return
+	}
+	st := &w.streams[i]
 	st.msgs = append(st.msgs, rmsg{avail: avail, aux: aux})
 	if st.waiting {
 		st.waiting = false
-		r.wake(dst)
+		w.wake(dst)
 	}
+}
+
+// post queues a message to another worker's rank for the next flush. It
+// stays out of line so that deliver keeps its small serial body. Only a
+// corrupted trace sends outside the world.
+//
+//go:noinline
+func (w *rworker) post(dst int, slot uint8, avail, aux float64) {
+	if uint(dst) >= uint(w.r.t.n) {
+		panic(fmt.Sprintf("mp: replay sends to rank %d of a %d-rank world", dst, w.r.t.n))
+	}
+	w.out = append(w.out, xmsg{avail: avail, aux: aux, dst: int32(dst), slot: slot})
 }
 
 // reduce enters rank id into the open collective generation at clock.
@@ -1075,43 +1174,51 @@ func (r *Replayer) deliver(dst int, slot uint8, avail, aux float64) {
 // closed == false (the caller parks the rank in rBlockedColl); the last
 // arriver closes the generation and gets its completion clock — the
 // latest arrival plus the reduction of words float64s, priced exactly as
-// the event backend prices it.
-func (r *Replayer) reduce(id int, clock float64, words int32) (done float64, closed bool) {
-	if r.collArrived == 0 || clock > r.collMax {
-		r.collMax = clock
+// the event backend prices it. A worker of a parallel replay never sees
+// every participant arrive, so all its ranks park, and the generation
+// closes at the workers' barrier (parState.closeColl).
+func (w *rworker) reduce(id int, clock float64, words int32) (done float64, closed bool) {
+	if w.collArrived == 0 || clock > w.collMax {
+		w.collMax = clock
 	}
-	r.collArrived++
-	if r.collArrived < r.t.n {
-		r.collWaiters = append(r.collWaiters, int32(id))
+	w.collArrived++
+	if w.collArrived < w.r.t.n {
+		w.collWords = words
+		w.collWaiters = append(w.collWaiters, int32(id))
 		return 0, false
 	}
-	r.collArrived = 0
-	done = r.collMax
-	if net := r.opts.Net; net != nil {
-		bytes := 8 * int(words)
-		if r.det {
-			if r.redMemo.bytes != bytes {
-				r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(r.t.n, bytes, nil)}
-			}
-			done += r.redMemo.sec
-		} else {
-			done += net.ReduceCost(r.t.n, bytes, r.collRngStream())
-		}
+	w.collArrived = 0
+	return w.r.reduceDone(w.collMax, words), true
+}
+
+// reduceDone returns the completion clock of a collective of words
+// float64s whose latest participant arrived at clock.
+func (r *Replayer) reduceDone(clock float64, words int32) float64 {
+	net := r.opts.Net
+	if net == nil {
+		return clock
 	}
-	return done, true
+	bytes := 8 * int(words)
+	if r.det {
+		if r.redMemo.bytes != bytes {
+			r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(r.t.n, bytes, nil)}
+		}
+		return clock + r.redMemo.sec
+	}
+	return clock + net.ReduceCost(r.t.n, bytes, r.collRngStream())
 }
 
 // release hands a closed generation's completion clock to every parked
 // participant and wakes them; each consumes it when its reduce op
 // re-executes (rrank.collResolved).
-func (r *Replayer) release(done float64) {
-	for _, wid := range r.collWaiters {
-		wr := &r.rk[wid]
+func (w *rworker) release(done float64) {
+	for _, wid := range w.collWaiters {
+		wr := &w.rk[wid]
 		wr.collDone = done
 		wr.collResolved = true
-		r.wake(int(wid))
+		w.wake(int(wid))
 	}
-	r.collWaiters = r.collWaiters[:0]
+	w.collWaiters = w.collWaiters[:0]
 }
 
 // maxBoundDraws caps a bound noise table at 16 MB of draws. A
@@ -1221,6 +1328,7 @@ func (r *Replayer) runRankPerturbed(id int) {
 	probe := r.opts.Probe
 	det, cnet, ns := r.det, r.cnet, r.ns
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
+	w := &r.w
 	self := &r.rk[id]
 	ps := &r.pr[id]
 	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
@@ -1314,7 +1422,7 @@ run:
 					if cnet != nil {
 						u += cnet.ClassOf(id, dst) * ns
 					}
-					r.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
+					w.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
 					clock += sendSec[u]
 				} else {
 					clock = r.send(id, dst, f.s0slot, u, clock)
@@ -1329,7 +1437,7 @@ run:
 					if cnet != nil {
 						u += cnet.ClassOf(id, dst) * ns
 					}
-					r.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
+					w.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
 					clock += sendSec[u]
 				} else {
 					clock = r.send(id, dst, f.s1slot, u, clock)
@@ -1380,13 +1488,13 @@ run:
 			if probe != nil {
 				probe.record(r.collGen, id, clock, idle)
 			}
-			done, closed := r.reduce(id, clock, f.arg0)
+			done, closed := w.reduce(id, clock, f.arg0)
 			if !closed {
 				status = rBlockedColl
 				break run
 			}
 			r.collGen++
-			r.release(done)
+			w.release(done)
 			idle += done - clock
 			clock = done
 		case topMark:
@@ -1401,7 +1509,7 @@ run:
 	ps.idle, ps.opn = idle, opn
 	if status == evDone {
 		self.opos = 0
-		r.doneCount++
+		w.doneCount++
 	}
 }
 
@@ -1454,7 +1562,7 @@ func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
 func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
 	net := r.opts.Net
 	if net == nil {
-		r.deliver(dst, slot, clock, 0)
+		r.w.deliver(dst, slot, clock, 0)
 		return clock
 	}
 	ui := u // class-resolved table index: cls*ns + size index
@@ -1462,7 +1570,7 @@ func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
 		ui += r.cnet.ClassOf(id, dst) * r.ns
 	}
 	if r.det {
-		r.deliver(dst, slot, clock+r.availSec[ui], r.recvSec[ui])
+		r.w.deliver(dst, slot, clock+r.availSec[ui], r.recvSec[ui])
 		return clock + r.sendSec[ui]
 	}
 	rng := r.rng(id)
@@ -1476,7 +1584,7 @@ func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
 		busy = net.SendOverhead(b, rng)
 		avail = net.Transit(b, rng)
 	}
-	r.deliver(dst, slot, clock+avail, float64(ui))
+	r.w.deliver(dst, slot, clock+avail, float64(ui))
 	return clock + busy
 }
 

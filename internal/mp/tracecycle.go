@@ -138,7 +138,49 @@ func (t *Trace) finalize() error {
 	}
 	t.buildFused(slots)
 	t.collectReduceSizes()
+	t.sharedMark = t.markShared()
+	if t.n > 0 {
+		t.gens = t.rankGens(0)
+	}
 	return nil
+}
+
+// markShared reports whether two ranks write one mark slot. The last write
+// of such a slot depends on the order ranks run in, so the trace replays
+// serially.
+func (t *Trace) markShared() bool {
+	nchunks := len(t.cstart) - 1
+	var masks []uint8 // per chunk: the mark slots it writes
+	for c := 0; c < nchunks; c++ {
+		for _, o := range t.chunkOps[t.cstart[c]:t.cstart[c+1]] {
+			if o.kind == topMark && o.arg0 >= 0 && o.arg0 < MaxMarks {
+				if masks == nil {
+					masks = make([]uint8, nchunks)
+				}
+				masks[c] |= 1 << o.arg0
+			}
+		}
+	}
+	if masks == nil {
+		return false
+	}
+	var writer [MaxMarks]int
+	for rank := 0; rank < t.n; rank++ {
+		var m uint8
+		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
+			m |= masks[c]
+		}
+		for s := 0; m != 0; s, m = s+1, m>>1 {
+			if m&1 == 0 {
+				continue
+			}
+			if writer[s] != 0 {
+				return true
+			}
+			writer[s] = rank + 1
+		}
+	}
+	return false
 }
 
 // --- macro-op fusion ---
@@ -618,6 +660,13 @@ type ReplayStats struct {
 	// ExtrapolatedCycles counts steady cycles skipped analytically (or via
 	// the steady-state plan memo) instead of replayed.
 	ExtrapolatedCycles int
+	// Workers is how many workers ran the replay: 1 for a serial replay,
+	// more for a parallel fused one (parallel.go).
+	Workers int
+	// Serial names why an unperturbed replay ran on one worker:
+	// SerialSmallTrace, SerialNoIdleCPU or SerialSharedMark. It is empty
+	// for parallel and perturbed replays.
+	Serial string
 }
 
 // Stats returns the cycle/extrapolation counters of the last Replay.
@@ -626,6 +675,8 @@ func (r *Replayer) Stats() ReplayStats {
 		CycleDetected:      r.t != nil && r.t.cyc.detected,
 		ReplayedCycles:     r.statReplayed,
 		ExtrapolatedCycles: r.statExtrapolated,
+		Workers:            max(len(r.ws), 1),
+		Serial:             r.serial,
 	}
 }
 
@@ -709,14 +760,15 @@ func (r *Replayer) priceCostBits() {
 
 // streamsIdle reports whether no replay message is in flight — the
 // precondition for any cursor transplant: a jump moves clocks and cursors,
-// never queued messages.
+// never queued messages. On a parallel replay a message flushed to a
+// worker that has not applied it yet is in flight too.
 func (r *Replayer) streamsIdle() bool {
 	for i := range r.streams {
 		if st := &r.streams[i]; st.head < int32(len(st.msgs)) {
 			return false
 		}
 	}
-	return true
+	return len(r.ws) < 2 || r.par.boxesEmpty()
 }
 
 // cycReposition transplants every rank to the start of a recorded cycle
@@ -742,11 +794,9 @@ func (r *Replayer) cycReposition(D float64, last bool) {
 		k.status = evReady
 		k.collResolved = false
 	}
-	r.collWaiters = r.collWaiters[:0]
-	r.slot = -1
-	r.heap.e = r.heap.e[:0]
-	for i := 0; i < t.n; i++ {
-		r.heap.e = append(r.heap.e, heapEntry{clock: D, id: i})
+	for _, w := range r.ws {
+		w.collWaiters = w.collWaiters[:0]
+		w.seed(D)
 	}
 }
 
@@ -1006,14 +1056,15 @@ func (r *Replayer) planStore() {
 // loop: moving send pricing and receive consumption into shared methods
 // measured 5-12% more time per fused op (servebench predict_replay,
 // mp.replay_ns_per_fused_op, 2-vCPU Xeon VM).
-func (r *Replayer) runRankFused(id int) {
+func (w *rworker) runRankFused(id int) {
+	r := w.r
 	t := r.t
 	net := r.opts.Net
 	cnet, ns := r.cnet, r.ns
 	lits, charges := t.lits, r.charges
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
-	self := &r.rk[id]
-	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
+	self := &w.rk[id]
+	streams := w.streams[(id-w.lo)*w.nslots : (id-w.lo+1)*w.nslots]
 	clock := self.clock
 	sp, op := self.spos, self.opos
 	sub := self.fsub
@@ -1097,7 +1148,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, f.s0slot, avail, aux)
+				w.deliver(dst, f.s0slot, avail, aux)
 			}
 			if f.ns > 1 {
 				dst := id + int(f.s1dst)
@@ -1113,7 +1164,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, f.s1slot, avail, aux)
+				w.deliver(dst, f.s1slot, avail, aux)
 			}
 		case topChargeParam, topCkpt:
 			if s := charges[f.arg0]; s > 0 {
@@ -1137,7 +1188,7 @@ func (r *Replayer) runRankFused(id int) {
 				avail = start + availSec[ui]
 				aux = recvSec[ui]
 			}
-			r.deliver(dst, uint8(f.arg1), avail, aux)
+			w.deliver(dst, uint8(f.arg1), avail, aux)
 		case topRecv:
 			m, ok := streams[f.arg0].take()
 			if !ok {
@@ -1158,7 +1209,7 @@ func (r *Replayer) runRankFused(id int) {
 				clock = self.collDone
 				break
 			}
-			done, closed := r.reduce(id, clock, f.arg0)
+			done, closed := w.reduce(id, clock, f.arg0)
 			if !closed {
 				self.clock = clock
 				self.spos, self.opos = sp, op
@@ -1171,7 +1222,7 @@ func (r *Replayer) runRankFused(id int) {
 				// without waking or writing back.
 				return
 			}
-			r.release(done)
+			w.release(done)
 			clock = done
 		case topMark:
 			r.marks[f.arg0] = clock
@@ -1181,5 +1232,5 @@ func (r *Replayer) runRankFused(id int) {
 	self.clock = clock
 	self.spos, self.opos = sp, 0
 	self.status = evDone
-	r.doneCount++
+	w.doneCount++
 }

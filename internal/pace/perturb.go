@@ -63,15 +63,6 @@ func (e *Evaluator) TraceFor(cfg Config) (*mp.Trace, error) {
 	return t, err
 }
 
-// TraceForCkpt is TraceFor for the checkpointed variant of the shape:
-// a checkpoint op follows every ckptEvery-th iteration's collective
-// (except the last iteration's). Callers map failure instants onto op
-// indices of *this* trace, since checkpoints shift later op indices.
-func (e *Evaluator) TraceForCkpt(cfg Config, ckptEvery int) (*mp.Trace, error) {
-	t, _, err := e.traceAndKernel(cfg, ckptEvery)
-	return t, err
-}
-
 // RunPerturbed replays the configuration's compiled script under injected
 // delays and compute noise, recording per-generation timelines into probe
 // when non-nil. A nil delays slice with the same noise and seed is the
@@ -80,39 +71,12 @@ func (e *Evaluator) TraceForCkpt(cfg Config, ckptEvery int) (*mp.Trace, error) {
 // and their clock difference is exactly the injected damage. A caller
 // replaying both opens one MatchedSet instead, which binds the noise once.
 func (e *Evaluator) RunPerturbed(cfg Config, delays []mp.Delay, noise mp.ComputeNoise, seed int64, probe *mp.RunProbe) (PerturbedRun, error) {
-	return e.RunResilient(cfg, ResilientOptions{Delays: delays, Noise: noise, Seed: seed, Probe: probe})
-}
-
-// ResilientOptions parameterise a resilient replay: a checkpointed
-// template shape plus injected fail-stop failures (and optionally delays,
-// noise, a probe and a failure log). CkptEvery 0 disables checkpoint ops;
-// failures then rewind to time zero.
-type ResilientOptions struct {
-	CkptEvery   int     // checkpoint period in iterations (0: none)
-	CkptSeconds float64 // charge per checkpoint op (exact, no noise)
-	Fails       []mp.FailStop
-	Delays      []mp.Delay
-	Noise       mp.ComputeNoise
-	Seed        int64
-	Probe       *mp.RunProbe
-	FailLog     *mp.FailLog
-}
-
-// RunResilient replays the checkpointed variant of the configuration's
-// compiled script under injected fail-stop failures. Like RunPerturbed it
-// runs on the trace tier, bypasses the prediction memo, and keeps the
-// matched-baseline property: identical options minus the failures give a
-// baseline whose clock difference is exactly the failure damage. It is a
-// MatchedSet of one replay.
-func (e *Evaluator) RunResilient(cfg Config, o ResilientOptions) (PerturbedRun, error) {
-	set, err := e.OpenMatchedSet(cfg, SetOptions{
-		CkptEvery: o.CkptEvery, CkptSeconds: o.CkptSeconds, Noise: o.Noise, Seed: o.Seed,
-	})
+	set, err := e.OpenMatchedSet(cfg, SetOptions{Noise: noise, Seed: seed})
 	if err != nil {
 		return PerturbedRun{}, err
 	}
 	defer set.Close()
-	return set.Run(SetRun{Delays: o.Delays, Fails: o.Fails, Probe: o.Probe, FailLog: o.FailLog})
+	return set.Run(SetRun{Delays: delays, Probe: probe})
 }
 
 // SetOptions are what every replay of a matched set shares: the
@@ -188,7 +152,7 @@ func (s *MatchedSet) Run(run SetRun) (PerturbedRun, error) {
 	if err := s.rp.Replay(s.t, opts, s.params); err != nil {
 		return PerturbedRun{}, err
 	}
-	traceReplays.Add(1)
+	countReplay(s.rp.Stats())
 	clocks := make([]float64, s.t.Ranks())
 	for i := range clocks {
 		clocks[i] = s.rp.Clock(i)

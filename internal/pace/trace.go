@@ -114,6 +114,50 @@ func TraceExtrapolation() TraceExtrapolationStats {
 	}
 }
 
+// Parallel fused replay counters, process-wide: fused replays that ran on
+// more than one worker, and those that ran on one, by mp's reason
+// (mp.ReplayStats.Serial). Perturbed replays are not fused replays and
+// count in neither.
+var (
+	traceParallelReplays atomic.Uint64
+	traceSerialReplays   [3]atomic.Uint64 // by serialReasons index
+)
+
+// serialReasons are the reasons mp gives for a serial fused replay, in the
+// order of traceSerialReplays.
+var serialReasons = [3]string{mp.SerialSmallTrace, mp.SerialNoIdleCPU, mp.SerialSharedMark}
+
+// TraceParallelStats reports how the trace tier's fused replays were
+// scheduled: Parallel ran on more than one worker, Serial on one, counted
+// by reason (small_trace, no_idle_cpu, shared_mark).
+type TraceParallelStats struct {
+	Parallel uint64            `json:"parallel"`
+	Serial   map[string]uint64 `json:"serial"`
+}
+
+// TraceParallelism snapshots the process-wide parallel replay counters.
+func TraceParallelism() TraceParallelStats {
+	s := TraceParallelStats{Parallel: traceParallelReplays.Load(), Serial: make(map[string]uint64, len(serialReasons))}
+	for i, reason := range serialReasons {
+		s.Serial[reason] = traceSerialReplays[i].Load()
+	}
+	return s
+}
+
+// countReplay records a finished replay in the trace tier's counters.
+func countReplay(st mp.ReplayStats) {
+	traceReplays.Add(1)
+	if st.Workers > 1 {
+		traceParallelReplays.Add(1)
+		return
+	}
+	for i, reason := range serialReasons {
+		if st.Serial == reason {
+			traceSerialReplays[i].Add(1)
+		}
+	}
+}
+
 // Fused-program composition, cumulative over compiled (or
 // artifact-loaded) shapes. Fusion changes what a replay dispatches — one
 // macro op stands in for the canonical multi-op wavefront step — so op
@@ -212,8 +256,9 @@ func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, e
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	traceReplays.Add(1)
-	if st := rp.Stats(); st.CycleDetected {
+	st := rp.Stats()
+	countReplay(st)
+	if st.CycleDetected {
 		traceCycleReplays.Add(1)
 		traceReplayedCycles.Add(uint64(st.ReplayedCycles))
 	}
