@@ -36,9 +36,10 @@ func main() {
 			"comma-separated JSON platform spec files — or directories of *.json spec files — "+
 				"to register and serve alongside -platforms")
 		artifactDir = flag.String("artifact-dir", "",
-			"content-addressed artifact store directory: fitted models, compiled traces, cost "+
-				"kernels and POSTed platform registrations persist here and are loaded on restart "+
-				"(empty = fully in-memory)")
+			"content-addressed artifact store directory: fitted models, cost kernels and POSTed "+
+				"platform registrations persist here and are loaded on restart (empty = fully "+
+				"in-memory); traces are compiled, not stored, and a trace/ directory left by an "+
+				"older build is never read but counts in bytes_on_disk until removed")
 		peers = flag.String("peers", "",
 			"comma-separated base URLs of the full serving fleet; enables consistent-hash shard "+
 				"routing of /v1/predict and /v1/sweep by platform fingerprint (requires -self-url)")

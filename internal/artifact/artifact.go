@@ -1,13 +1,13 @@
 // Package artifact is the content-addressed on-disk artifact store behind
-// warm paceserve starts: fitted hardware models, compiled communication
-// traces, cost kernels and registered platform specs are persisted under
-// the fingerprint keys the codebase already computes, so a restarted (or
-// freshly scaled-out) process faults its caches in from disk instead of
-// refitting and re-recording.
+// warm paceserve starts: fitted hardware models, cost kernels and
+// registered platform specs are persisted under the fingerprint keys the
+// codebase already computes, so a restarted (or freshly scaled-out)
+// process faults its caches in from disk instead of refitting and
+// re-pricing.
 //
 // Layout: one directory per artifact kind, one file per key
 // (`<root>/<kind>/<key>.art`). Keys are the content address — a spec
-// fingerprint, a trace shape — so equal keys always denote byte-equal
+// fingerprint, a kernel shape and model — so equal keys always denote byte-equal
 // artifacts and a Put can only ever overwrite with identical semantics.
 // Writes go through a temp file + rename, so readers never observe a
 // partial artifact; the codec checksum (codec.go) catches torn or
@@ -34,7 +34,6 @@ import (
 // the conventional directories.
 const (
 	KindModel  = "model"  // fitted hwmodel.Model, keyed by spec fingerprint
-	KindTrace  = "trace"  // compiled mp.Trace, keyed by shape
 	KindKernel = "kernel" // cost kernel tables, keyed by shape+model
 	KindSpec   = "spec"   // registered platform.Spec, keyed by fingerprint
 )

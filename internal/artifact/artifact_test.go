@@ -50,7 +50,7 @@ func TestStoreReopenSeesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put(KindTrace, "px2-py2", []byte("trace")); err != nil {
+	if err := s1.Put(KindKernel, "px2-py2", []byte("kernel")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Put(KindSpec, "11", []byte("spec-one")); err != nil {
@@ -63,12 +63,12 @@ func TestStoreReopenSeesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Get(KindTrace, "px2-py2")
-	if err != nil || string(got) != "trace" {
+	got, err := s2.Get(KindKernel, "px2-py2")
+	if err != nil || string(got) != "kernel" {
 		t.Fatalf("reopened Get = %q, %v", got, err)
 	}
-	if st := s2.Stats(); st.BytesOnDisk != int64(len("trace")+len("spec-one")) {
-		t.Fatalf("reopened BytesOnDisk = %d, want %d", st.BytesOnDisk, len("trace")+len("spec-one"))
+	if st := s2.Stats(); st.BytesOnDisk != int64(len("kernel")+len("spec-one")) {
+		t.Fatalf("reopened BytesOnDisk = %d, want %d", st.BytesOnDisk, len("kernel")+len("spec-one"))
 	}
 }
 
@@ -167,10 +167,10 @@ func TestGetOrFillBuildErrorNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if _, _, err := s.GetOrFill(KindTrace, "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.GetOrFill(KindKernel, "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	data, fromStore, err := s.GetOrFill(KindTrace, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	data, fromStore, err := s.GetOrFill(KindKernel, "k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || fromStore || string(data) != "ok" {
 		t.Fatalf("retry = %q, fromStore=%v, err=%v", data, fromStore, err)
 	}
@@ -179,7 +179,6 @@ func TestGetOrFillBuildErrorNotCached(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	const magic = "ARTTEST\x00"
 	e := NewEncoder(magic, 3)
-	e.U8(7)
 	e.U32(1 << 20)
 	e.I32(-5)
 	e.U64(1 << 40)
@@ -191,7 +190,6 @@ func TestCodecRoundTrip(t *testing.T) {
 
 	// Deterministic: identical field sequences produce identical bytes.
 	e2 := NewEncoder(magic, 3)
-	e2.U8(7)
 	e2.U32(1 << 20)
 	e2.I32(-5)
 	e2.U64(1 << 40)
@@ -206,9 +204,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	d, err := NewDecoder(data, magic, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v := d.U8(); v != 7 {
-		t.Fatalf("U8 = %d", v)
 	}
 	if v := d.U32(); v != 1<<20 {
 		t.Fatalf("U32 = %d", v)
@@ -280,8 +275,8 @@ func TestCodecRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.Bytes()
-	if !errors.Is(d2.Err(), ErrTruncated) {
-		t.Fatalf("oversized length: err = %v, want ErrTruncated", d2.Err())
+	if err := d2.Close(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("oversized length: err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -343,21 +338,21 @@ func TestStoreQuarantinedKeyRefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(KindTrace, "px1-py1", []byte("garbage")); err != nil {
+	if err := s.Put(KindKernel, "px1-py1", []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Quarantine(KindTrace, "px1-py1"); err != nil {
+	if err := s.Quarantine(KindKernel, "px1-py1"); err != nil {
 		t.Fatal(err)
 	}
 	// The load-through pattern after a quarantine: the fill path runs the
 	// build and re-publishes a good artifact under the original key.
-	data, fromStore, err := s.GetOrFill(KindTrace, "px1-py1", func() ([]byte, error) {
+	data, fromStore, err := s.GetOrFill(KindKernel, "px1-py1", func() ([]byte, error) {
 		return []byte("good"), nil
 	})
 	if err != nil || fromStore || string(data) != "good" {
 		t.Fatalf("GetOrFill after quarantine = %q, fromStore=%v, err=%v", data, fromStore, err)
 	}
-	if got, err := s.Get(KindTrace, "px1-py1"); err != nil || string(got) != "good" {
+	if got, err := s.Get(KindKernel, "px1-py1"); err != nil || string(got) != "good" {
 		t.Fatalf("re-published artifact = %q, %v", got, err)
 	}
 }

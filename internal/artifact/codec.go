@@ -1,11 +1,11 @@
 package artifact
 
 // The shared container format of every persisted artifact. Each codec
-// (mp.Trace, hwmodel.Model, platform.Spec) writes its payload through an
+// (hwmodel.Model, platform.Spec, pace's cost kernels) writes its payload through an
 // Encoder and reads it back through a Decoder, which gives all of them the
 // same self-describing envelope:
 //
-//	offset 0   magic   [8]byte  codec identity ("PACETRC\x00", ...)
+//	offset 0   magic   [8]byte  codec identity ("PACEHWM\x00", ...)
 //	offset 8   version uint16   codec version, little-endian
 //	offset 10  length  uint64   payload byte count, little-endian
 //	offset 18  payload length bytes
@@ -64,9 +64,6 @@ func NewEncoder(magic string, version uint16) *Encoder {
 	return e
 }
 
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
@@ -104,11 +101,10 @@ func (e *Encoder) Finish() []byte {
 
 // Decoder reads one artifact back. Construction verifies the full
 // envelope; field reads then only need bounds checks, surfaced through the
-// sticky error checked by Err (and by the final Close).
+// sticky error the final Close returns.
 type Decoder struct {
 	payload []byte
 	off     int
-	version uint16
 	err     error
 }
 
@@ -134,11 +130,8 @@ func NewDecoder(data []byte, magic string, version uint16) (*Decoder, error) {
 		return nil, fmt.Errorf("%w (header promises %d payload bytes, have %d)",
 			ErrChecksum, n, len(body)-headerLen)
 	}
-	return &Decoder{payload: body[headerLen:], version: v}, nil
+	return &Decoder{payload: body[headerLen:]}, nil
 }
-
-// Version reports the artifact's codec version.
-func (d *Decoder) Version() uint16 { return d.version }
 
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
@@ -151,15 +144,6 @@ func (d *Decoder) take(n int) []byte {
 	b := d.payload[d.off : d.off+n]
 	d.off += n
 	return b
-}
-
-// U8 reads one byte (0 after an error).
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 // U32 reads a little-endian uint32.
@@ -220,9 +204,6 @@ func (d *Decoder) String() string {
 	}
 	return string(b)
 }
-
-// Err reports the sticky decode error, if any.
-func (d *Decoder) Err() error { return d.err }
 
 // Close verifies the payload was consumed exactly: leftover bytes mean the
 // artifact holds more fields than the codec read, which is the same

@@ -57,17 +57,21 @@ func (m *Model) EncodeBinary() []byte {
 // DecodeModel loads a model artifact encoded by EncodeBinary, verifying
 // the envelope (magic, version, checksum) before reading a field and
 // validating the decoded model; corruption or truncation can never yield a
-// partial model.
+// partial model. Every accepted artifact re-encodes to its own bytes.
 func DecodeModel(data []byte) (*Model, error) {
 	d, err := artifact.NewDecoder(data, modelMagic, ModelCodecVersion)
 	if err != nil {
 		return nil, err
 	}
 	m := &Model{Name: d.String(), MFLOPS: d.F64()}
+	sorted := true
 	if n := d.Len(); n > 0 {
 		m.OpcodeCosts = make(clc.CostTable, n)
+		var prev clc.Op
 		for i := 0; i < n; i++ {
 			op := clc.Op(d.String())
+			sorted = sorted && (i == 0 || op > prev)
+			prev = op
 			m.OpcodeCosts[op] = d.F64()
 		}
 	}
@@ -83,6 +87,11 @@ func DecodeModel(data []byte) (*Model, error) {
 	m.Topology = platform.Topology{CoresPerNode: int(d.I64()), NodesPerCluster: int(d.I64())}
 	if err := d.Close(); err != nil {
 		return nil, err
+	}
+	// EncodeBinary writes the opcode table sorted and without duplicates,
+	// so any other order would not re-encode to the bytes it came from.
+	if !sorted {
+		return nil, fmt.Errorf("%w: opcode table names not strictly increasing", artifact.ErrFormat)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)

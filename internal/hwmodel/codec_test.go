@@ -2,7 +2,9 @@ package hwmodel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -105,4 +107,70 @@ func TestModelCodecRefusesInvalidModel(t *testing.T) {
 	if _, err := DecodeModel(m.EncodeBinary()); err == nil {
 		t.Fatal("invalid model decoded")
 	}
+}
+
+// resealed rewrites an artifact's payload length and FNV-1a checksum
+// trailer in place to match its body and returns it, so an edited payload
+// reaches the model decoder instead of stopping at the envelope check.
+func resealed(data []byte) []byte {
+	const headerLen = 8 + 2 + 8 // magic, version, payload length
+	body := data[:len(data)-8]
+	binary.LittleEndian.PutUint64(body[10:], uint64(len(body)-headerLen))
+	h := fnv.New64a()
+	h.Write(body)
+	binary.LittleEndian.PutUint64(data[len(body):], h.Sum64())
+	return data
+}
+
+// TestModelCodecRefusesUnsortedOpcodes: EncodeBinary writes the opcode
+// table sorted by name, so an artifact whose table is out of order or
+// names one opcode twice would not re-encode to its own bytes; the
+// decoder refuses it with ErrFormat.
+func TestModelCodecRefusesUnsortedOpcodes(t *testing.T) {
+	m := testModels()["flat"]
+	data := m.EncodeBinary()
+	// The payload starts with the name (length-prefixed) and the MFLOPS
+	// rate; then comes the table's count and its entries, each a 4-byte
+	// name length, the name and an 8-byte cost.
+	const entry = 4 + 4 + 8 // every test opcode name has four letters
+	table := 18 + 4 + len(m.Name) + 8 + 4
+	if got := binary.LittleEndian.Uint32(data[table-4:]); got != 3 {
+		t.Fatalf("opcode count at offset %d = %d, want 3", table-4, got)
+	}
+	e0, e1 := data[table:table+entry], data[table+entry:table+2*entry]
+	for name, edit := range map[string]func(b []byte){
+		"swapped":   func(b []byte) { copy(b[table:], e1); copy(b[table+entry:], e0) },
+		"duplicate": func(b []byte) { copy(b[table+entry:], e0) },
+	} {
+		bad := append([]byte(nil), data...)
+		edit(bad)
+		if _, err := DecodeModel(resealed(bad)); !errors.Is(err, artifact.ErrFormat) {
+			t.Fatalf("%s opcode table: err = %v, want ErrFormat", name, err)
+		}
+	}
+	if _, err := DecodeModel(resealed(append([]byte(nil), data...))); err != nil {
+		t.Fatalf("resealed valid artifact: %v", err)
+	}
+}
+
+// FuzzDecodeModel feeds arbitrary bytes to the model decoder, as they are
+// and resealed (payload length and checksum rewritten), so that mutations
+// reach the decoder's fields rather than stopping at the envelope.
+// Decoding never panics, and an accepted input re-encodes byte-identically.
+// The seed corpus in testdata/fuzz/FuzzDecodeModel holds the EncodeBinary
+// artifacts of testModels().
+func FuzzDecodeModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModel(data)
+		if err != nil && len(data) >= 18+8 {
+			data = resealed(append([]byte(nil), data...))
+			m, err = DecodeModel(data)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(m.EncodeBinary(), data) {
+			t.Fatal("accepted input does not re-encode byte-identically")
+		}
+	})
 }

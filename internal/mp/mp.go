@@ -818,8 +818,8 @@ func (c *Comm) reduce(data []float64, op int) []float64 {
 		rec.reduce(c.rank, len(data))
 		if rec.scriptOnly {
 			// No values flow in a script-only run; the caller still gets a
-			// fresh slice of the collective's length.
-			return make([]float64, len(data))
+			// slice of the collective's length.
+			return rec.zeroResult(len(data))
 		}
 	}
 	if c.inj {

@@ -67,8 +67,7 @@ package mp
 // appearance over ranks 0..n-1, and its literal tables in order of first
 // appearance over those chunks. A recording run interns in the event
 // schedule's order and a class compile in class order; canonical order
-// makes both encode to the same bytes. Decoding does not require it, so
-// artifacts written in schedule order still load.
+// makes both give the same trace.
 
 import (
 	"errors"
@@ -132,8 +131,9 @@ type Trace struct {
 	maxSzPar int32     // largest SendParam size index referenced; -1 none
 	ops      int       // total (pre-interning) op count
 
-	// Derived replay acceleration state, built by finalize() in both
-	// constructors (recording and decoding); immutable like the rest.
+	// Derived replay acceleration state, built by finalize() when a
+	// recording run or a class compile builds the trace; immutable like
+	// the rest.
 	nslots       int        // distinct message streams per rank (buildSlots)
 	fops         []fop      // fused programs, per chunk (see tracecycle.go)
 	fstart       []int32    // chunk c's fused ops are fops[fstart[c]:fstart[c+1]]
@@ -226,7 +226,10 @@ type traceRec struct {
 
 	chunkOps []top
 	cstart   []int32
-	index    map[uint64][]int32 // chunk content hash -> candidate chunk ids
+	first    map[uint64]int32 // chunk content hash -> latest chunk id with it
+	next     []int32          // chunk id -> earlier chunk id with its hash; -1 none
+
+	zeros []float64 // script-only collective results (Comm.reduce)
 
 	lits    []float64
 	litIdx  map[float64]int32
@@ -239,13 +242,20 @@ type traceRec struct {
 	ops      int
 }
 
+// recChunks is the chunk capacity a recorder starts with. A 2x2 template
+// trace at 12 iterations interns about 92 chunks and a 64x64 one about
+// 250, so the chunk tables grow once or twice rather than a dozen times.
+const recChunks = 64
+
 func newTraceRec(n int) *traceRec {
 	return &traceRec{
 		n:        n,
 		buf:      make([][]top, n),
 		scripts:  make([][]int32, n),
-		cstart:   []int32{0},
-		index:    make(map[uint64][]int32),
+		chunkOps: make([]top, 0, recChunks*traceChunkOps),
+		cstart:   append(make([]int32, 0, recChunks+1), 0),
+		first:    make(map[uint64]int32, recChunks),
+		next:     make([]int32, 0, recChunks),
 		litIdx:   make(map[float64]int32),
 		sizeIdx:  make(map[int]int32),
 		maxChPar: -1,
@@ -254,6 +264,9 @@ func newTraceRec(n int) *traceRec {
 }
 
 func (r *traceRec) push(rank int, o top) {
+	if r.buf[rank] == nil {
+		r.buf[rank] = make([]top, 0, traceChunkOps)
+	}
 	r.buf[rank] = append(r.buf[rank], o)
 	r.ops++
 	if len(r.buf[rank]) == traceChunkOps {
@@ -269,18 +282,27 @@ func (r *traceRec) flush(rank int) {
 		return
 	}
 	h := chunkHash(ops)
-	var id int32 = -1
-	for _, cand := range r.index[h] {
-		if chunkEqual(r.chunkOps[r.cstart[cand]:r.cstart[cand+1]], ops) {
+	head, ok := r.first[h]
+	if !ok {
+		head = -1
+	}
+	id := int32(-1)
+	for cand := head; cand >= 0; cand = r.next[cand] {
+		if slices.Equal(r.chunkOps[r.cstart[cand]:r.cstart[cand+1]], ops) {
 			id = cand
 			break
 		}
 	}
 	if id < 0 {
 		id = int32(len(r.cstart) - 1)
+		if cap(r.chunkOps)-len(r.chunkOps) < len(ops) {
+			// Double the pool: append grows a slice this large by 1.25x.
+			r.chunkOps = slices.Grow(r.chunkOps, len(r.chunkOps)+len(ops))
+		}
 		r.chunkOps = append(r.chunkOps, ops...)
 		r.cstart = append(r.cstart, int32(len(r.chunkOps)))
-		r.index[h] = append(r.index[h], id)
+		r.next = append(r.next, head)
+		r.first[h] = id
 	}
 	r.scripts[rank] = append(r.scripts[rank], id)
 	r.buf[rank] = r.buf[rank][:0]
@@ -300,18 +322,6 @@ func chunkHash(ops []top) uint64 {
 		mix(uint64(o.kind))
 	}
 	return h
-}
-
-func chunkEqual(a, b []top) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (r *traceRec) chargeLit(rank int, sec float64, noisy bool) {
@@ -360,6 +370,17 @@ func (r *traceRec) reduce(rank, payloadLen int) {
 	r.push(rank, top{kind: topReduce, arg0: int32(payloadLen)})
 }
 
+// zeroResult is a script-only collective's result: payloadLen zeros in a
+// buffer the recorder reuses, since no values flow in a script-only run.
+func (r *traceRec) zeroResult(payloadLen int) []float64 {
+	if payloadLen > len(r.zeros) {
+		r.zeros = make([]float64, payloadLen)
+	}
+	out := r.zeros[:payloadLen:payloadLen]
+	clear(out)
+	return out
+}
+
 func (r *traceRec) mark(rank, slot int) {
 	if slot+1 > r.nmarks {
 		r.nmarks = slot + 1
@@ -376,9 +397,11 @@ func (r *traceRec) ckpt(rank, i int) {
 
 // build finalises the trace: tail chunks are flushed, per-rank scripts
 // concatenated into the flat script/sstart layout, the tables put in
-// canonical order (canonicalize) and the derived replay state built. It
-// fails only when the program uses more message streams than a replayer
-// can hold (ErrTooManyStreams).
+// canonical order (canonicalize) and the derived replay state built. A
+// class compile runs one rank at a time, in rank order, so it interns in
+// canonical order already and skips canonicalize. build fails only when
+// the program uses more message streams than a replayer can hold
+// (ErrTooManyStreams).
 func (r *traceRec) build() (*Trace, error) {
 	total := 0
 	for rank := 0; rank < r.n; rank++ {
@@ -403,7 +426,12 @@ func (r *traceRec) build() (*Trace, error) {
 		t.script = append(t.script, r.scripts[rank]...)
 	}
 	t.sstart[r.n] = int32(len(t.script))
-	t.canonicalize()
+	if r.scriptOnly {
+		// The pool grows by doubling; a cached trace keeps no slack.
+		t.chunkOps = slices.Clone(t.chunkOps)
+	} else {
+		t.canonicalize()
+	}
 	if err := t.finalize(); err != nil {
 		return nil, err
 	}
@@ -457,7 +485,7 @@ func (t *Trace) canonicalize() {
 }
 
 // CompileClasses builds the trace a recording run of f on n ranks would
-// produce (World.RunRecorded), byte for byte, without running every rank.
+// produce (World.RunRecorded), field for field, without running every rank.
 // class maps each rank to its class; f runs once, for the lowest rank of
 // each class, on a script-only Comm whose ops go to the recorder and do
 // nothing else: no clocks, no message queues, no scheduling and no
@@ -468,8 +496,9 @@ func (t *Trace) canonicalize() {
 // delta-encoded op stream (partners as offsets, table indices, tags) is a
 // function of its class alone. f must not read values a script-only run
 // does not produce (received payloads, collective results, Comm.Now,
-// Comm.Rand), and literal charges record as in a world without noise. Cost
-// is O(classes × ops per rank + ranks × chunks per rank).
+// Comm.Rand); a collective returns zeros in a slice the recorder reuses
+// for the next collective. Literal charges record as in a world without
+// noise. Cost is O(classes × ops per rank + ranks × chunks per rank).
 func CompileClasses(n int, class func(rank int) int, f func(c *Comm) error) (*Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mp: world size must be positive, got %d", n)
@@ -477,8 +506,10 @@ func CompileClasses(n int, class func(rank int) int, f func(c *Comm) error) (*Tr
 	rec := newTraceRec(n)
 	rec.scriptOnly = true
 	w := &World{n: n, rec: rec}
+	c := &Comm{}
 	type rep struct{ rank, ops int }
 	reps := make(map[int]rep)
+	last := -1 // the previous representative
 	for rank := 0; rank < n; rank++ {
 		k := class(rank)
 		if rp, ok := reps[k]; ok {
@@ -486,12 +517,20 @@ func CompileClasses(n int, class func(rank int) int, f func(c *Comm) error) (*Tr
 			rec.ops += rp.ops
 			continue
 		}
+		if last >= 0 {
+			// Classes differ only at the edges: the previous script's
+			// length sizes this one, and its emptied chunk buffer serves.
+			rec.scripts[rank] = make([]int32, 0, len(rec.scripts[last]))
+			rec.buf[rank], rec.buf[last] = rec.buf[last], nil
+		}
 		before := rec.ops
-		if err := runScript(&Comm{w: w, rank: rank}, f); err != nil {
+		*c = Comm{w: w, rank: rank}
+		if err := runScript(c, f); err != nil {
 			return nil, err
 		}
 		rec.flush(rank)
 		reps[k] = rep{rank, rec.ops - before}
+		last = rank
 	}
 	t, err := rec.build()
 	if err != nil {
@@ -504,6 +543,95 @@ func CompileClasses(n int, class func(rank int) int, f func(c *Comm) error) (*Tr
 		return nil, fmt.Errorf("mp: class rule does not fit the program: %v", err)
 	}
 	return t, nil
+}
+
+// validate checks the structural invariants a recording run guarantees:
+// monotone chunk and script tables, chunk ids, op kinds and table indices
+// in range, header parameter maxima equal to the largest index the ops
+// reference (Replay checks its tables against them), and every send and
+// receive partner inside the world. A class compile can break the last
+// one when its class rule does not fit the program, so CompileClasses
+// checks every trace it builds.
+func (t *Trace) validate() error {
+	if t.n <= 0 {
+		return fmt.Errorf("trace: non-positive world size %d", t.n)
+	}
+	if t.nmarks < 0 || t.ops < 0 {
+		return fmt.Errorf("trace: negative counters")
+	}
+	if t.nmarks > MaxMarks {
+		return fmt.Errorf("trace: %d mark slots, at most %d", t.nmarks, MaxMarks)
+	}
+	nchunks := len(t.cstart) - 1
+	if nchunks < 0 || t.cstart[0] != 0 || int(t.cstart[nchunks]) != len(t.chunkOps) {
+		return fmt.Errorf("trace: malformed chunk table")
+	}
+	for i := 0; i < nchunks; i++ {
+		if t.cstart[i] > t.cstart[i+1] {
+			return fmt.Errorf("trace: chunk table not monotone at %d", i)
+		}
+	}
+	if len(t.sstart) != t.n+1 || t.sstart[0] != 0 || int(t.sstart[t.n]) != len(t.script) {
+		return fmt.Errorf("trace: malformed script table")
+	}
+	for r := 0; r < t.n; r++ {
+		if t.sstart[r] > t.sstart[r+1] {
+			return fmt.Errorf("trace: script table not monotone at rank %d", r)
+		}
+	}
+	for i, c := range t.script {
+		if c < 0 || int(c) >= nchunks {
+			return fmt.Errorf("trace: script entry %d references chunk %d of %d", i, c, nchunks)
+		}
+	}
+	// Every partner must land inside the world: each chunk's smallest and
+	// largest partner offset, applied at every rank whose script runs the
+	// chunk, stays in [0, n).
+	lo, hi := make([]int64, nchunks), make([]int64, nchunks)
+	maxCh, maxSz := int32(-1), int32(-1)
+	for c := 0; c < nchunks; c++ {
+		for i := t.cstart[c]; i < t.cstart[c+1]; i++ {
+			o := &t.chunkOps[i]
+			var bad bool
+			switch o.kind {
+			case topChargeLit, topChargeNoisy:
+				bad = o.arg0 < 0 || int(o.arg0) >= len(t.lits)
+			case topChargeParam, topCkpt:
+				bad = o.arg0 < 0
+				maxCh = max(maxCh, o.arg0)
+			case topSendLit:
+				bad = o.arg2 < 0 || int(o.arg2) >= len(t.sizes)
+			case topSendParam:
+				bad = o.arg2 < 0
+				maxSz = max(maxSz, o.arg2)
+			case topRecv:
+			case topReduce:
+				bad = o.arg0 < 0
+			case topMark:
+				bad = o.arg0 < 0 || int(o.arg0) >= t.nmarks
+			default:
+				return fmt.Errorf("trace: op %d has unknown kind %d", i, o.kind)
+			}
+			if bad {
+				return fmt.Errorf("trace: op %d of kind %d indexes out of range", i, o.kind)
+			}
+			if o.kind == topRecv || o.kind == topSendLit || o.kind == topSendParam {
+				lo[c], hi[c] = min(lo[c], int64(o.arg0)), max(hi[c], int64(o.arg0))
+			}
+		}
+	}
+	if maxCh != t.maxChPar || maxSz != t.maxSzPar {
+		return fmt.Errorf("trace: header parameter maxima %d/%d, ops reference %d/%d",
+			t.maxChPar, t.maxSzPar, maxCh, maxSz)
+	}
+	for r := 0; r < t.n; r++ {
+		for _, c := range t.script[t.sstart[r]:t.sstart[r+1]] {
+			if int64(r)+lo[c] < 0 || int64(r)+hi[c] >= int64(t.n) {
+				return fmt.Errorf("trace: rank %d runs chunk %d with a partner outside %d ranks", r, c, t.n)
+			}
+		}
+	}
+	return nil
 }
 
 // runScript runs f on one script-only Comm, turning a panic into an error
@@ -524,10 +652,10 @@ func runScript(c *Comm, f func(c *Comm) error) (err error) {
 const maxStreamSlots = 64
 
 // ErrTooManyStreams is returned by a recording run (World.Run on the trace
-// backend, World.RunRecorded) or a class compile (CompileClasses) and
-// wrapped in artifact.ErrFormat by DecodeTrace when a program uses more
-// than maxStreamSlots distinct message streams, (source offset, tag) pairs
-// seen from the receiver. The event backend runs such programs.
+// backend, World.RunRecorded) or a class compile (CompileClasses) when a
+// program uses more than maxStreamSlots distinct message streams, (source
+// offset, tag) pairs seen from the receiver. The event backend runs such
+// programs.
 var ErrTooManyStreams = fmt.Errorf("mp: trace uses more than %d distinct message streams", maxStreamSlots)
 
 // buildSlots gives every message stream of the trace a fixed slot: the

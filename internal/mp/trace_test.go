@@ -3,10 +3,9 @@ package mp
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
-
-	"pacesweep/internal/artifact"
 )
 
 // detAlphaBeta is alphaBeta with the DeterministicCosts opt-in, driving
@@ -451,8 +450,8 @@ func TestTraceStreamOverflow(t *testing.T) {
 // TestTraceStreamSlotCap pins the stream slot cap. Rank 0 receiving from
 // each of 80 ranks needs 80 slots: the event backend runs it, the trace
 // backend refuses it at record time with ErrTooManyStreams (so no replayer
-// and no n×D stream table is ever built), and a decoded trace one stream
-// over the cap is ErrFormat while one at the cap decodes.
+// and no n×D stream table is ever built), a program at the cap records,
+// and a class compile one stream over the cap is refused.
 func TestTraceStreamSlotCap(t *testing.T) {
 	const n = 81
 	gather := func(c *Comm) error {
@@ -506,18 +505,20 @@ func TestTraceStreamSlotCap(t *testing.T) {
 	if tr.nslots != maxStreamSlots {
 		t.Fatalf("nslots = %d, want %d", tr.nslots, maxStreamSlots)
 	}
-	if _, err := DecodeTrace(tr.EncodeBinary()); err != nil {
-		t.Fatalf("trace at the cap: %v", err)
-	}
-	for i := range tr.chunkOps {
-		if o := &tr.chunkOps[i]; o.kind == topRecv {
-			o.arg1 = maxStreamSlots // a receive on one more tag
-			break
+	// One tag more is one stream over the cap, refused by a class compile
+	// as by a recording run.
+	over := func(c *Comm) error {
+		for tag := 0; tag <= maxStreamSlots; tag++ {
+			if c.Rank() == 1 {
+				c.SendN(0, tag, 8, nil)
+			} else {
+				c.RecvN(1, tag)
+			}
 		}
+		return nil
 	}
-	_, err = DecodeTrace(tr.EncodeBinary())
-	if !errors.Is(err, artifact.ErrFormat) || !errors.Is(err, ErrTooManyStreams) {
-		t.Fatalf("trace over the cap: err = %v, want ErrFormat wrapping ErrTooManyStreams", err)
+	if _, err := CompileClasses(2, func(r int) int { return r }, over); !errors.Is(err, ErrTooManyStreams) {
+		t.Fatalf("class compile over the cap: err = %v, want ErrTooManyStreams", err)
 	}
 }
 
@@ -605,7 +606,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(8*50*2), "msg_ops/op")
 }
 
-// TestCompileClassesMatchesRecorded: a class compile gives the bytes of a
+// TestCompileClassesMatchesRecorded: a class compile gives the trace of a
 // recording run on the event backend, for class rules down to one rank
 // per class and up to the coarsest rule the program allows. The script-only
 // Comm reads no parameter table, so the class compiles run with none set.
@@ -649,7 +650,7 @@ func TestCompileClassesMatchesRecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(cls.EncodeBinary()) != string(rec.EncodeBinary()) {
+			if !reflect.DeepEqual(cls, rec) {
 				t.Fatalf("class compile differs from the recording (%d/%d unique ops, %d/%d ops)",
 					cls.UniqueOps(), rec.UniqueOps(), cls.Ops(), rec.Ops())
 			}
@@ -696,5 +697,92 @@ func TestCompileClassesErrors(t *testing.T) {
 	// to its right and below, outside the world.
 	if _, err := CompileClasses(12, func(int) int { return 0 }, wavefrontProgram(4, 3, 2)); err == nil {
 		t.Fatal("class rule that does not fit the program: no error")
+	}
+}
+
+// paramRingProgram is a ring over n ranks using every parameterised op: a
+// charge parameter, a checkpoint and a parameterised send size, closed by
+// a collective each round.
+func paramRingProgram(n, rounds int) func(c *Comm) error {
+	return func(c *Comm) error {
+		next, prev := (c.Rank()+1)%n, (c.Rank()+n-1)%n
+		for it := 0; it < rounds; it++ {
+			c.ChargeParam(0)
+			c.SendParam(next, 1, 0)
+			c.RecvN(prev, 1)
+			c.Checkpoint(0)
+			c.AllreduceMax(1)
+		}
+		return nil
+	}
+}
+
+func recordParamRing(t testing.TB, n, rounds int) *Trace {
+	t.Helper()
+	w, err := NewWorld(n, Options{Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetParams([]float64{1e-4}, []int{512})
+	tr, err := w.RunRecorded(paramRingProgram(n, rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestTraceValidateRefusesOutOfRangeOps: validate refuses a trace whose
+// partner offsets or parameter indices would index past the replayer's
+// tables, so a trace that passes it never panics in Replay.
+func TestTraceValidateRefusesOutOfRangeOps(t *testing.T) {
+	if err := recordParamRing(t, 4, 2).validate(); err != nil {
+		t.Fatalf("recorded ring: %v", err)
+	}
+	cases := []struct {
+		name string
+		kind uint8
+		mut  func(o *top)
+	}{
+		{"send offset past the world", topSendParam, func(o *top) { o.arg0 = 1000 }},
+		{"send offset below rank 0", topSendParam, func(o *top) { o.arg0 = -1000 }},
+		{"receive offset past the world", topRecv, func(o *top) { o.arg0 = 1000 }},
+		{"charge param past header max", topChargeParam, func(o *top) { o.arg0 = 50 }},
+		{"negative charge param", topChargeParam, func(o *top) { o.arg0 = -1 }},
+		{"checkpoint param past header max", topCkpt, func(o *top) { o.arg0 = 50 }},
+		{"size param past header max", topSendParam, func(o *top) { o.arg2 = 50 }},
+		{"negative collective length", topReduce, func(o *top) { o.arg0 = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := recordParamRing(t, 4, 2)
+			found := false
+			for i := range tr.chunkOps {
+				if tr.chunkOps[i].kind == tc.kind {
+					tc.mut(&tr.chunkOps[i])
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("ring trace records no op of kind %d", tc.kind)
+			}
+			if err := tr.validate(); err == nil {
+				t.Fatal("validate accepted the trace")
+			}
+		})
+	}
+	// A mark count past MaxMarks would size Replay's mark table, and header
+	// parameter maxima above every referenced index would make Replay
+	// refuse every real parameter table.
+	for name, mut := range map[string]func(tr *Trace){
+		"mark count past MaxMarks":      func(tr *Trace) { tr.nmarks = 1 << 30 },
+		"charge param maximum inflated": func(tr *Trace) { tr.maxChPar = 1 << 30 },
+		"size param maximum inflated":   func(tr *Trace) { tr.maxSzPar = 1 << 30 },
+	} {
+		tr := recordParamRing(t, 4, 2)
+		mut(tr)
+		if err := tr.validate(); err == nil {
+			t.Fatalf("%s: validate accepted the trace", name)
+		}
 	}
 }

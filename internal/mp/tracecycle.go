@@ -60,6 +60,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 )
 
 // ErrCannotExtrapolate is returned by Replay when ReplayParams.ExtraCycles
@@ -127,10 +128,9 @@ type traceCycle struct {
 
 // finalize derives the replay acceleration structures after the scalar
 // tables are in place: the stream slots, the fused programs and the
-// distinct collective payload sizes. Both trace constructors (recording
-// and decoding) call it, so every Trace carries them; the steady-state
-// cycle follows, detected on recording and installed from the artifact on
-// decoding.
+// distinct collective payload sizes. traceRec.build calls it for every
+// trace, recorded or class-compiled, and then detects the steady-state
+// cycle.
 func (t *Trace) finalize() error {
 	slots, err := t.buildSlots()
 	if err != nil {
@@ -373,8 +373,10 @@ func (t *Trace) detectCycle() {
 	t.cyc = traceCycle{}
 	n := t.n
 	classOf := make([]int32, n)
-	var reps []int32
-	idx := make(map[uint64][]int32)
+	// reps[c] is class c's lowest rank; first and next chain the classes
+	// sharing a script hash, as traceRec.flush chains chunks.
+	var reps, next []int32
+	first := make(map[uint64]int32)
 	scriptOf := func(r int32) []int32 { return t.script[t.sstart[r]:t.sstart[r+1]] }
 	for r := 0; r < n; r++ {
 		s := scriptOf(int32(r))
@@ -383,9 +385,13 @@ func (t *Trace) detectCycle() {
 			h ^= uint64(uint32(v))
 			h *= 1099511628211
 		}
+		head, ok := first[h]
+		if !ok {
+			head = -1
+		}
 		cid := int32(-1)
-		for _, cand := range idx[h] {
-			if i32SliceEqual(scriptOf(reps[cand]), s) {
+		for cand := head; cand >= 0; cand = next[cand] {
+			if slices.Equal(scriptOf(reps[cand]), s) {
 				cid = cand
 				break
 			}
@@ -393,7 +399,8 @@ func (t *Trace) detectCycle() {
 		if cid < 0 {
 			cid = int32(len(reps))
 			reps = append(reps, int32(r))
-			idx[h] = append(idx[h], cid)
+			next = append(next, head)
+			first[h] = cid
 		}
 		classOf[r] = cid
 	}
@@ -475,12 +482,11 @@ func (t *Trace) detectCycle() {
 }
 
 // maxCycleSegments caps classes × generations, the size of the segment
-// table that cycle detection and the decoder's cycle validation build (24
-// bytes an entry, 96 MiB at the cap). A template trace pace compiles has
-// at most nine script classes, one per boundary class (pace.templateClass),
-// so it fits under the cap up to 466,000 iterations, far beyond what a
-// full-length compile and replay can serve. A recorded trace over the cap
-// gets no cycle; a decoded one that declares a cycle is refused.
+// table that cycle detection builds (24 bytes an entry, 96 MiB at the
+// cap). A template trace pace compiles has at most nine script classes,
+// one per boundary class (pace.templateClass), so it fits under the cap up
+// to 466,000 iterations, far beyond what a full-length compile and replay
+// can serve. A trace over the cap gets no cycle.
 const maxCycleSegments = 1 << 22
 
 // rankGens counts the collective generations of one rank's script.
@@ -499,11 +505,8 @@ func (t *Trace) rankGens(rank int32) int {
 // segmentClasses splits each class representative's op stream into its
 // collective generations. It reports false when the classes disagree on
 // the generation count, which rules out a global cycle, and when classes ×
-// generations exceeds maxCycleSegments. Detection and the decoder's cycle
-// validation (installCycle) share it, so a decoded cycle is checked
-// against the same segments detection would have found. The first class's
-// generation count sizes one flat table that every class fills its own
-// stretch of.
+// generations exceeds maxCycleSegments. The first class's generation
+// count sizes one flat table that every class fills its own stretch of.
 func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
 	G := t.rankGens(reps[0])
 	if len(reps)*G > maxCycleSegments {
@@ -600,18 +603,6 @@ func (t *Trace) fusedIndexAt(rank, srel, sop int32) (int32, bool) {
 		scal += fopWidth(&fo[i])
 	}
 	return 0, false
-}
-
-func i32SliceEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- trace accessors ---
@@ -1008,7 +999,7 @@ func (r *Replayer) planScan() {
 		if p.t != t || p.virt != r.cycVirt || p.hasNet != (net != nil) || p.cnet != r.cnet {
 			continue
 		}
-		if !f64SliceEqual(p.charges, r.charges) || !i32SliceEqual(p.bytes, r.bytes) ||
+		if !f64SliceEqual(p.charges, r.charges) || !slices.Equal(p.bytes, r.bytes) ||
 			!f64SliceEqual(p.red, r.planRed) {
 			continue
 		}

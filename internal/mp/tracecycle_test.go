@@ -1,13 +1,9 @@
 package mp
 
 import (
-	"bytes"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
-
-	"pacesweep/internal/artifact"
 )
 
 // markedWavefront is wavefrontProgram with the pace-template mark
@@ -288,77 +284,6 @@ func TestTraceReplayZeroAllocsExtrapolated(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed extrapolated replay allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestTraceCodecCycleMetadataRoundTrip pins the v2 codec block: detection
-// results survive encode→decode structurally intact, and the decoded
-// trace extrapolates bit-identically to its source.
-func TestTraceCodecCycleMetadataRoundTrip(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
-	tr := recordMarkedWavefront(t, net, 8)
-	if !tr.CycleDetected() {
-		t.Fatal("cycle not detected")
-	}
-	data := tr.EncodeBinary()
-	dec, err := DecodeTrace(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, dec) {
-		t.Fatal("decoded trace (with cycle metadata) differs from source")
-	}
-	if !bytes.Equal(dec.EncodeBinary(), data) {
-		t.Fatal("encode→decode→encode is not byte-identical")
-	}
-	ref, got := NewReplayer(), NewReplayer()
-	p := ReplayParams{ExtraCycles: 492}
-	if err := ref.Replay(tr, Options{Net: net}, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Replay(dec, Options{Net: net}, p); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tr.Ranks(); i++ {
-		if ref.Clock(i) != got.Clock(i) {
-			t.Fatalf("clock[%d] = %v, want %v", i, got.Clock(i), ref.Clock(i))
-		}
-	}
-}
-
-// TestTraceCodecCorruptCycleMetadata pins the quarantine contract: cycle
-// metadata that passes the checksum but fails structural validation is
-// ErrFormat — the caller's .bad quarantine path, never a bad cursor in
-// the replayer.
-func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
-	tr := recordMarkedWavefront(t, net, 8)
-	corrupt := func(name string, mutate func(c *traceCycle)) {
-		t.Helper()
-		bad := *tr
-		bad.cyc.classOf = append([]int32(nil), tr.cyc.classOf...)
-		bad.cyc.first = append([]cycCursor(nil), tr.cyc.first...)
-		bad.cyc.last = append([]cycCursor(nil), tr.cyc.last...)
-		mutate(&bad.cyc)
-		if _, err := DecodeTrace(bad.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
-			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
-		}
-	}
-	corrupt("zero period", func(c *traceCycle) { c.period = 0 })
-	corrupt("geometry overflow", func(c *traceCycle) { c.cycles = c.gens + 7 })
-	corrupt("class out of range", func(c *traceCycle) { c.classOf[3] = int32(len(c.first)) + 9 })
-	corrupt("negative class", func(c *traceCycle) { c.classOf[0] = -2 })
-	corrupt("cursor off boundary", func(c *traceCycle) { c.last[0].sop = 1 << 28 })
-	// On fused-op boundaries, but not where their generations start.
-	corrupt("last cursor on the first cycle", func(c *traceCycle) { copy(c.last, c.first) })
-	corrupt("generation count off the script", func(c *traceCycle) { c.gens++ })
-
-	// A rank count that the script table contradicts is refused before it
-	// sizes the per-rank class table.
-	bad := *tr
-	bad.n = 1 << 24
-	if _, err := DecodeTrace(bad.EncodeBinary()); !errors.Is(err, artifact.ErrFormat) {
-		t.Fatalf("rank count off the script table: err = %v, want ErrFormat", err)
 	}
 }
 

@@ -1,13 +1,14 @@
 package pace
 
-// Artifact-store load-through for the evaluation caches. When a store is
+// Artifact-store load-through for the cost-kernel caches. When a store is
 // attached (SetArtifactStore, normally by paceserve -artifact-dir), the
-// global trace cache and the per-family kernel caches fault in from disk
-// on miss and write back on build: a restarted process replays persisted
-// traces instead of recompiling them, and re-prices persisted kernels
-// instead of re-evaluating the subtask flows. The store is strictly an
-// accelerator — any store or decode trouble falls back to compiling live,
-// so a poisoned artifact directory can never take evaluation down.
+// per-family kernel caches fault in from disk on miss and write back on
+// build: a restarted process re-prices persisted kernels instead of
+// re-evaluating the subtask flows. Traces are not persisted: a class
+// compile (compileTrace) costs about what decoding one did. The store is
+// strictly an accelerator — any store or decode trouble falls back to
+// building live, so a poisoned artifact directory can never take
+// evaluation down.
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 
 	"pacesweep/internal/artifact"
 	"pacesweep/internal/lru"
-	"pacesweep/internal/mp"
 )
 
 // artifactStore is the process-global store attached by SetArtifactStore;
@@ -24,83 +24,10 @@ import (
 var artifactStore atomic.Pointer[artifact.Store]
 
 // SetArtifactStore attaches (or, with nil, detaches) the on-disk artifact
-// store the evaluation caches load through. Process-global like the trace
-// cache itself: every evaluator family shares one store, matching the
-// one-directory-per-fleet deployment model.
-func SetArtifactStore(s *artifact.Store) {
-	if s == nil {
-		artifactStore.Store(nil)
-		return
-	}
-	artifactStore.Store(s)
-}
-
-// FlushTraceCache drops every compiled trace from the process-global
-// cache. It exists for cold-vs-warm experiments (simulating a process
-// restart without one): not intended for concurrent use with evaluation.
-func FlushTraceCache() {
-	traceCache = lru.New[traceKey, *mp.Trace](DefaultTraceCacheEntries, 8, traceKey.hash)
-}
-
-// artifactKey is the trace's content address in the store: the full shape
-// key, readable on disk (`trace/px4-py3-ab6-kb47-it12-ck0.art`).
-func (k traceKey) artifactKey() string {
-	return fmt.Sprintf("px%d-py%d-ab%d-kb%d-it%d-ck%d",
-		k.px, k.py, k.nab, k.nkb, k.iterations, k.ckptEvery)
-}
-
-// loadOrCompileTrace is the trace tier's miss path: fault the shape in
-// from the artifact store if one is attached (persisting it on first
-// compile), else compile live. Runs inside the trace cache's GetOrBuild,
-// so concurrent misses of one shape already coalesce in-process (which
-// makes this the once-per-shape point where op-composition counters
-// accumulate); the store's own singleflight coalesces the disk fill.
-func loadOrCompileTrace(key traceKey, compile func() (*mp.Trace, error)) (*mp.Trace, error) {
-	t, err := loadOrCompileTraceRaw(key, compile)
-	if err == nil {
-		recordTraceOps(t)
-	}
-	return t, err
-}
-
-func loadOrCompileTraceRaw(key traceKey, compile func() (*mp.Trace, error)) (*mp.Trace, error) {
-	s := artifactStore.Load()
-	if s == nil {
-		return compile()
-	}
-	var built *mp.Trace
-	var buildErr error
-	data, fromStore, err := s.GetOrFill(artifact.KindTrace, key.artifactKey(), func() ([]byte, error) {
-		t, err := compile()
-		if err != nil {
-			buildErr = err
-			return nil, err
-		}
-		built = t
-		return t.EncodeBinary(), nil
-	})
-	switch {
-	case buildErr != nil:
-		return nil, buildErr
-	case err != nil:
-		// Store trouble (or a waiter observing another goroutine's failed
-		// build): evaluate live rather than failing the prediction.
-		return compile()
-	case built != nil && !fromStore:
-		return built, nil // this call compiled; skip the re-decode
-	}
-	start := time.Now()
-	t, derr := mp.DecodeTrace(data)
-	if derr != nil {
-		// Corrupt or stale-version artifact: quarantine it (so the next
-		// GetOrFill is a clean miss that re-publishes a good artifact
-		// instead of re-failing this decode forever) and compile live.
-		_ = s.Quarantine(artifact.KindTrace, key.artifactKey())
-		return compile()
-	}
-	s.ObserveDecode(time.Since(start))
-	return t, nil
-}
+// store the kernel caches load through. Process-global: every evaluator
+// family shares one store, matching the one-directory-per-fleet deployment
+// model.
+func SetArtifactStore(s *artifact.Store) { artifactStore.Store(s) }
 
 // --- cost-kernel persistence ---
 

@@ -2,6 +2,9 @@ package pace
 
 import (
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pacesweep/internal/artifact"
@@ -26,10 +29,10 @@ func withStore(t *testing.T) *artifact.Store {
 }
 
 // TestArtifactWarmPredict is the in-process cold-vs-warm restart: a first
-// predict compiles and persists its artifacts; after dropping every
-// in-memory cache (a simulated restart), the same predict must be served
-// from the store — no new writes, store hits recorded — and be
-// bit-identical to the cold result.
+// predict builds and persists its kernel; after dropping every in-memory
+// cache (a simulated restart), the same predict must load the kernel from
+// the store — no new writes, store hits recorded — and be bit-identical to
+// the cold result. Traces are compiled, never persisted.
 func TestArtifactWarmPredict(t *testing.T) {
 	s := withStore(t)
 	cfg := paperConfig(2, 2)
@@ -42,8 +45,11 @@ func TestArtifactWarmPredict(t *testing.T) {
 	if st.Writes == 0 {
 		t.Fatal("cold predict persisted no artifacts")
 	}
-	if keys, _ := s.Keys(artifact.KindTrace); len(keys) != 1 {
-		t.Fatalf("trace artifacts = %v, want exactly one", keys)
+	if keys, _ := s.Keys(artifact.KindKernel); len(keys) != 1 {
+		t.Fatalf("kernel artifacts = %v, want exactly one", keys)
+	}
+	if _, err := os.Stat(filepath.Join(s.Root(), "trace")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("store holds a trace directory: stat err = %v", err)
 	}
 
 	// "Restart": fresh evaluator (fresh kernel cache), cold trace cache.
@@ -68,8 +74,8 @@ func TestArtifactWarmPredict(t *testing.T) {
 }
 
 // TestArtifactCorruptionFallsBack pins that a poisoned artifact directory
-// degrades to live compilation instead of failing the prediction — and
-// that the corrupt trace is quarantined, so the key refills with a good
+// degrades to a live build instead of failing the prediction — and that
+// the corrupt kernel is quarantined, so the key refills with a good
 // artifact instead of re-failing the decode on every restart.
 func TestArtifactCorruptionFallsBack(t *testing.T) {
 	s := withStore(t)
@@ -78,12 +84,12 @@ func TestArtifactCorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := s.Keys(artifact.KindTrace)
+	keys, err := s.Keys(artifact.KindKernel)
 	if err != nil || len(keys) != 1 {
-		t.Fatalf("trace keys %v, err %v", keys, err)
+		t.Fatalf("kernel keys %v, err %v", keys, err)
 	}
-	// Overwrite the trace artifact with garbage that still parses as a file.
-	if err := s.Put(artifact.KindTrace, keys[0], []byte("not an artifact")); err != nil {
+	// Overwrite the kernel artifact with garbage that still parses as a file.
+	if err := s.Put(artifact.KindKernel, keys[0], []byte("not an artifact")); err != nil {
 		t.Fatal(err)
 	}
 	FlushTraceCache()
@@ -98,8 +104,8 @@ func TestArtifactCorruptionFallsBack(t *testing.T) {
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
 	}
-	if _, err := s.Get(artifact.KindTrace, keys[0]); !errors.Is(err, artifact.ErrNotFound) {
-		t.Fatalf("corrupt trace still served after quarantine: err = %v", err)
+	if _, err := s.Get(artifact.KindKernel, keys[0]); !errors.Is(err, artifact.ErrNotFound) {
+		t.Fatalf("corrupt kernel still served after quarantine: err = %v", err)
 	}
 
 	// The next restart's miss re-publishes a good artifact under the key
@@ -112,8 +118,12 @@ func TestArtifactCorruptionFallsBack(t *testing.T) {
 	if *again != *cold {
 		t.Fatalf("post-heal prediction differs: %+v != %+v", again, cold)
 	}
-	if _, err := s.Get(artifact.KindTrace, keys[0]); err != nil {
-		t.Fatalf("healed trace artifact missing: %v", err)
+	data, err := s.Get(artifact.KindKernel, keys[0])
+	if err != nil {
+		t.Fatalf("healed kernel artifact missing: %v", err)
+	}
+	if _, err := decodeKernel(data); err != nil {
+		t.Fatalf("healed kernel artifact does not decode: %v", err)
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined after heal = %d, want still 1", st.Quarantined)

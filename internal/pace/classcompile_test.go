@@ -1,9 +1,9 @@
 package pace
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pacesweep/internal/grid"
@@ -80,10 +80,10 @@ func classCompileCases(rng *rand.Rand, random int, maxOps int) []classCompileCas
 
 // TestClassCompileMatchesRecorded is the exact gate of the class compile:
 // for generated shapes, the trace compiled from the template's rank
-// classes must encode to the same bytes as the trace a recording run of
-// every rank produces. The recording runs under random positive costs, so
-// its event schedule, and with it the order it interns chunks in, differs
-// from case to case; canonical chunk order makes the bytes agree anyway.
+// classes must equal, field for field, the trace a recording run of every
+// rank produces. The recording runs under random positive costs, so its
+// event schedule, and with it the order it interns chunks in, differs
+// from case to case; canonical chunk order makes the traces agree anyway.
 func TestClassCompileMatchesRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	random, maxOps := 24, 8_000_000
@@ -121,7 +121,7 @@ func TestClassCompileMatchesRecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(cls.EncodeBinary(), rec.EncodeBinary()) {
+			if !reflect.DeepEqual(cls, rec) {
 				t.Fatalf("class compile differs from the recording: ops %d/%d, unique %d/%d, cycle %v/%v",
 					cls.Ops(), rec.Ops(), cls.UniqueOps(), rec.UniqueOps(),
 					cls.CycleDetected(), rec.CycleDetected())

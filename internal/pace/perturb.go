@@ -43,11 +43,7 @@ func (e *Evaluator) traceAndKernel(cfg Config, ckptEvery int) (*mp.Trace, *costK
 	}
 	d := cfg.Decomp
 	key := traceKey{px: d.PX, py: d.PY, nab: k.nab, nkb: k.nkb, iterations: cfg.Iterations, ckptEvery: ckptEvery}
-	t, err := traceCache.GetOrBuild(key, func() (*mp.Trace, error) {
-		return loadOrCompileTrace(key, func() (*mp.Trace, error) {
-			return compileTrace(d, k.nab, k.nkb, cfg.Iterations, ckptEvery)
-		})
-	})
+	t, err := cachedTrace(key)
 	if err != nil {
 		return nil, nil, err
 	}

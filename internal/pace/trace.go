@@ -15,8 +15,8 @@ package pace
 // only on the rank's boundary class (templateClass: first, interior or
 // last in x and in y), so the body runs once for the lowest rank of each
 // of at most nine classes, with no clocks, queues or parameter tables,
-// and every other rank shares its class's script. The trace is byte for
-// byte the one a recording run of every rank would give
+// and every other rank shares its class's script. The trace is field for
+// field the one a recording run of every rank would give
 // (TestClassCompileMatchesRecorded), because traces number their chunks
 // in canonical first-appearance order rather than in the order a run
 // happened to intern them.
@@ -66,6 +66,28 @@ func (k traceKey) hash() uint64 {
 const DefaultTraceCacheEntries = 128
 
 var traceCache = lru.New[traceKey, *mp.Trace](DefaultTraceCacheEntries, 8, traceKey.hash)
+
+// FlushTraceCache drops every compiled trace from the process-global
+// cache. It exists for cold-vs-warm experiments (simulating a process
+// restart without one): not intended for concurrent use with evaluation.
+func FlushTraceCache() {
+	traceCache = lru.New[traceKey, *mp.Trace](DefaultTraceCacheEntries, 8, traceKey.hash)
+}
+
+// cachedTrace returns the shape's trace from the process-global cache,
+// compiling it on a miss. The cache's GetOrBuild coalesces concurrent
+// misses of one shape, which makes the compile the once-per-shape point
+// where the op-composition counters accumulate.
+func cachedTrace(key traceKey) (*mp.Trace, error) {
+	return traceCache.GetOrBuild(key, func() (*mp.Trace, error) {
+		d := grid.Decomp{PX: key.px, PY: key.py}
+		t, err := compileTrace(d, key.nab, key.nkb, key.iterations, key.ckptEvery)
+		if err == nil {
+			recordTraceOps(t)
+		}
+		return t, err
+	})
+}
 
 // traceReplays counts trace replays served process-wide (each is one
 // template evaluation that skipped the live backends entirely).
@@ -158,8 +180,7 @@ func countReplay(st mp.ReplayStats) {
 	}
 }
 
-// Fused-program composition, cumulative over compiled (or
-// artifact-loaded) shapes. Fusion changes what a replay dispatches — one
+// Fused-program composition, cumulative over compiled shapes. Fusion changes what a replay dispatches — one
 // macro op stands in for the canonical multi-op wavefront step — so op
 // accounting distinguishes the scalar script from the fused program it
 // compiles to, and macro ops within that.
@@ -170,7 +191,7 @@ var (
 )
 
 // TraceOpStats reports the op composition of every shape the trace tier
-// has compiled or loaded (cumulative, counted once per cache miss):
+// has compiled (cumulative, counted once per cache miss):
 // ScalarUniqueOps is the interned scalar script size, FusedUniqueOps the
 // interned fused-program size a deterministic replay dispatches, and
 // MacroUniqueOps how many of those fused ops are macro-fused wavefront
@@ -190,8 +211,8 @@ func TraceOps() TraceOpStats {
 	}
 }
 
-// recordTraceOps accumulates a freshly compiled or loaded trace's op
-// composition into the process-wide counters.
+// recordTraceOps accumulates a freshly compiled trace's op composition
+// into the process-wide counters.
 func recordTraceOps(t *mp.Trace) {
 	traceScalarUniqueOps.Add(uint64(t.UniqueOps()))
 	traceFusedUniqueOps.Add(uint64(t.FusedUniqueOps()))
@@ -238,11 +259,7 @@ func (e *Evaluator) evalTrace(cfg Config, k *costKernel) (total, sweepOnly float
 // iteration); anything else is mp.ErrCannotExtrapolate.
 func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, extraCycles int) (total, sweepOnly float64, extrapolated int, err error) {
 	key := traceKey{px: d.PX, py: d.PY, nab: k.nab, nkb: k.nkb, iterations: iterations}
-	t, err := traceCache.GetOrBuild(key, func() (*mp.Trace, error) {
-		return loadOrCompileTrace(key, func() (*mp.Trace, error) {
-			return compileTrace(d, k.nab, k.nkb, iterations, 0)
-		})
-	})
+	t, err := cachedTrace(key)
 	if err != nil {
 		return 0, 0, 0, err
 	}

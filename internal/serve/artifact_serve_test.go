@@ -406,9 +406,10 @@ func readAll(tb testing.TB, resp *http.Response) string {
 }
 
 // BenchmarkColdVsWarmStart measures the restart cost the artifact store
-// removes: cold starts a server on an empty store (the fitting pipeline
-// and trace compilation run), warm starts on a populated one (both load
-// from disk). Per-iteration servers are real; only the store directory
+// removes: cold starts a server on an empty store (the fitting pipeline,
+// kernel pricing and trace compilation run), warm starts on a populated
+// one (the model and kernel load from disk; the trace, never stored, is
+// compiled). Per-iteration servers are real; only the store directory
 // differs.
 func BenchmarkColdVsWarmStart(b *testing.B) {
 	profile := grid.Global{NX: 20, NY: 20, NZ: 20}

@@ -162,10 +162,10 @@ type Config struct {
 
 	// ArtifactStore attaches the content-addressed on-disk artifact store
 	// (internal/artifact): fitted models persist under their spec
-	// fingerprint, compiled traces and cost kernels under their shape keys
-	// (via pace.SetArtifactStore — process-global, like the trace cache),
-	// and POST /v1/platforms registrations under the spec kind so they
-	// survive restarts. nil (the default) serves fully in-memory.
+	// fingerprint, cost kernels under their shape and model keys (via
+	// pace.SetArtifactStore — process-global), and POST /v1/platforms
+	// registrations under the spec kind so they survive restarts. Traces
+	// are compiled, not stored. nil (the default) serves fully in-memory.
 	ArtifactStore *artifact.Store
 
 	// FitModel fits a hardware model for a platform spec — the expensive
