@@ -751,6 +751,10 @@ type Replayer struct {
 	ncls int               // cost classes priced (1 for flat nets)
 	ns   int               // unified size-table width (literals + params)
 
+	// The lanes beyond lane 0: read on every entry to the perturbed loop,
+	// so kept beside the fields above.
+	nx int
+
 	charges []float64 // params.Charges (aliased, not copied)
 
 	// Unified size tables: literal sizes first, then params.Sizes; bytes
@@ -804,6 +808,21 @@ type Replayer struct {
 	nv      *NoiseTable
 	collGen int
 
+	// Clock lanes (lanes.go): the runs of this pass, lane 0 first; one is
+	// Replay's single lane. Lane 0's clock, idle total and collective
+	// completion live in rk and pr as on a solo replay; the nx extra lanes'
+	// live in xs, rank r's lane k ≥ 1 at r*nx+k-1. lq holds every
+	// lane's event queue and checkpoint, rank r's lane k at r*len(lanes)+k.
+	// xmax is the open collective's latest arrival per extra lane, and xav
+	// the extra lanes' availabilities of each stream's queued messages, nx
+	// per message, beside Replayer.streams.
+	lanes []Lane
+	one   [1]Lane
+	lq    []laneq
+	xs    []xlane
+	xmax  []float64
+	xav   [][]float64
+
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
 	// fused loop (deterministic costs, no perturbation) over the perturbed
 	// loop; cycOn tracks a detected cycle through its boundaries; the stat
@@ -846,34 +865,19 @@ type rrank struct {
 	collResolved bool  // collDone is pending consumption by the reduce op
 }
 
-// prank is one rank's perturbed-loop state: its pending injected events,
-// checkpoint, probe idle and noise cursor. The loop keeps idle and opn in
-// locals while the rank runs and writes them back when it parks or ends.
+// prank is one rank's perturbed-loop state shared by its lanes, plus lane
+// 0's idle total: the next event index over all lanes, the op index and
+// the noise cursor. The loop keeps idle and opn in locals while the rank
+// runs and writes them back when it parks or ends.
 type prank struct {
-	dq       []Delay      // pending delays, by op index
-	fq       []failCursor // pending fail-stops, by op index
-	lastCkpt float64      // clock of the last checkpoint: the failure rewind target
-	idle     float64      // accumulated idle seconds (RunProbe)
-	opn      int          // scalar op index of the current fused op's first sub-step
-	ev       int          // op index of the next pending delay or fail-stop; noEvent if none
-	nc       int32        // next entry of the bound noise table (NoiseTable.vals)
+	idle float64 // lane 0's accumulated idle seconds (RunProbe)
+	opn  int     // scalar op index of the current fused op's first sub-step
+	ev   int     // op index of any lane's next pending delay or fail-stop; noEvent if none
+	nc   int32   // next entry of the bound noise table (NoiseTable.vals)
 }
 
-// noEvent is prank.ev when a rank has no injected event left.
+// noEvent is an event index when no injected event is left.
 const noEvent = math.MaxInt
-
-// nextEvent returns the op index of the rank's next pending delay or
-// fail-stop.
-func (ps *prank) nextEvent() int {
-	ev := noEvent
-	if len(ps.dq) > 0 {
-		ev = ps.dq[0].Op
-	}
-	if len(ps.fq) > 0 && int(ps.fq[0].op) < ev {
-		ev = int(ps.fq[0].op)
-	}
-	return ev
-}
 
 // NewReplayer returns an empty replayer ready for Replay.
 func NewReplayer() *Replayer { return &Replayer{} }
@@ -899,10 +903,17 @@ func (r *Replayer) Marks() []float64 { return r.marks }
 // Replay executes the trace under the given options and parameter tables.
 // Clocks, marks and schedule order are bit-identical to running the
 // recorded program on the event backend with the same options and params.
+// It is the one-lane case of ReplayLanes.
 func (r *Replayer) Replay(t *Trace, opts Options, p ReplayParams) error {
+	r.one[0] = Lane{Delays: opts.Delays, Fails: opts.Fails, Probe: opts.Probe, FailLog: opts.FailLog}
+	opts.Delays, opts.Fails, opts.Probe, opts.FailLog = nil, nil, nil, nil
+	return r.replay(t, opts, p, r.one[:])
+}
+
+func (r *Replayer) replay(t *Trace, opts Options, p ReplayParams, lanes []Lane) error {
 	replayPs.Add(1)
 	defer r.unbind()
-	if err := r.prepare(t, opts, p); err != nil {
+	if err := r.prepare(t, opts, p, lanes); err != nil {
 		return err
 	}
 	if len(r.ws) > 1 {
@@ -912,11 +923,12 @@ func (r *Replayer) Replay(t *Trace, opts Options, p ReplayParams) error {
 }
 
 // unbind releases what a replay holds only while it runs: its Ps in
-// replayPs and its noise table.
+// replayPs, its noise table and its lanes' recorders.
 func (r *Replayer) unbind() {
 	replayPs.Add(-1 - r.extraP)
 	r.extraP = 0
 	r.nv = nil
+	r.lanes, r.one[0] = nil, Lane{}
 }
 
 // errStalled reports a replay in which no rank can run while some have not
@@ -969,7 +981,7 @@ func resizeI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
+func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane) error {
 	if t == nil {
 		return errors.New("mp: Replay of a nil trace")
 	}
@@ -979,22 +991,19 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	if int(t.maxSzPar) >= len(p.Sizes) {
 		return fmt.Errorf("mp: trace references size param %d, table holds %d", t.maxSzPar, len(p.Sizes))
 	}
-	if err := validDelays(t.n, opts.Delays); err != nil {
-		return err
-	}
-	if err := validFailStops(t.n, opts.Fails); err != nil {
+	if err := validLanes(t.n, lanes); err != nil {
 		return err
 	}
 	sameTrace := r.t == t
 	r.opts = opts
+	r.lanes = lanes
 	r.det = opts.Net == nil || netIsDeterministic(opts.Net)
 	r.cnet, r.ncls = classesOf(opts.Net)
 	r.charges = p.Charges
 	// The fused loop (and with it extrapolation) runs only when costs are
-	// deterministic and nothing perturbs the replay; every other
+	// deterministic and one unperturbed lane replays; every other
 	// combination takes the perturbed loop.
-	injecting := len(opts.Delays) > 0 || len(opts.Fails) > 0
-	r.fusedPath = r.det && !injecting && opts.Probe == nil && opts.Noise == nil
+	r.fusedPath = r.det && !perturbing(lanes) && opts.Noise == nil
 	r.nv = nil
 	if nt := p.Noise; nt != nil {
 		if opts.Noise == nil || !r.det {
@@ -1078,32 +1087,11 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.collRngOK = false
 	r.redMemo = sizeCost{bytes: -1}
 	r.collGen = 0
+	r.nx = 0
 	if !r.fusedPath {
-		if cap(r.pr) < n {
-			r.pr = make([]prank, n)
-		}
-		r.pr = r.pr[:n]
-		dqs, fqs := rankDelays(n, opts.Delays), rankFails(n, opts.Fails)
-		for i := range r.pr {
-			ps := prank{}
-			if dqs != nil {
-				ps.dq = dqs[i]
-			}
-			if fqs != nil {
-				ps.fq = fqs[i]
-			}
-			if r.nv != nil {
-				ps.nc = r.nv.start[i]
-			}
-			ps.ev = ps.nextEvent()
-			r.pr[i] = ps
-		}
-	}
-	if l := opts.FailLog; l != nil {
-		l.reset(len(opts.Fails))
-	}
-	if p := opts.Probe; p != nil {
-		p.reset(n, t.gens)
+		r.prepareLanes(n)
+	} else if l := lanes[0].FailLog; l != nil {
+		l.reset(0)
 	}
 	r.marks = resizeF(r.marks, t.nmarks)
 	for i := range r.marks {
@@ -1322,18 +1310,24 @@ func (w *rworker) reduce(id int, clock float64, words int32) (done float64, clos
 // reduceDone returns the completion clock of a collective of words
 // float64s whose latest participant arrived at clock.
 func (r *Replayer) reduceDone(clock float64, words int32) float64 {
-	net := r.opts.Net
-	if net == nil {
+	if r.opts.Net == nil {
 		return clock
 	}
+	return clock + r.reduceCost(words)
+}
+
+// reduceCost prices a collective of words float64s under a non-nil net,
+// drawing from the collective stream when the net draws.
+func (r *Replayer) reduceCost(words int32) float64 {
+	net := r.opts.Net
 	bytes := 8 * int(words)
 	if r.det {
 		if r.redMemo.bytes != bytes {
 			r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(r.t.n, bytes, nil)}
 		}
-		return clock + r.redMemo.sec
+		return r.redMemo.sec
 	}
-	return clock + net.ReduceCost(r.t.n, bytes, r.collRngStream())
+	return net.ReduceCost(r.t.n, bytes, r.collRngStream())
 }
 
 // release hands a closed generation's completion clock to every parked
@@ -1440,26 +1434,35 @@ func noisyCharge(f *fop, lits, charges []float64) (float64, bool) {
 	return 0, false
 }
 
-// runRankPerturbed runs one rank's fused program until the rank blocks or
-// finishes. It serves every replay the fused loop does not: compute noise,
-// injected delays and fail-stops, probes and RNG-drawing nets. It never
-// extrapolates. A macro runs sub-step by sub-step (recv 0, recv 1, charge,
-// send 0, send 1), and sub-step k of a macro whose first op has index opn
-// has op index opn+k, so an injected event lands before exactly the
-// sub-step its op index names. Delays and fail-stops at an op index are
-// consumed at its first execution, so a receive or collective that parks
-// and re-executes cannot apply them twice. Costs and schedule law are the
-// fused loop's, and clocks are bit-identical to the event backend.
+// runRankPerturbed runs one rank's fused program, on every lane of the
+// pass, until the rank blocks or finishes. It serves every replay the
+// fused loop does not: compute noise, injected delays and fail-stops,
+// probes, RNG-drawing nets and lane passes. It never extrapolates. A macro
+// runs sub-step by sub-step (recv 0, recv 1, charge, send 0, send 1), and
+// sub-step k of a macro whose first op has index opn has op index opn+k,
+// so an injected event lands before exactly the sub-step its op index
+// names. Delays and fail-stops at an op index are consumed at its first
+// execution, so a receive or collective that parks and re-executes cannot
+// apply them twice. Costs and schedule law are the fused loop's, and every
+// lane's clocks are bit-identical to the event backend's run of it.
+//
+// Lane 0's clock and idle total stay in locals. The extra lanes' are
+// updated out of line from the same charge, draw or price (lanes.go), and
+// a one-lane pass never calls there.
 func (r *Replayer) runRankPerturbed(id int) {
 	t := r.t
 	lits, charges := t.lits, r.charges
-	probe := r.opts.Probe
+	probe := r.lanes[0].Probe
 	det, cnet, ns := r.det, r.cnet, r.ns
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	w := &r.w
 	self := &r.rk[id]
 	ps := &r.pr[id]
 	streams := r.streams[id*r.nslots : (id+1)*r.nslots]
+	var x []xlane // the extra lanes; none on a one-lane pass
+	if r.nx > 0 {
+		x = r.xrow(id)
+	}
 	clock, idle := self.clock, ps.idle
 	sp, op, opn := self.spos, self.opos, ps.opn
 	sub := self.fsub
@@ -1489,7 +1492,8 @@ run:
 		f := &chunk[op]
 		if f.kind == fMacro {
 			// Sub-steps in recorded order; an RNG-drawing net prices
-			// through send and consume, a deterministic one from its tables.
+			// through send and recvCost, a deterministic one from its
+			// tables.
 			at := opn
 			if f.nr > 0 && sub == 0 {
 				if at == ps.ev {
@@ -1500,14 +1504,17 @@ run:
 					status = evBlocked // fsub stays 0: resume re-executes recv 0
 					break run
 				}
-				if det {
-					if m.avail > clock {
-						idle += m.avail - clock
-						clock = m.avail
-					}
-					clock += m.aux
-				} else {
-					clock, idle = r.consume(id, m, clock, idle)
+				cost := m.aux
+				if !det {
+					cost = r.recvCost(id, m)
+				}
+				if m.avail > clock {
+					idle += m.avail - clock
+					clock = m.avail
+				}
+				clock += cost
+				if len(x) > 0 {
+					r.xrecv(x, id, f.arg0, cost)
 				}
 				sub = 1
 			}
@@ -1521,14 +1528,17 @@ run:
 					self.fsub = 1 // recv 0 consumed; resume at recv 1
 					break run
 				}
-				if det {
-					if m.avail > clock {
-						idle += m.avail - clock
-						clock = m.avail
-					}
-					clock += m.aux
-				} else {
-					clock, idle = r.consume(id, m, clock, idle)
+				cost := m.aux
+				if !det {
+					cost = r.recvCost(id, m)
+				}
+				if m.avail > clock {
+					idle += m.avail - clock
+					clock = m.avail
+				}
+				clock += cost
+				if len(x) > 0 {
+					r.xrecv(x, id, f.arg1, cost)
 				}
 			}
 			sub = 0
@@ -1537,9 +1547,13 @@ run:
 				clock = r.inject(id, ps, clock)
 			}
 			if f.clit != 0 {
-				clock += lits[f.arg2]
+				s := lits[f.arg2]
+				clock += s
+				xcharge(x, s)
 			} else if s := charges[f.arg2]; s > 0 {
-				clock += r.noisy(id, ps, s)
+				s = r.noisy(id, ps, s)
+				clock += s
+				xcharge(x, s)
 			}
 			if f.ns > 0 {
 				if at+1 == ps.ev {
@@ -1551,9 +1565,12 @@ run:
 						u += cnet.ClassOf(id, dst) * ns
 					}
 					w.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
+					if len(x) > 0 {
+						r.xdeliver(x, dst, f.s0slot, availSec[u], sendSec[u])
+					}
 					clock += sendSec[u]
 				} else {
-					clock = r.send(id, dst, f.s0slot, u, clock)
+					clock = r.send(id, dst, f.s0slot, u, clock, x)
 				}
 			}
 			if f.ns > 1 {
@@ -1566,9 +1583,12 @@ run:
 						u += cnet.ClassOf(id, dst) * ns
 					}
 					w.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
+					if len(x) > 0 {
+						r.xdeliver(x, dst, f.s1slot, availSec[u], sendSec[u])
+					}
 					clock += sendSec[u]
 				} else {
-					clock = r.send(id, dst, f.s1slot, u, clock)
+					clock = r.send(id, dst, f.s1slot, u, clock, x)
 				}
 			}
 			opn = at + 1 + int(f.ns)
@@ -1581,42 +1601,66 @@ run:
 		switch f.kind {
 		case topChargeParam:
 			if s := charges[f.arg0]; s > 0 {
-				clock += r.noisy(id, ps, s)
+				s = r.noisy(id, ps, s)
+				clock += s
+				xcharge(x, s)
 			}
 		case topCkpt:
 			// Exact charge — checkpoint I/O is not subject to compute noise
 			// — then pin the rewind target, as Comm.Checkpoint does.
 			if s := charges[f.arg0]; s > 0 {
 				clock += s
+				xcharge(x, s)
 			}
-			ps.lastCkpt = clock
+			r.checkpoint(id, clock)
 		case topChargeLit:
-			clock += lits[f.arg0]
+			s := lits[f.arg0]
+			clock += s
+			xcharge(x, s)
 		case topChargeNoisy:
-			clock += r.noisy(id, ps, lits[f.arg0])
+			s := r.noisy(id, ps, lits[f.arg0])
+			clock += s
+			xcharge(x, s)
 		case fSend:
-			clock = r.send(id, id+int(f.arg0), uint8(f.arg1), int(f.arg2), clock)
+			clock = r.send(id, id+int(f.arg0), uint8(f.arg1), int(f.arg2), clock, x)
 		case topRecv:
 			m, ok := streams[f.arg0].take()
 			if !ok {
 				status = evBlocked
 				break run
 			}
-			clock, idle = r.consume(id, m, clock, idle)
+			cost := m.aux
+			if !det {
+				cost = r.recvCost(id, m)
+			}
+			if m.avail > clock {
+				idle += m.avail - clock
+				clock = m.avail
+			}
+			clock += cost
+			if len(x) > 0 {
+				r.xrecv(x, id, f.arg0, cost)
+			}
 		case topReduce:
 			if self.collResolved {
 				// Resume after the closer resolved the generation; the
-				// entry clock was frozen at park, so the idle delta matches
+				// entry clocks were frozen at park, so the idle deltas match
 				// the event backend's done-minus-entry accounting.
 				self.collResolved = false
 				idle += self.collDone - clock
 				clock = self.collDone
+				if len(x) > 0 {
+					xresume(x)
+				}
 				break
 			}
 			if probe != nil {
 				probe.record(r.collGen, id, clock, idle)
 			}
-			done, closed := w.reduce(id, clock, f.arg0)
+			if len(x) > 0 {
+				r.xrecord(id, x)
+			}
+			done, closed := r.laneReduce(id, clock, x, f.arg0)
 			if !closed {
 				status = rBlockedColl
 				break run
@@ -1625,6 +1669,9 @@ run:
 			w.release(done)
 			idle += done - clock
 			clock = done
+			if len(x) > 0 {
+				r.xclose(x)
+			}
 		case topMark:
 			r.marks[f.arg0] = clock
 		}
@@ -1641,36 +1688,9 @@ run:
 	}
 }
 
-// inject applies the delays and then the fail-stops pending at the rank's
-// next event index ps.ev, in Comm.injectFaults' order (a delay's damage is
-// part of the rework a failure at the same op re-executes), and advances
-// ps.ev.
-func (r *Replayer) inject(id int, ps *prank, clock float64) float64 {
-	at := ps.ev
-	for len(ps.dq) > 0 && ps.dq[0].Op == at {
-		clock += ps.dq[0].Seconds
-		ps.dq = ps.dq[1:]
-	}
-	for len(ps.fq) > 0 && int(ps.fq[0].op) == at {
-		f := ps.fq[0]
-		ps.fq = ps.fq[1:]
-		rework := clock - ps.lastCkpt
-		if l := r.opts.FailLog; l != nil {
-			l.events[f.slot] = FailEvent{
-				Rank: id, Op: int(f.op), At: clock,
-				LastCkpt: ps.lastCkpt, Rework: rework, Restart: f.restart,
-				Applied: true,
-			}
-		}
-		clock += rework + f.restart
-	}
-	ps.ev = ps.nextEvent()
-	return clock
-}
-
 // noisy returns the positive compute charge s as the replay applies it:
 // the rank's next bound draw, a live draw from its stream, or s itself
-// without noise.
+// without noise. One draw serves every lane.
 func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
 	if r.nv != nil {
 		s = r.nv.vals[ps.nc]
@@ -1684,13 +1704,18 @@ func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
 }
 
 // send prices rank id's send of unified size index u to dst at clock,
-// delivers it to dst's stream slot and returns the sender's clock. Under
+// delivers it to dst's stream slot on every lane and returns lane 0's
+// clock, advancing the extra lanes' (x) in place. Under
 // an RNG-drawing net it draws the send overhead and then the transit from
-// the rank's stream, and the receiver prices its overhead on completion.
-func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
+// the rank's stream, once for all lanes, and the receiver prices its
+// overhead on completion.
+func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64, x []xlane) float64 {
 	net := r.opts.Net
 	if net == nil {
 		r.w.deliver(dst, slot, clock, 0)
+		if len(x) > 0 {
+			r.xdeliver(x, dst, slot, 0, 0)
+		}
 		return clock
 	}
 	ui := u // class-resolved table index: cls*ns + size index
@@ -1699,6 +1724,9 @@ func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
 	}
 	if r.det {
 		r.w.deliver(dst, slot, clock+r.availSec[ui], r.recvSec[ui])
+		if len(x) > 0 {
+			r.xdeliver(x, dst, slot, r.availSec[ui], r.sendSec[ui])
+		}
 		return clock + r.sendSec[ui]
 	}
 	rng := r.rng(id)
@@ -1713,27 +1741,19 @@ func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64) float64 {
 		avail = net.Transit(b, rng)
 	}
 	r.w.deliver(dst, slot, clock+avail, float64(ui))
+	if len(x) > 0 {
+		r.xdeliver(x, dst, slot, avail, busy)
+	}
 	return clock + busy
 }
 
-// consume completes rank id's receive of m at clock: waiting for the
-// message counts as idle, then the receive overhead is charged. It returns
-// the new clock and idle total.
-func (r *Replayer) consume(id int, m rmsg, clock, idle float64) (float64, float64) {
-	if m.avail > clock {
-		idle += m.avail - clock
-		clock = m.avail
+// recvCost draws rank id's receive overhead of m under an RNG-drawing net
+// (m.aux carries the class-resolved size index). Under a deterministic net
+// the overhead is m.aux itself.
+func (r *Replayer) recvCost(id int, m rmsg) float64 {
+	ui := int(m.aux)
+	if r.cnet != nil {
+		return r.cnet.RecvOverheadClass(ui/r.ns, int(r.bytes[ui%r.ns]), r.rng(id))
 	}
-	net := r.opts.Net
-	switch {
-	case net == nil:
-	case r.det:
-		clock += m.aux
-	case r.cnet != nil:
-		ui := int(m.aux)
-		clock += r.cnet.RecvOverheadClass(ui/r.ns, int(r.bytes[ui%r.ns]), r.rng(id))
-	default:
-		clock += net.RecvOverhead(int(r.bytes[int(m.aux)]), r.rng(id))
-	}
-	return clock, idle
+	return r.opts.Net.RecvOverhead(int(r.bytes[ui]), r.rng(id))
 }

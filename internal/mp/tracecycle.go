@@ -190,6 +190,9 @@ func (t *Trace) markShared() bool {
 // up to two receives, exactly one charge (literal or parametric), up to
 // two sends fuse into one fMacro; everything else passes through as a
 // width-1 fused op. slots holds each chunk op's stream slot (buildSlots).
+// The scan fills a buffer sized for the scalar op count, and the trace
+// keeps an exact-size copy: macros leave about a third of that count, and
+// a cached trace should hold no slack.
 func (t *Trace) buildFused(slots []uint8) {
 	nlit := int32(len(t.sizes))
 	nchunks := len(t.cstart) - 1
@@ -213,7 +216,8 @@ func (t *Trace) buildFused(slots []uint8) {
 		t.fstart[c+1] = int32(len(fops))
 		t.nmacroUnique += int(macros[c])
 	}
-	t.fops = fops
+	t.fops = make([]fop, len(fops))
+	copy(t.fops, fops)
 	// Per-replay dispatch totals, summed over each rank's chunk sequence.
 	t.fopsTotal, t.macroTotal = 0, 0
 	for _, c := range t.script {

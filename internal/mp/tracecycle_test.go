@@ -353,3 +353,25 @@ func TestCostBitsTieDetector(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedProgramExactSize: a compiled trace keeps its fused program at
+// exactly its length, whether recorded or class-compiled, so cached traces
+// hold no slack from the scalar op count fusion started from.
+func TestFusedProgramExactSize(t *testing.T) {
+	cls, err := CompileClasses(12, func(r int) int { return r }, markedWavefront(4, 3, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Trace{
+		"recorded":       recordMarkedWavefront(t, nil, 12),
+		"class-compiled": cls,
+		"param ring":     recordParamRing(t, 5, 4),
+	} {
+		if len(tr.fops) == 0 || len(tr.fops) >= tr.UniqueOps() {
+			t.Fatalf("%s: %d fused of %d scalar ops: nothing fused", name, len(tr.fops), tr.UniqueOps())
+		}
+		if cap(tr.fops) != len(tr.fops) {
+			t.Fatalf("%s: fused program len %d, cap %d", name, len(tr.fops), cap(tr.fops))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package pace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pacesweep/internal/mp"
@@ -131,5 +132,121 @@ func TestMatchedSetConcurrent(t *testing.T) {
 	}
 	if p.Total != clean.Total {
 		t.Fatalf("memo poisoned by checkpointed replays: %v != %v", p.Total, clean.Total)
+	}
+}
+
+// laneTestRuns is a baseline and three perturbed runs of a set over trace
+// tr: a delay, a fail-stop, and both, with fresh recorders.
+func laneTestRuns(tr *mp.Trace) []SetRun {
+	delay := []mp.Delay{{Rank: 1, Op: tr.OpIndexOfReduce(1, 2) + 1, Seconds: 0.3}}
+	fail := []mp.FailStop{{Rank: 4, Op: tr.OpIndexOfReduce(4, 6) + 1, Restart: 0.05}}
+	return []SetRun{
+		{Probe: &mp.RunProbe{}},
+		{Delays: delay, Probe: &mp.RunProbe{}},
+		{Fails: fail, FailLog: &mp.FailLog{}},
+		{Delays: delay, Fails: fail, Probe: &mp.RunProbe{}, FailLog: &mp.FailLog{}},
+	}
+}
+
+// sameRun reports how two runs of a matched set differ, or "" when their
+// makespans, clocks, probe rows and fail logs are bit-identical.
+func sameRun(a, b PerturbedRun, ra, rb SetRun) string {
+	if a.Makespan != b.Makespan {
+		return fmt.Sprintf("makespan %v vs %v", a.Makespan, b.Makespan)
+	}
+	for i := range a.Clocks {
+		if a.Clocks[i] != b.Clocks[i] {
+			return fmt.Sprintf("rank %d clock %v vs %v", i, a.Clocks[i], b.Clocks[i])
+		}
+	}
+	if ra.Probe != nil {
+		if ra.Probe.Generations() != rb.Probe.Generations() {
+			return fmt.Sprintf("probe generations %d vs %d", ra.Probe.Generations(), rb.Probe.Generations())
+		}
+		for g := 0; g < ra.Probe.Generations(); g++ {
+			if !slices.Equal(ra.Probe.ClockRow(g), rb.Probe.ClockRow(g)) || !slices.Equal(ra.Probe.IdleRow(g), rb.Probe.IdleRow(g)) {
+				return fmt.Sprintf("probe generation %d differs", g)
+			}
+		}
+	}
+	if ra.FailLog != nil && !slices.Equal(ra.FailLog.Events(), rb.FailLog.Events()) {
+		return fmt.Sprintf("fail log %+v vs %+v", ra.FailLog.Events(), rb.FailLog.Events())
+	}
+	return ""
+}
+
+// TestMatchedSetRunAllMatchesRuns: a checkpointed, noisy matched set's
+// runs made in one RunAll pass equal the same runs made one Run after
+// another, on makespans, clocks, probe rows and fail logs, and each run
+// counts as one trace replay. Concurrent sets on one evaluator (each its
+// own pass, sharing cached traces and pooled replayers) agree with the
+// sequential reference too; CI runs this under -race.
+func TestMatchedSetRunAllMatchesRuns(t *testing.T) {
+	ev := testEvaluator(t)
+	cfg := paperConfig(2, 3)
+	o := SetOptions{CkptEvery: 2, CkptSeconds: 0.01, Noise: uniformTestNoise{frac: 0.02}, Seed: 11}
+	set, err := ev.OpenMatchedSet(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := set.Trace()
+	seq := laneTestRuns(tr)
+	want := make([]PerturbedRun, len(seq))
+	for i, run := range seq {
+		if want[i], err = set.Run(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := laneTestRuns(tr)
+	before := TraceReplays()
+	got, err := set.RunAll(runs)
+	set.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := TraceReplays() - before; n != uint64(len(runs)) {
+		t.Fatalf("one pass of %d runs counted %d trace replays", len(runs), n)
+	}
+	for i := range runs {
+		if d := sameRun(got[i], want[i], runs[i], seq[i]); d != "" {
+			t.Fatalf("run %d: pass vs sequential: %s", i, d)
+		}
+	}
+	if want[1].Makespan <= want[0].Makespan || want[2].Makespan <= want[0].Makespan {
+		t.Fatalf("perturbed runs no slower than the baseline: %v, %v vs %v",
+			want[1].Makespan, want[2].Makespan, want[0].Makespan)
+	}
+
+	const grinders = 6
+	errs := make(chan error, grinders)
+	for g := 0; g < grinders; g++ {
+		go func() {
+			for round := 0; round < 3; round++ {
+				set, err := ev.OpenMatchedSet(cfg, o)
+				if err != nil {
+					errs <- err
+					return
+				}
+				runs := laneTestRuns(tr)
+				got, err := set.RunAll(runs)
+				set.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range runs {
+					if d := sameRun(got[i], want[i], runs[i], seq[i]); d != "" {
+						errs <- fmt.Errorf("concurrent run %d: %s", i, d)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < grinders; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

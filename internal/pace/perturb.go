@@ -84,14 +84,10 @@ type SetOptions struct {
 	Seed        int64
 }
 
-// SetRun is one replay of a matched set: its own injected events and
-// recorders. The zero SetRun is the set's baseline.
-type SetRun struct {
-	Delays  []mp.Delay
-	Fails   []mp.FailStop
-	Probe   *mp.RunProbe
-	FailLog *mp.FailLog
-}
+// SetRun is one replay of a matched set, one lane of its replayer's pass:
+// its own injected events and recorders. The zero SetRun is the set's
+// baseline.
+type SetRun = mp.Lane
 
 // MatchedSet replays one configuration several times under one noise
 // model and seed, as the idle-wave and resilience analyses need: a
@@ -99,8 +95,9 @@ type SetRun struct {
 // injected damage. The set holds one pooled replayer and, under a
 // deterministic net with noise, one bound noise table (mp.BindNoise), so
 // the per-rank noise streams are seeded and drawn once for the whole set
-// instead of once per replay. Close returns the replayer and drops the
-// table. A MatchedSet is not safe for concurrent use.
+// instead of once per replay. RunAll replays several runs in one pass.
+// Close returns the replayer and drops the table. A MatchedSet is not safe
+// for concurrent use.
 type MatchedSet struct {
 	t       *mp.Trace
 	opts    mp.Options
@@ -141,19 +138,37 @@ func (e *Evaluator) OpenMatchedSet(cfg Config, o SetOptions) (*MatchedSet, error
 // indices (Trace.OpIndexOfReduce).
 func (s *MatchedSet) Trace() *mp.Trace { return s.t }
 
-// Run replays the set's configuration under one run's perturbations.
+// Run replays the set's configuration under one run's perturbations. It
+// is the one-run case of RunAll.
 func (s *MatchedSet) Run(run SetRun) (PerturbedRun, error) {
-	opts := s.opts
-	opts.Delays, opts.Fails, opts.Probe, opts.FailLog = run.Delays, run.Fails, run.Probe, run.FailLog
-	if err := s.rp.Replay(s.t, opts, s.params); err != nil {
+	out, err := s.RunAll([]SetRun{run})
+	if err != nil {
 		return PerturbedRun{}, err
 	}
-	countReplay(s.rp.Stats())
-	clocks := make([]float64, s.t.Ranks())
-	for i := range clocks {
-		clocks[i] = s.rp.Clock(i)
+	return out[0], nil
+}
+
+// RunAll replays the set's configuration once per run, all runs in one
+// pass of the replayer as clock lanes (mp.Replayer.ReplayLanes): the runs
+// share the op dispatch, the message traffic, the schedule and every
+// noise draw, and each run's clocks, probe and fail log equal what Run
+// gives it alone. The results are in run order. Each run counts as one
+// trace replay.
+func (s *MatchedSet) RunAll(runs []SetRun) ([]PerturbedRun, error) {
+	if err := s.rp.ReplayLanes(s.t, s.opts, s.params, runs); err != nil {
+		return nil, err
 	}
-	return PerturbedRun{Makespan: s.rp.Makespan(), Clocks: clocks}, nil
+	st := s.rp.Stats()
+	out := make([]PerturbedRun, len(runs))
+	for i := range out {
+		countReplay(st)
+		clocks := make([]float64, s.t.Ranks())
+		for r := range clocks {
+			clocks[r] = s.rp.LaneClock(i, r)
+		}
+		out[i] = PerturbedRun{Makespan: s.rp.LaneMakespan(i), Clocks: clocks}
+	}
+	return out, nil
 }
 
 // Close returns the set's replayer to the pool and drops its noise table.

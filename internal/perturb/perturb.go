@@ -234,15 +234,11 @@ func Run(ev *pace.Evaluator, cfg pace.Config, sc Scenario, perRank bool) (*Repor
 	}
 
 	baseProbe, pertProbe := &mp.RunProbe{}, &mp.RunProbe{}
-	base, err := set.Run(pace.SetRun{Probe: baseProbe})
+	runs, err := set.RunAll([]pace.SetRun{{Probe: baseProbe}, {Delays: delays, Probe: pertProbe}})
 	if err != nil {
 		return nil, err
 	}
-	pert, err := set.Run(pace.SetRun{Delays: delays, Probe: pertProbe})
-	if err != nil {
-		return nil, err
-	}
-	return analyze(ev, cfg, sc, injected, delays, base, pert, baseProbe, pertProbe, perRank), nil
+	return analyze(ev, cfg, sc, injected, delays, runs[0], runs[1], baseProbe, pertProbe, perRank), nil
 }
 
 // analyze differences the baseline and perturbed runs into a Report.

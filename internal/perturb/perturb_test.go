@@ -289,8 +289,9 @@ func TestRunRejects(t *testing.T) {
 	}
 }
 
-// BenchmarkPerturbRun times perturb.Run, a baseline and a perturbed replay
-// sharing one noise binding, over a sweep's shape mix: six arrays from
+// BenchmarkPerturbRun times perturb.Run, one 2-lane pass that replays the
+// baseline and the perturbed run together on one noise binding, over a
+// sweep's shape mix: six arrays from
 // 8x8 to 16x16, each with mk 10 and 25 and mmi 3 and 6, 40x40x50 cells per
 // processor and 12 iterations, under one 3 s delay plus 2% uniform noise.
 // One op is one shape's Run; traces are compiled before the timer starts.

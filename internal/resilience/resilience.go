@@ -280,9 +280,11 @@ func sampleFails(rng *rand.Rand, tr *mp.Trace, probe *mp.RunProbe, spec FailureS
 }
 
 // evalInterval computes the expected makespan for one checkpoint period:
-// a checkpointed baseline (probe attached, for the time→iteration map)
-// plus one replay per sampled failure scenario, all one matched set that
-// shares the trace, the noise binding and one replayer.
+// a checkpointed baseline (probe attached, for the time→iteration map),
+// then every sampled failure scenario in one lane pass, all one matched
+// set that shares the trace, the noise binding and one replayer. The
+// scenarios are sampled from the baseline's probe, so the baseline runs
+// first: two passes per interval.
 func evalInterval(ev *pace.Evaluator, cfg pace.Config, st Study, noise mp.ComputeNoise, interval int) (ckpt float64, outcomes []ScenarioOutcome, err error) {
 	ck := st.Checkpoint
 	set, err := ev.OpenMatchedSet(cfg, pace.SetOptions{
@@ -302,22 +304,27 @@ func evalInterval(ev *pace.Evaluator, cfg pace.Config, st Study, noise mp.Comput
 	}
 	tr := set.Trace()
 	ranks := cfg.Decomp.Size()
-	flog := &mp.FailLog{}
-	outcomes = make([]ScenarioOutcome, 0, st.Failure.scenarios())
-	for s := 0; s < st.Failure.scenarios(); s++ {
+	n := st.Failure.scenarios()
+	runs := make([]pace.SetRun, n)
+	for s := range runs {
 		rng := rand.New(rand.NewSource(scenarioSeed(st.Seed, s)))
 		fails := sampleFails(rng, tr, probe, st.Failure, ck.RestartSeconds, ranks, cfg.Iterations, base.Makespan)
-		run, err := set.Run(pace.SetRun{Fails: fails, FailLog: flog})
-		if err != nil {
-			return 0, nil, err
-		}
-		outcomes = append(outcomes, ScenarioOutcome{
+		runs[s] = pace.SetRun{Fails: fails, FailLog: &mp.FailLog{}}
+	}
+	results, err := set.RunAll(runs)
+	if err != nil {
+		return 0, nil, err
+	}
+	outcomes = make([]ScenarioOutcome, n)
+	for s, run := range results {
+		flog := runs[s].FailLog
+		outcomes[s] = ScenarioOutcome{
 			Scenario:        s,
 			Failures:        flog.Applied(),
 			MakespanSeconds: run.Makespan,
 			ReworkSeconds:   flog.ReworkSeconds(),
 			RestartSeconds:  flog.RestartSeconds(),
-		})
+		}
 	}
 	return base.Makespan, outcomes, nil
 }

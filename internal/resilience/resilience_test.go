@@ -29,7 +29,7 @@ func testModel() *hwmodel.Model {
 	}
 }
 
-func testEvaluator(t *testing.T, m *hwmodel.Model) *pace.Evaluator {
+func testEvaluator(t testing.TB, m *hwmodel.Model) *pace.Evaluator {
 	t.Helper()
 	analysis, err := capp.SweepKernelAnalysis()
 	if err != nil {
@@ -294,5 +294,35 @@ func TestNoiseCurveStandalone(t *testing.T) {
 	}
 	if _, _, _, err := NoiseCurve(ev, cfg, "bogus", 11, []float64{0.1}); err == nil {
 		t.Fatal("bogus noise kind accepted")
+	}
+}
+
+// BenchmarkResilienceInterval times one evalInterval on an 8x8 array with
+// 3% uniform noise and the default 8 failure scenarios (MTBF 8 s, about
+// 29 s per run): a checkpointed baseline pass, then the scenarios sampled
+// from its probe replayed as one 8-lane pass. The trace is compiled before
+// the timer starts.
+func BenchmarkResilienceInterval(b *testing.B) {
+	ev := testEvaluator(b, testModel())
+	cfg := testConfig(8, 8)
+	st := testStudy()
+	st.Failure.Scenarios = 0 // DefaultScenarios
+	noise, err := st.Noise.Model()
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, outcomes, err := evalInterval(ev, cfg, st, noise, st.Checkpoint.IntervalIterations)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(outcomes) != DefaultScenarios {
+		b.Fatalf("%d scenarios, want %d", len(outcomes), DefaultScenarios)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := evalInterval(ev, cfg, st, noise, st.Checkpoint.IntervalIterations); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
