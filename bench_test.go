@@ -171,7 +171,7 @@ func BenchmarkWorldRun(b *testing.B) {
 		prob := sweep.New(grid.Global{NX: 5 * d.PX, NY: 5 * d.PY, NZ: 100})
 		prob.Iterations = 1
 		b.Run("sched=event/P="+strconv.Itoa(p), func(b *testing.B) {
-			opts := mp.Options{Net: pl.NetModel(false), Scheduler: mp.SchedulerEvent}
+			opts := mp.Options{Net: pl.NetModel(false)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sweep.RunSkeleton(prob, d, costs, opts); err != nil {
@@ -201,7 +201,7 @@ func BenchmarkPredictTemplate(b *testing.B) {
 		}
 		b.Run("sched=event/P="+strconv.Itoa(p), func(b *testing.B) {
 			evS := *ev
-			evS.Scheduler = mp.SchedulerEvent
+			evS.Scheduler = pace.SchedulerEvent
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := evS.Predict(cfg); err != nil {
@@ -234,7 +234,7 @@ func BenchmarkPredictTrace(b *testing.B) {
 		}
 		b.Run("sched=trace/P="+strconv.Itoa(p), func(b *testing.B) {
 			evS := *ev
-			evS.Scheduler = mp.SchedulerTrace
+			evS.Scheduler = pace.SchedulerTrace
 			// Compile the shape (and warm the replayer pool) outside the
 			// measured loop, mirroring serving steady state.
 			if _, err := evS.Predict(cfg); err != nil {
@@ -267,7 +267,7 @@ func BenchmarkPredictTrace(b *testing.B) {
 		}
 		b.Run("sched=trace/P="+strconv.Itoa(itersP)+"/iters="+strconv.Itoa(iters), func(b *testing.B) {
 			evS := *ev
-			evS.Scheduler = mp.SchedulerTrace
+			evS.Scheduler = pace.SchedulerTrace
 			p, err := evS.Predict(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -300,7 +300,7 @@ func BenchmarkPredictTraceDistinct(b *testing.B) {
 		b.Fatal(err)
 	}
 	evS := *ev
-	evS.Scheduler = mp.SchedulerTrace
+	evS.Scheduler = pace.SchedulerTrace
 	d := grid.Decomp{PX: 32, PY: 64}
 	next := 0
 	distinct := func(iters int) pace.Config {

@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"pacesweep/internal/artifact"
-	"pacesweep/internal/mp"
+	"pacesweep/internal/pace"
 	"pacesweep/internal/platform"
 	"pacesweep/internal/serve"
 )
@@ -54,7 +54,7 @@ func main() {
 			"per-attempt bound on proxying a request to a peer, layered under -request-timeout "+
 				"(0 = 3s default, negative disables)")
 		seed  = flag.Int64("seed", 1001, "seed for the simulated benchmark-fitting pipeline")
-		sched = flag.String("scheduler", mp.SchedulerTrace,
+		sched = flag.String("scheduler", pace.SchedulerTrace,
 			"mp backend for template evaluation (trace|event; trace compiles each "+
 				"configuration shape once and replays it per point, event evaluates live)")
 
@@ -63,8 +63,6 @@ func main() {
 		cacheShards = flag.Int("cache-shards", 16, "response cache shard count")
 		memoEntries = flag.Int("memo-entries", 0,
 			"per-evaluator prediction-memo capacity (0 = default, -1 = unbounded)")
-		worldPool = flag.Int("world-pool", 0,
-			"max idle pooled worlds per evaluator (0 = default, -1 = unbounded)")
 
 		maxConcurrent = flag.Int("max-concurrent", 0,
 			"max simultaneous model evaluations (0 = 2*GOMAXPROCS)")
@@ -114,7 +112,6 @@ func main() {
 		ResponseCacheEntries: *cacheEntries,
 		ResponseCacheShards:  *cacheShards,
 		MemoEntries:          *memoEntries,
-		WorldPoolCap:         *worldPool,
 		MaxConcurrent:        *maxConcurrent,
 		SweepWorkers:         *sweepWorkers,
 		MaxSweepPoints:       *maxSweepPoints,
@@ -153,7 +150,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Printf("serving %v on http://%s (scheduler=%s)", cfg.Platforms, *addr, orDefault(cfg.Scheduler, mp.SchedulerTrace))
+	logger.Printf("serving %v on http://%s (scheduler=%s)", cfg.Platforms, *addr, orDefault(cfg.Scheduler, pace.SchedulerTrace))
 
 	select {
 	case err := <-errc:
@@ -204,7 +201,7 @@ func registerPaths(logger *log.Logger, entries []string) []string {
 // schedulerOpt maps the flag onto the serve config convention (empty =
 // the default trace tier).
 func schedulerOpt(s string) string {
-	if s == mp.SchedulerTrace {
+	if s == pace.SchedulerTrace {
 		return ""
 	}
 	return s

@@ -60,7 +60,7 @@ func Measure(pl platform.Platform, p sweep.Problem, d grid.Decomp, opt MeasureOp
 	costs := truthCosts(pl, cellsPerProc, parallel)
 	// Skeleton measurement is a pure virtual-time workload, run
 	// deterministically by the event scheduler.
-	opts := mp.Options{Net: pl.NetModel(true), Seed: opt.Seed, Scheduler: mp.SchedulerEvent}
+	opts := mp.Options{Net: pl.NetModel(true), Seed: opt.Seed}
 	if n := pl.Noise(); n != nil {
 		opts.Noise = n
 	}
@@ -82,7 +82,7 @@ func ProfileKernel(pl platform.Platform, perProc grid.Global, base sweep.Problem
 	p = p.Normalize()
 	cells := int(perProc.Cells())
 	costs := truthCosts(pl, cells, false)
-	opts := mp.Options{Seed: seed, Scheduler: mp.SchedulerEvent}
+	opts := mp.Options{Seed: seed}
 	if n := pl.Noise(); n != nil {
 		opts.Noise = n
 	}
@@ -106,7 +106,7 @@ func ProfileKernel(pl platform.Platform, perProc grid.Global, base sweep.Problem
 	p2.Grid = g2
 	p2 = p2.Normalize()
 	costs2 := truthCosts(pl, cells, true)
-	opts2 := mp.Options{Net: pl.NetModel(true), Seed: seed + 1, Scheduler: mp.SchedulerEvent}
+	opts2 := mp.Options{Net: pl.NetModel(true), Seed: seed + 1}
 	if n := pl.Noise(); n != nil {
 		opts2.Noise = n
 	}
@@ -178,7 +178,7 @@ func MPIBench(pl platform.Platform, sizes []int, reps int, seed int64) ([]CommPo
 // calls with timers.
 func timeOnce(pl platform.Platform, bytes int, seed int64) (send, recv, pingpong float64, err error) {
 	var sendT, recvT, ppT float64
-	w, err := mp.NewWorld(2, mp.Options{Net: pl.NetModel(true), Seed: seed, Scheduler: mp.SchedulerEvent})
+	w, err := mp.NewWorld(2, mp.Options{Net: pl.NetModel(true), Seed: seed})
 	if err != nil {
 		return 0, 0, 0, err
 	}

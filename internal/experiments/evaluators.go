@@ -46,9 +46,9 @@ type evalVal struct {
 	model *hwmodel.Model
 }
 
-// Cache bounds: fitted evaluators are heavyweight (each carries warmed
-// world pools), so only a handful stay resident; measurement rows are a
-// few words each.
+// Cache bounds: fitted evaluators are heavyweight (each carries its
+// caches and idle replayers), so only a handful stay resident;
+// measurement rows are a few words each.
 var evalCache = lru.New[evalKey, evalVal](64, 4, func(k evalKey) uint64 {
 	h := lru.NewHasher()
 	h.String(k.platform)

@@ -63,7 +63,7 @@ func OverlapStudy() (*OverlapResult, error) {
 			p := sweep.New(grid.Global{NX: 50 * d.PX, NY: 50 * d.PY, NZ: 50})
 			costs := sweep.CostsFromRate(350)
 			// Deterministic: no jitter, event scheduler.
-			opts := mp.Options{Net: pl.NetModel(false), Scheduler: mp.SchedulerEvent}
+			opts := mp.Options{Net: pl.NetModel(false)}
 			std, err := sweep.RunSkeleton(p, d, costs, opts)
 			if err != nil {
 				return [2]float64{}, err

@@ -1,8 +1,8 @@
 package mp
 
-// The event-driven virtual-time scheduler: the run loop of every live
-// World (Options.Scheduler SchedulerEvent, and the recording run of
-// SchedulerTrace).
+// The event-driven virtual-time scheduler: the run loop of every World
+// (World.Run, and the recording run of World.RunRecorded). It is the
+// one-shot reference every trace replay is checked against.
 //
 // Ranks run as cooperative coroutines: exactly one goroutine holds the
 // execution token at any moment, and a rank that blocks (a receive with no
@@ -35,9 +35,7 @@ package mp
 // channel, collective snapshot, the embedded Comm), which only the rank
 // itself and the scheduler touch.
 //
-// All per-run state lives in one evWorld that is allocated with the World
-// and reused across Run calls via World.Reset, so a pooled world reaches
-// zero steady-state allocations per message operation.
+// All run state lives in one evWorld allocated with the World.
 //
 // Per-rank virtual-clock arithmetic (costs, causality, fault injection)
 // lives in the shared Comm methods (Comm.SendN/RecvN/reduce); this file
@@ -132,7 +130,6 @@ func (ib *evInbox) streamIndex(k uint64) int {
 type evRank struct {
 	id     int
 	resume chan struct{} // buffered(1) token handoff
-	body   func()        // pre-built goroutine body; spawning it allocates nothing
 
 	// Snapshot of the collective outcome, written by the generation's
 	// closing rank before this rank is woken (the closer may race ahead
@@ -158,9 +155,7 @@ type evColl struct {
 	waiters []int // rank ids, in arrival order
 }
 
-// evWorld is the event scheduler instance. It is created once per World
-// and reused across Run calls (see World.Reset); nothing in it is
-// reallocated on the steady-state path.
+// evWorld is the event scheduler instance of one World.
 type evWorld struct {
 	w         *World
 	f         func(c *Comm) error // the current run's rank function
@@ -175,7 +170,7 @@ type evWorld struct {
 	coll      evColl
 }
 
-// newEvWorld builds the persistent scheduler state for an event world.
+// newEvWorld builds the scheduler state for a world.
 func newEvWorld(w *World) *evWorld {
 	ev := &evWorld{w: w, slot: -1, master: make(chan struct{}, 1)}
 	ev.coll.n = w.n
@@ -187,46 +182,9 @@ func newEvWorld(w *World) *evWorld {
 		r := &ev.ranks[i]
 		r.id = i
 		r.resume = make(chan struct{}, 1)
-		r.body = func() { ev.runRank(r) }
 		w.initComm(&r.comm, i)
 	}
 	return ev
-}
-
-// reset returns the scheduler to its initial state without releasing any
-// of the pooled storage: rank records, stream buffers, the heap slice and
-// the collective scratch all keep their capacity.
-func (ev *evWorld) reset() {
-	ev.slot = -1
-	ev.doneCount = 0
-	ev.aborting = false
-	ev.heap.e = ev.heap.e[:0]
-	ev.coll.arrived = 0
-	ev.coll.gen = 0
-	ev.coll.acc = ev.coll.acc[:0]
-	ev.coll.waiters = ev.coll.waiters[:0]
-	ev.coll.rng.Seed(ev.w.opts.Seed ^ 0x1F3D5B79)
-	for i := range ev.ranks {
-		r := &ev.ranks[i]
-		r.collRes = nil
-		r.collDone = 0
-		r.err = nil
-		ev.w.initComm(&r.comm, i)
-		ib := &ev.boxes[i]
-		ib.status = evReady
-		ib.inColl = false
-		ib.wantKey = 0
-		ib.clock = 0
-		for s := range ib.streams {
-			q := &ib.streams[s]
-			q.msgs = q.msgs[:0]
-			q.head = 0
-			for d := range q.data {
-				q.data[d] = nil
-			}
-			q.data = q.data[:0]
-		}
-	}
 }
 
 // runEvent executes f once per rank under the event scheduler.
@@ -238,7 +196,7 @@ func (w *World) runEvent(f func(c *Comm) error) error {
 		// All clocks are zero at start, so appending in id order already
 		// satisfies the heap invariant — no sifting needed.
 		ev.heap.e = append(ev.heap.e, heapEntry{clock: 0, id: i})
-		go ev.ranks[i].body()
+		go ev.runRank(&ev.ranks[i])
 	}
 	ev.scheduleNext() // hand the token to rank 0
 	<-ev.master

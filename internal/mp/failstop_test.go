@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -55,22 +56,26 @@ func testFailStops() []FailStop {
 	}
 }
 
-// runFailStopWavefront runs the checkpointed equivalence wavefront with
-// injected failures (plus delays and noise) and a probe + fail log.
-func runFailStopWavefront(t *testing.T, sched string, net NetworkModel, seed int64) (*World, *RunProbe, *FailLog) {
+// failStopOpts are the options of the checkpointed equivalence wavefront:
+// injected failures plus delays and noise, with a fresh probe and fail log.
+func failStopOpts(net NetworkModel, seed int64) Options {
+	return Options{
+		Net:     net,
+		Noise:   jitterNoise{0.04},
+		Seed:    seed,
+		Delays:  testDelays(),
+		Fails:   testFailStops(),
+		FailLog: &FailLog{},
+		Probe:   &RunProbe{},
+	}
+}
+
+// runFailStopWavefront runs the checkpointed equivalence wavefront on the
+// event backend under failStopOpts.
+func runFailStopWavefront(t *testing.T, net NetworkModel, seed int64) (*World, *RunProbe, *FailLog) {
 	t.Helper()
-	probe := &RunProbe{}
-	flog := &FailLog{}
-	w, err := NewWorld(12, Options{
-		Net:       net,
-		Noise:     jitterNoise{0.04},
-		Seed:      seed,
-		Scheduler: sched,
-		Delays:    testDelays(),
-		Fails:     testFailStops(),
-		FailLog:   flog,
-		Probe:     probe,
-	})
+	opts := failStopOpts(net, seed)
+	w, err := NewWorld(12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func runFailStopWavefront(t *testing.T, sched string, net NetworkModel, seed int
 	if err := w.Run(ckptWavefrontProgram(4, 3, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	return w, probe, flog
+	return w, opts.Probe, opts.FailLog
 }
 
 // TestSchedulerEquivalenceFailStop extends the cross-backend equivalence
@@ -95,23 +100,13 @@ func TestSchedulerEquivalenceFailStop(t *testing.T) {
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77} {
-				e, ep, el := runFailStopWavefront(t, SchedulerEvent, net, seed)
-				tr, tp, tl := runFailStopWavefront(t, SchedulerTrace, net, seed)
+				e, ep, el := runFailStopWavefront(t, net, seed)
 				// Replay the recorded trace; nothing may move a bit.
-				tr.Reset()
-				if err := tr.Run(ckptWavefrontProgram(4, 3, 4, 2)); err != nil {
-					t.Fatal(err)
-				}
-				if e.Makespan() != tr.Makespan() {
-					t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
-				}
-				for i := 0; i < 12; i++ {
-					if e.Clock(i) != tr.Clock(i) {
-						t.Fatalf("seed %d: rank %d clock event %v != trace %v", seed, i, e.Clock(i), tr.Clock(i))
-					}
-				}
-				requireSameProbe(t, name, "event vs trace", ep, tp)
-				requireSameFailLog(t, name, "event vs trace", el, tl)
+				opts := failStopOpts(net, seed)
+				rp := recordReplay(t, 12, opts, []float64{3e-4}, nil, ckptWavefrontProgram(4, 3, 4, 2))
+				requireSameClocks(t, fmt.Sprintf("seed %d", seed), e, rp)
+				requireSameProbe(t, name, "event vs trace", ep, opts.Probe)
+				requireSameFailLog(t, name, "event vs trace", el, opts.FailLog)
 			}
 		})
 	}
@@ -141,11 +136,10 @@ func TestFailStopRewindSemantics(t *testing.T) {
 	run := func(fails []FailStop, ckptEvery int) (*World, *FailLog) {
 		flog := &FailLog{}
 		w, err := NewWorld(12, Options{
-			Net:       alphaBeta{alpha: 2e-5, beta: 1e-8},
-			Seed:      9,
-			Scheduler: SchedulerEvent,
-			Fails:     fails,
-			FailLog:   flog,
+			Net:     alphaBeta{alpha: 2e-5, beta: 1e-8},
+			Seed:    9,
+			Fails:   fails,
+			FailLog: flog,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -230,16 +224,17 @@ func TestFailStopValidation(t *testing.T) {
 		}
 	}
 
-	w, err := NewWorld(4, Options{Scheduler: SchedulerTrace})
+	w, err := NewWorld(4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
+	tr, err := w.RunRecorded(func(c *Comm) error { c.Barrier(); return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	rp := NewReplayer()
 	for i, fails := range bad {
-		if err := rp.Replay(w.Trace(), Options{Fails: fails}, ReplayParams{}); err == nil {
+		if err := rp.Replay(tr, Options{Fails: fails}, ReplayParams{}); err == nil {
 			t.Errorf("case %d: Replay accepted invalid fail-stop %+v", i, fails[0])
 		}
 	}
@@ -251,9 +246,8 @@ func TestFailStopValidation(t *testing.T) {
 func TestFailStopStacking(t *testing.T) {
 	flog := &FailLog{}
 	w, err := NewWorld(12, Options{
-		Net:       alphaBeta{alpha: 2e-5, beta: 1e-8},
-		Seed:      1,
-		Scheduler: SchedulerEvent,
+		Net:  alphaBeta{alpha: 2e-5, beta: 1e-8},
+		Seed: 1,
 		Fails: []FailStop{
 			{Rank: 5, Op: 19, Restart: 1e-3},
 			{Rank: 5, Op: 19, Restart: 1e-3},

@@ -110,7 +110,7 @@ func TestLaneReplayRandomPrograms(t *testing.T) {
 						t.Fatalf("%s: solo: %v", lname, err)
 					}
 					ev := one
-					ev.Scheduler, ev.Probe, ev.FailLog = SchedulerEvent, &RunProbe{}, &FailLog{}
+					ev.Probe, ev.FailLog = &RunProbe{}, &FailLog{}
 					ew, err := NewWorld(n, ev)
 					if err != nil {
 						t.Fatal(err)

@@ -18,13 +18,12 @@
 // append with no locks. A run is fully deterministic regardless of
 // GOMAXPROCS — including the floating-point accumulation order of
 // collectives — and deadlocks are detected exactly (no runnable rank while
-// some are still blocked). Options.Scheduler selects between executing the
-// program on that loop (SchedulerEvent, the default) and the trace backend
-// (SchedulerTrace), which records the first Run on the same loop and
-// replays the recorded script on every later one (trace.go). A lone large
-// deterministic replay uses one idle core more: it splits its ranks over
-// two workers whose clocks are bit-identical to the serial replay's
-// (parallel.go).
+// some are still blocked). A World runs its program once, on that loop;
+// World.RunRecorded also records the run's communication script, which
+// a Replayer replays goroutine-free under other cost tables (trace.go).
+// A lone large deterministic replay uses one idle core more: it splits its
+// ranks over two workers whose clocks are bit-identical to the serial
+// replay's (parallel.go).
 package mp
 
 import (
@@ -132,20 +131,11 @@ func netIsDeterministic(net NetworkModel) bool {
 	return ok && dc.CostsDeterministic()
 }
 
-// SchedulerEvent names the cooperative virtual-time backend for
-// Options.Scheduler: a single-threaded run loop ordered by a virtual-clock
-// event heap, lock-free queues, deterministic output, exact deadlock
-// detection.
-const SchedulerEvent = "event"
-
 // Options configure a World.
 type Options struct {
 	Net   NetworkModel // nil: zero-cost (functional) transport
 	Noise ComputeNoise // nil: charges applied exactly
 	Seed  int64        // base seed for per-rank RNG streams
-	// Scheduler selects the execution backend: SchedulerEvent (the default
-	// when empty) or SchedulerTrace. See the package comment.
-	Scheduler string
 	// Delays are injected one-off delays (fault injection); each charges
 	// extra virtual time to one rank immediately before one of its
 	// recordable operations. Both backends apply them identically.
@@ -163,26 +153,21 @@ type Options struct {
 	Probe *RunProbe
 }
 
-// World is a fixed-size group of ranks. A world may be Run once; Reset
-// returns it to its initial state for another Run, reusing all internal
-// storage (rank records, message streams, heap, RNG state), which is what
-// lets callers pool worlds across evaluations with zero steady-state
-// allocations per message operation.
+// World is a fixed-size group of ranks. A world runs once: Run (or
+// RunRecorded) on a world that has already run is an error, so every
+// evaluation builds a fresh world.
 type World struct {
 	n      int
 	opts   Options
 	detNet bool              // opts.Net opted into the DeterministicCosts fast path
 	cnet   ClassNetworkModel // opts.Net with >1 (src,dst) cost class; nil for flat
-	ran    bool              // set by Run; cleared by Reset
+	ran    bool              // set by Run and RunRecorded
 	clocks []float64
-	ev     *evWorld // the persistent event-scheduler instance
+	ev     *evWorld // the event-scheduler instance
 
-	// Trace-backend state: the recorder is non-nil only during a recording
-	// run; the trace is captured by the first Run and replayed by the
-	// Replayer on every later Run (see trace.go).
-	rec   *traceRec
-	trace *Trace
-	rep   *Replayer
+	// rec is the trace recorder of a RunRecorded (or CompileClasses) run;
+	// nil otherwise (see trace.go).
+	rec *traceRec
 
 	// Parameter tables read by ChargeParam/SendParam (SetParams) and the
 	// mark slots written by Comm.Mark.
@@ -192,7 +177,7 @@ type World struct {
 
 	// rkDelays and rkFails are Options.Delays / Options.Fails partitioned
 	// into per-rank op-ordered queues; Comms consume private cursors into
-	// them, so the partitions survive Reset without rebuilding.
+	// them.
 	rkDelays [][]Delay
 	rkFails  [][]failCursor
 }
@@ -201,12 +186,6 @@ type World struct {
 func NewWorld(n int, opts Options) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mp: world size must be positive, got %d", n)
-	}
-	switch opts.Scheduler {
-	case "", SchedulerEvent, SchedulerTrace:
-	default:
-		return nil, fmt.Errorf("mp: unknown scheduler %q (want %q or %q)",
-			opts.Scheduler, SchedulerEvent, SchedulerTrace)
 	}
 	if err := validDelays(n, opts.Delays); err != nil {
 		return nil, err
@@ -219,59 +198,28 @@ func NewWorld(n int, opts Options) (*World, error) {
 	w.cnet, _ = classesOf(opts.Net)
 	w.rkDelays = rankDelays(n, opts.Delays)
 	w.rkFails = rankFails(n, opts.Fails)
-	// The event scheduler is built once here and pooled across Runs; the
-	// trace backend records its first Run on the same machinery.
 	w.ev = newEvWorld(w)
 	return w, nil
 }
 
-// Reset returns a finished (or fresh) world to its initial state so Run can
-// be called again: clocks to zero, per-rank RNG streams back to their seeds,
-// message queues drained, collective generations rewound. All internal
-// storage is retained, so a Reset+Run cycle on a warmed world performs zero
-// steady-state heap allocations per message operation. Reset also re-reads
-// whether Options.Net opts into the DeterministicCosts fast path, so pooled
-// worlds may swap the model behind an indirection between runs. It must not
-// be called while a Run is in progress.
-func (w *World) Reset() {
-	w.ran = false
-	w.detNet = netIsDeterministic(w.opts.Net)
-	w.cnet, _ = classesOf(w.opts.Net)
-	for i := range w.clocks {
-		w.clocks[i] = 0
-	}
-	for i := range w.marks {
-		w.marks[i] = 0
-	}
-	w.ev.reset()
-}
-
-// initComm (re)initialises a rank's Comm for a fresh run. The RNG object is
-// retained across resets and lazily reseeded on first use, so untouched
-// streams (the common case under deterministic cost models) cost nothing.
+// initComm initialises a fresh rank's Comm. The RNG is materialised on
+// first use, so untouched streams (the common case under deterministic
+// cost models) cost nothing.
 func (w *World) initComm(c *Comm, rank int) {
 	c.w = w
 	c.rank = rank
-	c.clock = 0
 	c.seed = w.opts.Seed + int64(rank)*0x9E3779B9
-	c.rngOK = false
 	c.det = w.detNet
 	c.cnet = w.cnet
 	c.sendC = sizeCost{bytes: -1}
 	c.recvC = sizeCost{bytes: -1}
 	c.transC = sizeCost{bytes: -1}
-	c.bcastRoot = false
-	c.opn = 0
-	c.idle = 0
-	c.dq = nil
 	if w.rkDelays != nil {
 		c.dq = w.rkDelays[rank]
 	}
-	c.fq = nil
 	if w.rkFails != nil {
 		c.fq = w.rkFails[rank]
 	}
-	c.lastCkpt = 0
 	c.inj = len(c.dq) > 0 || len(c.fq) > 0
 }
 
@@ -295,44 +243,28 @@ func (w *World) Clock(rank int) float64 { return w.clocks[rank] }
 // scheduler finds the world deadlocked; Run converts it into an error.
 var errAborted = errors.New("mp: run aborted: deadlock (no rank can make progress)")
 
-// Run executes f once per rank under the configured scheduler backend and
-// waits for all ranks. The first non-nil error (or recovered panic) is
-// returned. Final virtual clocks remain available via Clock/Makespan. A
-// world runs once; call Reset before running it again.
-//
-// On the trace backend the first Run executes f for real (recording the
-// communication script); every later Run replays the recorded script as a
-// timing replay — f is not executed again and must be structurally
-// identical to the recorded program. Call DiscardTrace to re-record.
+// errRanTwice is returned by Run and RunRecorded on a world that has
+// already run.
+var errRanTwice = errors.New("mp: world already run; a World runs once, build a new one")
+
+// Run executes f once per rank on the event scheduler and waits for all
+// ranks. The first non-nil error (or recovered panic) is returned. Final
+// virtual clocks remain available via Clock/Makespan. A world runs once.
 func (w *World) Run(f func(c *Comm) error) error {
-	if w.ran {
-		return errors.New("mp: world already run; call Reset before reusing it")
+	if err := w.start(); err != nil {
+		return err
 	}
-	w.ran = true
-	if p := w.opts.Probe; p != nil {
-		p.reset(w.n, 0)
-	}
-	if l := w.opts.FailLog; l != nil {
-		l.reset(len(w.opts.Fails))
-	}
-	if w.opts.Scheduler != SchedulerTrace {
-		return w.runEvent(f)
-	}
-	if w.trace == nil {
-		t, err := w.recordRun(f)
-		if err != nil {
-			return err
-		}
-		w.trace = t
-		return nil
-	}
-	return w.replayRun()
+	return w.runEvent(f)
 }
 
-// recordRun executes f on the event machinery with the recorder active;
-// on success the recorded trace is returned. A failed recording (deadlock,
-// rank error, panic) stores nothing, so the next Run records again.
-func (w *World) recordRun(f func(c *Comm) error) (*Trace, error) {
+// RunRecorded runs f once like Run while recording each rank's operation
+// sequence, returning the trace for replay elsewhere (NewReplayer). The
+// world's clocks are valid afterwards exactly as for Run. A failed run
+// (deadlock, rank error, panic) returns no trace.
+func (w *World) RunRecorded(f func(c *Comm) error) (*Trace, error) {
+	if err := w.start(); err != nil {
+		return nil, err
+	}
 	w.rec = newTraceRec(w.n)
 	err := w.runEvent(f)
 	rec := w.rec
@@ -343,33 +275,10 @@ func (w *World) recordRun(f func(c *Comm) error) (*Trace, error) {
 	return rec.build()
 }
 
-// replayRun replays the recorded trace with the world's current options
-// and parameter tables, publishing clocks and marks on the World.
-func (w *World) replayRun() error {
-	if w.rep == nil {
-		w.rep = NewReplayer()
-	}
-	err := w.rep.Replay(w.trace, w.opts, ReplayParams{Charges: w.paramCharges, Sizes: w.paramSizes})
-	if err != nil {
-		return err
-	}
-	for i := range w.clocks {
-		w.clocks[i] = w.rep.rk[i].clock
-	}
-	for i, m := range w.rep.marks {
-		if i < MaxMarks {
-			w.marks[i] = m
-		}
-	}
-	return nil
-}
-
-// RunRecorded runs f once like Run while recording each rank's operation
-// sequence, returning the trace for replay elsewhere (NewReplayer). The
-// world's clocks are valid afterwards exactly as for Run.
-func (w *World) RunRecorded(f func(c *Comm) error) (*Trace, error) {
+// start marks the world run and resets the run's probe and fail log.
+func (w *World) start() error {
 	if w.ran {
-		return nil, errors.New("mp: world already run; call Reset before reusing it")
+		return errRanTwice
 	}
 	w.ran = true
 	if p := w.opts.Probe; p != nil {
@@ -378,22 +287,12 @@ func (w *World) RunRecorded(f func(c *Comm) error) (*Trace, error) {
 	if l := w.opts.FailLog; l != nil {
 		l.reset(len(w.opts.Fails))
 	}
-	return w.recordRun(f)
+	return nil
 }
-
-// Trace returns the script recorded by a trace-backend world's first Run,
-// or nil before it.
-func (w *World) Trace() *Trace { return w.trace }
-
-// DiscardTrace drops a trace world's recorded script so the next Run
-// (after Reset) records afresh — required when the program's structure
-// changes between runs.
-func (w *World) DiscardTrace() { w.trace = nil }
 
 // SetParams attaches the parameter tables read by Comm.ChargeParam and
 // Comm.SendParam (and by trace replays of programs recorded with them).
-// The slices are aliased, not copied; callers may swap tables between
-// Reset+Run cycles to re-price a recorded program.
+// The slices are aliased, not copied. Set them before Run.
 func (w *World) SetParams(charges []float64, sizes []int) {
 	w.paramCharges = charges
 	w.paramSizes = sizes
@@ -425,7 +324,6 @@ type Comm struct {
 	clock     float64
 	seed      int64
 	rng       *rand.Rand        // materialised lazily; see rand()
-	rngOK     bool              // rng is seeded for the current run
 	det       bool              // world's net model declared DeterministicCosts
 	cnet      ClassNetworkModel // world's net model with >1 cost class; nil flat
 	bcastRoot bool              // set while this rank is the root of a Bcast
@@ -484,18 +382,13 @@ func (c *Comm) Size() int { return c.w.n }
 // on the per-block fast path of template evaluation.
 func (c *Comm) Now() float64 { return c.clock }
 
-// rand returns the rank's RNG stream, materialising or reseeding it on
-// first use in a run. Deferring this keeps RNG-free runs (deterministic
-// cost models, no noise) from paying the ~5KB source allocation and
-// 607-step seeding scramble per rank per run.
+// rand returns the rank's RNG stream, materialising it on first use.
+// Deferring this keeps RNG-free runs (deterministic cost models, no noise)
+// from paying the ~5KB source allocation and 607-step seeding scramble per
+// rank.
 func (c *Comm) rand() *rand.Rand {
-	if !c.rngOK {
-		if c.rng == nil {
-			c.rng = rand.New(rand.NewSource(c.seed))
-		} else {
-			c.rng.Seed(c.seed)
-		}
-		c.rngOK = true
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
 	}
 	return c.rng
 }

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -16,26 +17,31 @@ func testDelays() []Delay {
 	}
 }
 
-// runPerturbedWavefront runs the standard equivalence wavefront with
-// injected delays and a probe attached.
-func runPerturbedWavefront(t *testing.T, sched string, net NetworkModel, seed int64, delays []Delay) (*World, *RunProbe) {
+// perturbedOpts are the options of the standard equivalence wavefront with
+// injected delays and a fresh probe attached.
+func perturbedOpts(net NetworkModel, seed int64, delays []Delay) Options {
+	return Options{
+		Net:    net,
+		Noise:  jitterNoise{0.04},
+		Seed:   seed,
+		Delays: delays,
+		Probe:  &RunProbe{},
+	}
+}
+
+// runPerturbedWavefront runs the standard equivalence wavefront on the
+// event backend under perturbedOpts.
+func runPerturbedWavefront(t *testing.T, net NetworkModel, seed int64, delays []Delay) (*World, *RunProbe) {
 	t.Helper()
-	probe := &RunProbe{}
-	w, err := NewWorld(12, Options{
-		Net:       net,
-		Noise:     jitterNoise{0.04},
-		Seed:      seed,
-		Scheduler: sched,
-		Delays:    delays,
-		Probe:     probe,
-	})
+	opts := perturbedOpts(net, seed, delays)
+	w, err := NewWorld(12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Run(wavefrontProgram(4, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	return w, probe
+	return w, opts.Probe
 }
 
 // requireSameProbe asserts two probes recorded bit-identical clock and
@@ -73,22 +79,12 @@ func TestSchedulerEquivalenceInjectedDelays(t *testing.T) {
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77} {
-				e, ep := runPerturbedWavefront(t, SchedulerEvent, net, seed, testDelays())
-				tr, tp := runPerturbedWavefront(t, SchedulerTrace, net, seed, testDelays())
+				e, ep := runPerturbedWavefront(t, net, seed, testDelays())
 				// Replay the recorded trace; nothing may move a bit.
-				tr.Reset()
-				if err := tr.Run(wavefrontProgram(4, 3, 4)); err != nil {
-					t.Fatal(err)
-				}
-				if e.Makespan() != tr.Makespan() {
-					t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
-				}
-				for i := 0; i < 12; i++ {
-					if e.Clock(i) != tr.Clock(i) {
-						t.Fatalf("seed %d: rank %d clock event %v != trace %v", seed, i, e.Clock(i), tr.Clock(i))
-					}
-				}
-				requireSameProbe(t, name, "event vs trace", ep, tp)
+				opts := perturbedOpts(net, seed, testDelays())
+				rp := recordReplay(t, 12, opts, nil, nil, wavefrontProgram(4, 3, 4))
+				requireSameClocks(t, fmt.Sprintf("seed %d", seed), e, rp)
+				requireSameProbe(t, name, "event vs trace", ep, opts.Probe)
 			}
 		})
 	}
@@ -101,7 +97,7 @@ func TestSchedulerEquivalenceInjectedDelays(t *testing.T) {
 func TestDelayInjectionShiftsClocks(t *testing.T) {
 	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	run := func(delays []Delay) *World {
-		w, err := NewWorld(12, Options{Net: net, Seed: 9, Scheduler: SchedulerEvent, Delays: delays})
+		w, err := NewWorld(12, Options{Net: net, Seed: 9, Delays: delays})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,16 +146,17 @@ func TestDelayValidation(t *testing.T) {
 		}
 	}
 
-	w, err := NewWorld(4, Options{Scheduler: SchedulerTrace})
+	w, err := NewWorld(4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
+	tr, err := w.RunRecorded(func(c *Comm) error { c.Barrier(); return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	rp := NewReplayer()
 	for i, delays := range bad {
-		if err := rp.Replay(w.Trace(), Options{Delays: delays}, ReplayParams{}); err == nil {
+		if err := rp.Replay(tr, Options{Delays: delays}, ReplayParams{}); err == nil {
 			t.Errorf("case %d: Replay accepted invalid delay %+v", i, delays[0])
 		}
 	}
@@ -171,14 +168,14 @@ func TestDelayValidation(t *testing.T) {
 // past the recorded collectives returns -1.
 func TestOpIndexOfReduce(t *testing.T) {
 	const iters = 4
-	w, err := NewWorld(12, Options{Scheduler: SchedulerTrace})
+	w, err := NewWorld(12, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(wavefrontProgram(4, 3, iters)); err != nil {
+	tr, err := w.RunRecorded(wavefrontProgram(4, 3, iters))
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.Trace()
 	for rank := 0; rank < 12; rank++ {
 		nops := tr.RankOps(rank)
 		if nops == 0 {
@@ -212,12 +209,8 @@ func TestOpIndexOfReduce(t *testing.T) {
 func TestRunProbeTimelines(t *testing.T) {
 	const iters = 5
 	probe := &RunProbe{}
-	w, err := NewWorld(12, Options{
-		Net:       alphaBeta{alpha: 2e-5, beta: 1e-8},
-		Seed:      1,
-		Scheduler: SchedulerEvent,
-		Probe:     probe,
-	})
+	opts := Options{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}, Seed: 1, Probe: probe}
+	w, err := NewWorld(12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +236,10 @@ func TestRunProbeTimelines(t *testing.T) {
 			prevClock, prevIdle = c, id
 		}
 	}
-	// Rerunning with the probe must reset it, not append.
-	w.Reset()
+	// Another run with the probe must reset it, not append.
+	if w, err = NewWorld(12, opts); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Run(wavefrontProgram(4, 3, iters)); err != nil {
 		t.Fatal(err)
 	}

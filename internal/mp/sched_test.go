@@ -8,11 +8,42 @@ import (
 	"testing"
 )
 
-// schedulers lists every backend for table-driven semantics tests, the
-// event backend (the reference) first. The trace backend records its first
-// Run on the event machinery (so a single Run is a true execution) and
-// replays on reuse; the reset/replay tests cover both phases.
-var schedulers = []string{SchedulerEvent, SchedulerTrace}
+// recordReplay is the trace side of the cross-backend tests: it runs f on
+// a fresh event world under opts and the given parameter tables, recording
+// the run's trace, then replays the trace on a fresh Replayer with the same
+// options and tables. On return opts.Probe and opts.FailLog (when set)
+// hold the replay's record, not the recording run's.
+func recordReplay(tb testing.TB, n int, opts Options, charges []float64, sizes []int, f func(c *Comm) error) *Replayer {
+	tb.Helper()
+	w, err := NewWorld(n, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.SetParams(charges, sizes)
+	tr, err := w.RunRecorded(f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rp := NewReplayer()
+	if err := rp.Replay(tr, opts, ReplayParams{Charges: charges, Sizes: sizes}); err != nil {
+		tb.Fatal(err)
+	}
+	return rp
+}
+
+// requireSameClocks fails unless the event world and the replay agree bit
+// for bit on the makespan and on every rank's clock.
+func requireSameClocks(tb testing.TB, name string, w *World, rp *Replayer) {
+	tb.Helper()
+	if w.Makespan() != rp.Makespan() {
+		tb.Fatalf("%s: makespan event %v != trace %v", name, w.Makespan(), rp.Makespan())
+	}
+	for i := 0; i < w.Size(); i++ {
+		if w.Clock(i) != rp.Clock(i) {
+			tb.Fatalf("%s: rank %d clock event %v != trace %v", name, i, w.Clock(i), rp.Clock(i))
+		}
+	}
+}
 
 // wavefrontProgram is a miniature of the SWEEP3D pipeline: a px x py rank
 // array sweeping from all four corners with charges, tagged sends/receives
@@ -49,14 +80,18 @@ func wavefrontProgram(px, py, iters int) func(c *Comm) error {
 	}
 }
 
-func runWavefront(t *testing.T, sched string, seed int64) *World {
+// wavefrontOpts are the jittered options of runWavefront.
+func wavefrontOpts(seed int64) Options {
+	return Options{
+		Net:   alphaBeta{alpha: 2e-5, beta: 1e-8},
+		Noise: jitterNoise{0.05},
+		Seed:  seed,
+	}
+}
+
+func runWavefront(t *testing.T, seed int64) *World {
 	t.Helper()
-	w, err := NewWorld(12, Options{
-		Net:       alphaBeta{alpha: 2e-5, beta: 1e-8},
-		Noise:     jitterNoise{0.05},
-		Seed:      seed,
-		Scheduler: sched,
-	})
+	w, err := NewWorld(12, wavefrontOpts(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,36 +102,22 @@ func runWavefront(t *testing.T, sched string, seed int64) *World {
 }
 
 // TestSchedulerEquivalence is the cross-backend correctness harness: for
-// identical seeds a trace replay (Reset+Run after the recording run) must
-// agree bit for bit with the event backend on the makespan and on every
-// rank's final clock.
+// identical seeds a replay of the recorded trace must agree bit for bit
+// with the event backend on the makespan and on every rank's final clock.
 func TestSchedulerEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
-		e := runWavefront(t, SchedulerEvent, seed)
-		ec := e.SortedClocks()
-		tr := runWavefront(t, SchedulerTrace, seed)
-		tr.Reset()
-		if err := tr.Run(wavefrontProgram(4, 3, 5)); err != nil {
-			t.Fatal(err)
-		}
-		if e.Makespan() != tr.Makespan() {
-			t.Fatalf("seed %d: makespan event %v != trace %v", seed, e.Makespan(), tr.Makespan())
-		}
-		tc := tr.SortedClocks()
-		for i := range ec {
-			if ec[i] != tc[i] {
-				t.Fatalf("seed %d: clock[%d] event %v != trace %v", seed, i, ec[i], tc[i])
-			}
-		}
+		e := runWavefront(t, seed)
+		rp := recordReplay(t, 12, wavefrontOpts(seed), nil, nil, wavefrontProgram(4, 3, 5))
+		requireSameClocks(t, fmt.Sprintf("seed %d", seed), e, rp)
 	}
 }
 
 // TestEventSchedulerDeterministic runs the same seeded program repeatedly
 // and across GOMAXPROCS settings; every run must be bit-identical.
 func TestEventSchedulerDeterministic(t *testing.T) {
-	ref := runWavefront(t, SchedulerEvent, 99).SortedClocks()
+	ref := runWavefront(t, 99).SortedClocks()
 	for rep := 0; rep < 3; rep++ {
-		got := runWavefront(t, SchedulerEvent, 99).SortedClocks()
+		got := runWavefront(t, 99).SortedClocks()
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, got[i], ref[i])
@@ -105,7 +126,7 @@ func TestEventSchedulerDeterministic(t *testing.T) {
 	}
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	got := runWavefront(t, SchedulerEvent, 99).SortedClocks()
+	got := runWavefront(t, 99).SortedClocks()
 	for i := range ref {
 		if got[i] != ref[i] {
 			t.Fatalf("GOMAXPROCS=1: clock[%d] = %v, want %v", i, got[i], ref[i])
@@ -117,7 +138,7 @@ func TestEventSchedulerDeterministic(t *testing.T) {
 // event backend: tag selectivity, non-overtaking, payload copying,
 // causality, collectives and broadcast.
 func TestEventSemanticsBattery(t *testing.T) {
-	opts := Options{Scheduler: SchedulerEvent}
+	opts := Options{}
 
 	t.Run("tag-selectivity", func(t *testing.T) {
 		_, err := RunWorld(2, opts, func(c *Comm) error {
@@ -177,7 +198,7 @@ func TestEventSemanticsBattery(t *testing.T) {
 	})
 
 	t.Run("causality", func(t *testing.T) {
-		w, err := NewWorld(2, Options{Net: alphaBeta{alpha: 0.5}, Scheduler: SchedulerEvent})
+		w, err := NewWorld(2, Options{Net: alphaBeta{alpha: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +259,7 @@ func TestEventSemanticsBattery(t *testing.T) {
 	})
 
 	t.Run("nonblocking", func(t *testing.T) {
-		w, err := NewWorld(2, Options{Net: alphaBeta{alpha: 0.5}, Scheduler: SchedulerEvent})
+		w, err := NewWorld(2, Options{Net: alphaBeta{alpha: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +285,7 @@ func TestEventSemanticsBattery(t *testing.T) {
 // TestEventSchedulerDetectsDeadlock checks that the event backend turns a
 // stuck world into an immediate error.
 func TestEventSchedulerDetectsDeadlock(t *testing.T) {
-	w, err := NewWorld(2, Options{Scheduler: SchedulerEvent})
+	w, err := NewWorld(2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +301,9 @@ func TestEventSchedulerDetectsDeadlock(t *testing.T) {
 }
 
 // TestEventSchedulerErrorPaths checks the event backend's error handling
-// for invalid arguments, mismatched collectives and unknown schedulers.
+// for invalid arguments and mismatched collectives.
 func TestEventSchedulerErrorPaths(t *testing.T) {
-	opts := Options{Scheduler: SchedulerEvent}
+	opts := Options{}
 	for name, f := range map[string]func(c *Comm) error{
 		"self-send":    func(c *Comm) error { c.Send(0, 0, nil); return nil },
 		"invalid-dst":  func(c *Comm) error { c.Send(9, 0, nil); return nil },
@@ -313,12 +334,6 @@ func TestEventSchedulerErrorPaths(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected collective mismatch error")
 	}
-
-	for _, sched := range []string{"bogus", "goroutine"} {
-		if _, err := NewWorld(2, Options{Scheduler: sched}); err == nil {
-			t.Fatalf("scheduler %q: expected unknown-scheduler error", sched)
-		}
-	}
 }
 
 // TestEventSchedulerRunsAheadPipeline checks the virtual-time pipeline
@@ -326,7 +341,7 @@ func TestEventSchedulerErrorPaths(t *testing.T) {
 // TestRingPipelineVirtualTime).
 func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 	const n = 8
-	w, err := NewWorld(n, Options{Net: alphaBeta{}, Scheduler: SchedulerEvent})
+	w, err := NewWorld(n, Options{Net: alphaBeta{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +363,14 @@ func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalenceRandomPrograms fuzzes every backend with random
+// TestSchedulerEquivalenceRandomPrograms fuzzes both backends with random
 // charge/exchange schedules under three option sets, one per replay path:
 // an RNG-drawing net (the perturbed loop drawing per op), a deterministic
 // net (the fused loop; steps that receive from both neighbours fuse into
 // two-receive macros, which park between their receives), and the
 // deterministic net with seeded random delays and a probe (the perturbed
-// loop). The trace backend replays its recording; every rank's clock and
-// the probe's clock/idle rows must match the event backend bit for bit.
+// loop). A replay of the recorded trace must match the event backend bit
+// for bit on every rank's clock and the probe's clock/idle rows.
 // A fourth input set, noisy random programs under delays and fail-stops
 // at every op index, runs in requireNoisyRandomEquivalence.
 func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
@@ -400,42 +415,25 @@ func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 			{"det+delays+probe", Options{Net: det, Delays: delays}, true},
 		}
 		for _, set := range sets {
-			var ref *World
-			var refProbe *RunProbe
-			for _, sched := range schedulers {
-				opts := set.opts
-				opts.Scheduler = sched
-				if set.probe {
-					opts.Probe = &RunProbe{}
-				}
-				w, err := NewWorld(n, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Run(prog); err != nil {
-					t.Fatal(err)
-				}
-				if sched == SchedulerTrace {
-					// The first Run recorded; compare the replay.
-					w.Reset()
-					if err := w.Run(prog); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if ref == nil {
-					ref, refProbe = w, opts.Probe
-					continue
-				}
-				for i := 0; i < n; i++ {
-					if ref.Clock(i) != w.Clock(i) {
-						t.Fatalf("trial %d %s: rank %d clock %s %v vs %s %v",
-							trial, set.name, i, schedulers[0], ref.Clock(i), sched, w.Clock(i))
-					}
-				}
-				if set.probe {
-					requireSameProbe(t, fmt.Sprintf("trial %d %s", trial, set.name),
-						schedulers[0]+" vs "+sched, refProbe, opts.Probe)
-				}
+			opts := set.opts
+			if set.probe {
+				opts.Probe = &RunProbe{}
+			}
+			w, err := NewWorld(n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(prog); err != nil {
+				t.Fatal(err)
+			}
+			eventProbe := opts.Probe
+			if set.probe {
+				opts.Probe = &RunProbe{}
+			}
+			name := fmt.Sprintf("trial %d %s", trial, set.name)
+			requireSameClocks(t, name, w, recordReplay(t, n, opts, nil, nil, prog))
+			if set.probe {
+				requireSameProbe(t, name, "event vs trace", eventProbe, opts.Probe)
 			}
 		}
 	}
@@ -557,11 +555,9 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 		}
 		return ds, fs
 	}
-	// run executes the program on the event backend, or on the trace
-	// backend (record, then replay), and returns the world with its probe
-	// and fail log.
-	run := func(sched string, opts Options) (*World, *RunProbe, *FailLog) {
-		opts.Scheduler = sched
+	// run executes the program on the event backend and returns the world
+	// with its probe and fail log; replay records it and replays the trace.
+	run := func(opts Options) (*World, *RunProbe, *FailLog) {
 		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
 		w, err := NewWorld(n, opts)
 		if err != nil {
@@ -571,13 +567,11 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 		if err := w.Run(prog); err != nil {
 			t.Fatal(err)
 		}
-		if sched == SchedulerTrace {
-			w.Reset()
-			if err := w.Run(prog); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return w, opts.Probe, opts.FailLog
+	}
+	replay := func(opts Options) (*Replayer, *RunProbe, *FailLog) {
+		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
+		return recordReplay(t, n, opts, charges, nil, prog), opts.Probe, opts.FailLog
 	}
 	same := func(name string, ew *World, ep *RunProbe, el *FailLog, clock func(int) float64, marks []float64, p *RunProbe, l *FailLog) {
 		t.Helper()
@@ -604,9 +598,9 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 		ds, fs := events()
 		macroSubStepsHit(tr, ds, hit)
 		opts := Options{Net: net, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
-		ew, ep, el := run(SchedulerEvent, opts)
-		tw, tp, tl := run(SchedulerTrace, opts)
-		same(fmt.Sprintf("seed %d %s", seed, name), ew, ep, el, tw.Clock, tw.Marks(), tp, tl)
+		ew, ep, el := run(opts)
+		rp, tp, tl := replay(opts)
+		same(fmt.Sprintf("seed %d %s", seed, name), ew, ep, el, rp.Clock, rp.Marks(), tp, tl)
 	}
 
 	nt := BindNoise(tr, charges, noise, seed)
@@ -617,7 +611,7 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 	for k := 0; k < 3; k++ {
 		ds, fs := events()
 		opts := Options{Net: det, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
-		ew, ep, el := run(SchedulerEvent, opts)
+		ew, ep, el := run(opts)
 		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
 		if err := rp.Replay(tr, opts, ReplayParams{Charges: charges, Noise: nt}); err != nil {
 			t.Fatal(err)
@@ -718,39 +712,16 @@ func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 	for name, net := range testHierNets() {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77} {
-				run := func(sched string) *World {
-					w, err := NewWorld(12, Options{
-						Net:       net,
-						Noise:     jitterNoise{0.04},
-						Seed:      seed,
-						Scheduler: sched,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := w.Run(wavefrontProgram(4, 3, 4)); err != nil {
-						t.Fatal(err)
-					}
-					return w
-				}
-				e := run(SchedulerEvent)
-				ec := e.SortedClocks()
-				tr := run(SchedulerTrace)
-				tr.Reset()
-				if err := tr.Run(wavefrontProgram(4, 3, 4)); err != nil {
+				opts := Options{Net: net, Noise: jitterNoise{0.04}, Seed: seed}
+				e, err := NewWorld(12, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Makespan() != tr.Makespan() {
-					t.Fatalf("%s seed %d: makespan event %v != trace %v",
-						name, seed, e.Makespan(), tr.Makespan())
+				if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
+					t.Fatal(err)
 				}
-				tc := tr.SortedClocks()
-				for i := range ec {
-					if ec[i] != tc[i] {
-						t.Fatalf("%s seed %d: clock[%d] event %v != trace %v",
-							name, seed, i, ec[i], tc[i])
-					}
-				}
+				rp := recordReplay(t, 12, opts, nil, nil, wavefrontProgram(4, 3, 4))
+				requireSameClocks(t, fmt.Sprintf("%s seed %d", name, seed), e, rp)
 			}
 		})
 	}
@@ -765,7 +736,7 @@ func TestHierarchicalDiffersFromFlattened(t *testing.T) {
 	intraOnly := alphaBeta{alpha: hier.alpha[0], beta: hier.beta[0]}
 	interOnly := alphaBeta{alpha: hier.alpha[1], beta: hier.beta[1]}
 	span := func(net NetworkModel) float64 {
-		w, err := NewWorld(12, Options{Net: net, Scheduler: SchedulerEvent})
+		w, err := NewWorld(12, Options{Net: net})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package mp
 
-// The trace-compiled replay backend (Options.Scheduler == SchedulerTrace).
+// The trace-compiled replay backend: recorded (or class-compiled)
+// communication scripts replayed by a Replayer.
 //
 // Rationale: the event backend already removed locks and broadcast wake-ups,
 // but every genuine block/wake still crosses two buffered-channel hops (park
@@ -11,11 +12,11 @@ package mp
 // single-goroutine event loop with no channels, no goroutines, and no
 // per-op allocations at all.
 //
-// The backend therefore has two phases:
+// A trace comes from one of two builders and is then replayed:
 //
-//   - Recording: the first Run executes the rank function for real on the
-//     event machinery, while each Comm operation appends one compact op to
-//     the recording rank's script: sends and receives with their partner
+//   - Recording: World.RunRecorded executes the rank function for real on
+//     the event machinery, while each Comm operation appends one compact op
+//     to the recording rank's script: sends and receives with their partner
 //     (delta-encoded), tag and wire size; compute charges; collectives;
 //     marks. The recording run is itself a valid run — its clocks are the
 //     event backend's, bit for bit.
@@ -27,8 +28,8 @@ package mp
 //     ranks share their representative's chunk-id sequence. internal/pace
 //     compiles every template trace this way, from at most nine boundary
 //     classes.
-//   - Replay: subsequent Reset+Run cycles execute the recorded script in
-//     the Replayer, a goroutine-free state machine that mirrors the event
+//   - Replay: Replayer.Replay executes the script in a goroutine-free
+//     state machine that mirrors the event
 //     scheduler's min-(clock, id) schedule with the same handoff-slot +
 //     clock-heap structure — but a "handoff" is now an array index swap
 //     instead of a channel send, and a "blocked rank" is three words of
@@ -76,11 +77,6 @@ import (
 	"math/rand"
 	"slices"
 )
-
-// SchedulerTrace selects the trace-compiled replay backend: the first Run
-// records the program on the event machinery, later Runs replay the
-// recorded script without goroutines or channels. See the comment above.
-const SchedulerTrace = "trace"
 
 // MaxMarks is the number of mark slots a World carries (Comm.Mark).
 const MaxMarks = 8

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -16,36 +17,39 @@ func (detAlphaBeta) CostsDeterministic() bool { return true }
 
 // TestTraceRecordThenReplayDetNet covers the deterministic-cost replay
 // fast path: recorded clocks and replayed clocks must match a fresh event
-// run bit for bit, across several replays.
+// run bit for bit, across several replays on one replayer.
 func TestTraceRecordThenReplayDetNet(t *testing.T) {
 	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
 	prog := wavefrontProgram(4, 3, 4)
-	ref, err := NewWorld(12, Options{Net: net, Seed: 11, Scheduler: SchedulerEvent})
+	ref, err := NewWorld(12, Options{Net: net, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	tw, err := NewWorld(12, Options{Net: net, Seed: 11, Scheduler: SchedulerTrace})
+	tw, err := NewWorld(12, Options{Net: net, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rep := 0; rep < 4; rep++ {
-		if rep > 0 {
-			tw.Reset()
-		}
-		if err := tw.Run(prog); err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		for i := 0; i < 12; i++ {
-			if tw.Clock(i) != ref.Clock(i) {
-				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, tw.Clock(i), ref.Clock(i))
-			}
+	tr, err := tw.RunRecorded(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Ranks() != 12 || tr.Ops() == 0 {
+		t.Fatalf("trace not captured: %+v", tr)
+	}
+	for i := 0; i < 12; i++ {
+		if tw.Clock(i) != ref.Clock(i) {
+			t.Fatalf("recording: clock[%d] = %v, want %v", i, tw.Clock(i), ref.Clock(i))
 		}
 	}
-	if tr := tw.Trace(); tr == nil || tr.Ranks() != 12 || tr.Ops() == 0 {
-		t.Fatalf("trace not captured: %+v", tw.Trace())
+	rp := NewReplayer()
+	for rep := 0; rep < 3; rep++ {
+		if err := rp.Replay(tr, Options{Net: net, Seed: 11}, ReplayParams{}); err != nil {
+			t.Fatalf("rep %d: %v", rep, err)
+		}
+		requireSameClocks(t, fmt.Sprintf("rep %d", rep), ref, rp)
 	}
 }
 
@@ -54,14 +58,14 @@ func TestTraceRecordThenReplayDetNet(t *testing.T) {
 // records the same ops, so the trace must be far smaller than the raw op
 // stream.
 func TestTraceChunkInterning(t *testing.T) {
-	w, err := NewWorld(16, Options{Scheduler: SchedulerTrace})
+	w, err := NewWorld(16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(ringProgram(200)); err != nil {
+	tr, err := w.RunRecorded(ringProgram(200))
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.Trace()
 	if tr.Ops() != 16*200*3 {
 		t.Fatalf("ops = %d, want %d", tr.Ops(), 16*200*3)
 	}
@@ -97,36 +101,34 @@ func TestTraceParamReplay(t *testing.T) {
 	chargesB := []float64{5e-4, 1e-5, 7e-4}
 	sizesB := []int{64, 4096}
 
-	run := func(sched string, charges []float64, sizes []int) *World {
-		w, err := NewWorld(n, Options{Net: net, Scheduler: sched})
+	world := func(charges []float64, sizes []int) *World {
+		w, err := NewWorld(n, Options{Net: net})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.SetParams(charges, sizes)
-		if err := w.Run(prog); err != nil {
-			t.Fatal(err)
-		}
 		return w
 	}
 
-	tw := run(SchedulerTrace, chargesA, sizesA) // records under table A
+	tr, err := world(chargesA, sizesA).RunRecorded(prog) // records under table A
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplayer()
 	for _, tab := range []struct {
 		charges []float64
 		sizes   []int
 	}{{chargesA, sizesA}, {chargesB, sizesB}} {
-		ref := run(SchedulerEvent, tab.charges, tab.sizes)
-		tw.Reset()
-		tw.SetParams(tab.charges, tab.sizes)
-		if err := tw.Run(prog); err != nil {
+		ref := world(tab.charges, tab.sizes)
+		if err := ref.Run(prog); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if tw.Clock(i) != ref.Clock(i) {
-				t.Fatalf("clock[%d] = %v, want %v", i, tw.Clock(i), ref.Clock(i))
-			}
+		if err := rp.Replay(tr, Options{Net: net}, ReplayParams{Charges: tab.charges, Sizes: tab.sizes}); err != nil {
+			t.Fatal(err)
 		}
-		if tw.Marks()[0] != ref.Marks()[0] {
-			t.Fatalf("mark = %v, want %v", tw.Marks()[0], ref.Marks()[0])
+		requireSameClocks(t, "swapped tables", ref, rp)
+		if rp.Marks()[0] != ref.Marks()[0] {
+			t.Fatalf("mark = %v, want %v", rp.Marks()[0], ref.Marks()[0])
 		}
 	}
 }
@@ -135,7 +137,7 @@ func TestTraceParamReplay(t *testing.T) {
 // under different parameter tables via the public Replayer API.
 func TestTraceReplayerShared(t *testing.T) {
 	net := detAlphaBeta{alphaBeta{alpha: 1e-5}}
-	w, err := NewWorld(4, Options{Net: net, Scheduler: SchedulerEvent})
+	w, err := NewWorld(4, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +184,14 @@ func TestTraceReplayerShared(t *testing.T) {
 }
 
 // TestTraceFailedRecordingNotStored pins the recording failure contract:
-// a deadlocked recording stores no trace, and the world records again
-// (successfully) after Reset.
+// a deadlocked recording returns no trace, and a fresh world records the
+// corrected program.
 func TestTraceFailedRecordingNotStored(t *testing.T) {
-	w, err := NewWorld(2, Options{Scheduler: SchedulerTrace})
+	w, err := NewWorld(2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.Run(func(c *Comm) error {
+	tr, err := w.RunRecorded(func(c *Comm) error {
 		if c.Rank() == 1 {
 			c.Recv(0, 99) // never sent
 		}
@@ -198,107 +200,86 @@ func TestTraceFailedRecordingNotStored(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected deadlock error from recording run")
 	}
-	if w.Trace() != nil {
-		t.Fatal("failed recording stored a trace")
+	if tr != nil {
+		t.Fatal("failed recording returned a trace")
 	}
-	w.Reset()
-	good := func(c *Comm) error {
+	if w, err = NewWorld(2, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err = w.RunRecorded(func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.SendN(1, 0, 64, nil)
 		} else {
 			c.RecvN(0, 0)
 		}
 		return nil
-	}
-	if err := w.Run(good); err != nil {
-		t.Fatal(err)
-	}
-	if w.Trace() == nil {
-		t.Fatal("successful recording stored no trace")
-	}
-	// DiscardTrace forces a re-record.
-	w.DiscardTrace()
-	w.Reset()
-	if err := w.Run(good); err != nil {
-		t.Fatal(err)
-	}
-	if w.Trace() == nil {
-		t.Fatal("re-record after DiscardTrace stored no trace")
-	}
-}
-
-// TestTraceReplayZeroAllocs is the replay-path allocation acceptance,
-// mirroring TestEventSteadyStateZeroAllocs: a warmed trace world must
-// replay with zero heap allocations for the entire Reset+Run cycle.
-func TestTraceReplayZeroAllocs(t *testing.T) {
-	w, err := NewWorld(8, Options{
-		Net:       alphaBeta{alpha: 1e-6, beta: 1e-9},
-		Seed:      7,
-		Scheduler: SchedulerTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := ringProgram(50)
-	// Warm: the first run records; the next replays materialise the
-	// replayer, its per-rank streams and RNGs.
-	for i := 0; i < 3; i++ {
-		if i > 0 {
-			w.Reset()
-		}
-		if err := w.Run(prog); err != nil {
+	if tr == nil {
+		t.Fatal("successful recording returned no trace")
+	}
+}
+
+// recordRing records ringProgram(50) on 8 ranks under opts.
+func recordRing(tb testing.TB, opts Options) *Trace {
+	tb.Helper()
+	w, err := NewWorld(8, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := w.RunRecorded(ringProgram(50))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// requireZeroAllocReplays warms a replayer on the trace, then requires
+// zero heap allocations per further Replay.
+func requireZeroAllocReplays(t *testing.T, name string, tr *Trace, opts Options) {
+	t.Helper()
+	rp := NewReplayer()
+	// Warm: the first replays materialise the replayer, its per-rank
+	// streams and RNGs.
+	for i := 0; i < 2; i++ {
+		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		w.Reset()
-		if err := w.Run(prog); err != nil {
+		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("steady-state replay Reset+Run allocations = %v per cycle (%d message ops), want 0", avg, 8*50*2)
+		t.Errorf("%s: steady-state replay allocations = %v per replay (%d message ops), want 0", name, avg, 8*50*2)
 	}
+}
+
+// TestTraceReplayZeroAllocs is the replay-path allocation acceptance: a
+// warmed replayer must replay with zero heap allocations.
+func TestTraceReplayZeroAllocs(t *testing.T) {
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Seed: 7}
+	requireZeroAllocReplays(t, "rng net", recordRing(t, opts), opts)
 }
 
 // TestTraceReplayZeroAllocsDetNet is the same acceptance on the
 // deterministic-cost fast path (precomputed price tables, no RNGs).
 func TestTraceReplayZeroAllocsDetNet(t *testing.T) {
-	w, err := NewWorld(8, Options{
-		Net:       detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}},
-		Scheduler: SchedulerTrace,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := ringProgram(50)
-	for i := 0; i < 3; i++ {
-		if i > 0 {
-			w.Reset()
-		}
-		if err := w.Run(prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		w.Reset()
-		if err := w.Run(prog); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("det-net replay Reset+Run allocations = %v per cycle, want 0", avg)
-	}
+	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}}
+	requireZeroAllocReplays(t, "det net", recordRing(t, opts), opts)
 }
 
 // TestTraceReplayZeroAllocsPerturbationDisabled guards the serving fast
 // path against the fault-injection machinery: a warmed replayer that has
 // just executed a *perturbed* replay (delays + probe, which allocate
-// cursor state) must return to zero allocations per Reset+Run cycle the
-// moment perturbation is disabled again.
+// cursor state) must return to zero allocations per replay the moment
+// perturbation is disabled again.
 func TestTraceReplayZeroAllocsPerturbationDisabled(t *testing.T) {
 	net := alphaBeta{alpha: 1e-6, beta: 1e-9}
-	w, err := NewWorld(8, Options{Net: net, Seed: 7, Scheduler: SchedulerEvent})
+	w, err := NewWorld(8, Options{Net: net, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,29 +330,35 @@ func TestTraceReplayZeroAllocsPerturbationDisabled(t *testing.T) {
 func TestTraceNonDeterministicNetBitIdentical(t *testing.T) {
 	net := jitterNet{alphaBeta{alpha: 2e-5, beta: 1e-8}, 0.2}
 	prog := wavefrontProgram(3, 2, 4)
-	ref, err := NewWorld(6, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99, Scheduler: SchedulerEvent})
+	ref, err := NewWorld(6, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	tw, err := NewWorld(6, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99, Scheduler: SchedulerTrace})
+	requireRepeatedReplays(t, ref, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99}, prog)
+}
+
+// requireRepeatedReplays records prog under opts and replays the trace
+// three times on one replayer; every replay must equal the event run ref
+// bit for bit.
+func requireRepeatedReplays(t *testing.T, ref *World, opts Options, prog func(c *Comm) error) {
+	t.Helper()
+	w, err := NewWorld(ref.Size(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, err := w.RunRecorded(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplayer()
 	for rep := 0; rep < 3; rep++ {
-		if rep > 0 {
-			tw.Reset()
-		}
-		if err := tw.Run(prog); err != nil {
+		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 6; i++ {
-			if tw.Clock(i) != ref.Clock(i) {
-				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, tw.Clock(i), ref.Clock(i))
-			}
-		}
+		requireSameClocks(t, fmt.Sprintf("rep %d", rep), ref, rp)
 	}
 }
 
@@ -421,30 +408,14 @@ func TestTraceStreamOverflow(t *testing.T) {
 		return nil
 	}
 	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
-	ref, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerEvent})
+	ref, err := NewWorld(n, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	tw, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerTrace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		if rep > 0 {
-			tw.Reset()
-		}
-		if err := tw.Run(prog); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if tw.Clock(i) != ref.Clock(i) {
-				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, tw.Clock(i), ref.Clock(i))
-			}
-		}
-	}
+	requireRepeatedReplays(t, ref, Options{Net: net}, prog)
 }
 
 // TestTraceStreamSlotCap pins the stream slot cap. Rank 0 receiving from
@@ -465,22 +436,19 @@ func TestTraceStreamSlotCap(t *testing.T) {
 		return nil
 	}
 	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
-	ev, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerEvent})
+	ev, err := NewWorld(n, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ev.Run(gather); err != nil {
 		t.Fatalf("event backend: %v", err)
 	}
-	tw, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerTrace})
+	tw, err := NewWorld(n, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Run(gather); !errors.Is(err, ErrTooManyStreams) {
-		t.Fatalf("trace backend: err = %v, want ErrTooManyStreams", err)
-	}
-	if tw.Trace() != nil || tw.rep != nil {
-		t.Fatal("an over-cap recording left a trace or a replayer behind")
+	if tr, err := tw.RunRecorded(gather); !errors.Is(err, ErrTooManyStreams) || tr != nil {
+		t.Fatalf("recording: trace %v, err = %v, want ErrTooManyStreams", tr, err)
 	}
 
 	// Two ranks, one stream per tag: maxStreamSlots tags fit exactly.
@@ -494,7 +462,7 @@ func TestTraceStreamSlotCap(t *testing.T) {
 		}
 		return nil
 	}
-	w, err := NewWorld(2, Options{Scheduler: SchedulerEvent})
+	w, err := NewWorld(2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,33 +541,20 @@ func TestTraceReplayBoundNoise(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceReplay measures the warmed Reset+Run replay cycle beside
-// BenchmarkWorldReuseRun's event-backend numbers (same 8-rank, 800-op
-// workload); ReportAllocs documents the zero-allocation steady state the
-// CI gate holds.
+// BenchmarkTraceReplay measures a warmed replay of an 8-rank, 800-op ring
+// trace; ReportAllocs documents the zero-allocation steady state the CI
+// gate holds.
 func BenchmarkTraceReplay(b *testing.B) {
-	w, err := NewWorld(8, Options{
-		Net:       alphaBeta{alpha: 1e-6, beta: 1e-9},
-		Seed:      7,
-		Scheduler: SchedulerTrace,
-	})
-	if err != nil {
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Seed: 7}
+	tr := recordRing(b, opts)
+	rp := NewReplayer()
+	if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 		b.Fatal(err)
-	}
-	prog := ringProgram(50)
-	for i := 0; i < 2; i++ {
-		if i > 0 {
-			w.Reset()
-		}
-		if err := w.Run(prog); err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		if err := w.Run(prog); err != nil {
+		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -719,7 +674,7 @@ func paramRingProgram(n, rounds int) func(c *Comm) error {
 
 func recordParamRing(t testing.TB, n, rounds int) *Trace {
 	t.Helper()
-	w, err := NewWorld(n, Options{Scheduler: SchedulerEvent})
+	w, err := NewWorld(n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

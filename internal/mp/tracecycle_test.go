@@ -50,7 +50,7 @@ func markedWavefront(px, py, iters int) func(c *Comm) error {
 // and returns the compiled trace.
 func recordMarkedWavefront(t *testing.T, net NetworkModel, iters int) *Trace {
 	t.Helper()
-	w, err := NewWorld(12, Options{Net: net, Scheduler: SchedulerEvent})
+	w, err := NewWorld(12, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTraceExtrapolationMatchesEvent(t *testing.T) {
 			}
 			r := NewReplayer()
 			for _, iters := range []int{base, 11, 40, 400, 4000} {
-				ref, err := NewWorld(12, Options{Net: net, Scheduler: SchedulerEvent})
+				ref, err := NewWorld(12, Options{Net: net})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,9 +196,7 @@ func TestTraceExtrapolationPerturbedFallsBack(t *testing.T) {
 	}
 	for name, opts := range rows {
 		t.Run(name, func(t *testing.T) {
-			refOpts := opts
-			refOpts.Scheduler = SchedulerEvent
-			ref, err := NewWorld(12, refOpts)
+			ref, err := NewWorld(12, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +207,7 @@ func TestTraceExtrapolationPerturbedFallsBack(t *testing.T) {
 			if opts.Noise != nil {
 				// Noisy charges must be recorded as re-drawable ops; a
 				// noise-free recording replays them exactly by design.
-				w, err := NewWorld(12, refOpts)
+				w, err := NewWorld(12, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -215,7 +215,7 @@ func (g *genProgram) program(iters int) func(c *Comm) error {
 }
 
 func (g *genProgram) world(net NetworkModel) (*World, error) {
-	w, err := NewWorld(g.n, Options{Net: net, Scheduler: SchedulerEvent})
+	w, err := NewWorld(g.n, Options{Net: net})
 	if err != nil {
 		return nil, err
 	}

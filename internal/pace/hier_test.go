@@ -5,7 +5,6 @@ import (
 
 	"pacesweep/internal/capp"
 	"pacesweep/internal/hwmodel"
-	"pacesweep/internal/mp"
 	"pacesweep/internal/platform"
 )
 
@@ -48,7 +47,7 @@ func hierEvaluator(t *testing.T, m *hwmodel.Model) *Evaluator {
 func TestHierarchicalBackendsBitIdentical(t *testing.T) {
 	cfg := paperConfig(4, 2) // 8 ranks over 2 nodes of 4
 	var ref *Prediction
-	for _, sched := range []string{mp.SchedulerTrace, mp.SchedulerEvent} {
+	for _, sched := range []string{SchedulerTrace, SchedulerEvent} {
 		ev := hierEvaluator(t, hierTestModel())
 		ev.Scheduler = sched
 		p, err := ev.Predict(cfg)
@@ -143,7 +142,7 @@ func TestTraceSharedAcrossHierarchy(t *testing.T) {
 
 	for _, m := range []*hwmodel.Model{testModel(), hierTestModel()} {
 		ev := hierEvaluator(t, m)
-		ev.Scheduler = mp.SchedulerTrace
+		ev.Scheduler = SchedulerTrace
 		if _, err := ev.Predict(cfg); err != nil {
 			t.Fatal(err)
 		}

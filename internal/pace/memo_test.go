@@ -3,8 +3,6 @@ package pace
 import (
 	"sync"
 	"testing"
-
-	"pacesweep/internal/mp"
 )
 
 // TestPredictionMemoHitsAndCopies covers the memo contract: a hit returns
@@ -137,104 +135,36 @@ func TestPredictionMemoEviction(t *testing.T) {
 	}
 }
 
-// TestWorldPoolEviction drives a long-tailed sweep over many array sizes
-// through a capped pool: idle worlds beyond the cap must be evicted
-// (least recently released first), the counters must record it, and an
-// evicted size must still predict identically when it comes back.
-func TestWorldPoolEviction(t *testing.T) {
-	ev := testEvaluator(t)
-	// Pin the event backend: it acquires one world per Predict, which is
-	// the traffic pattern this test pins down. (The trace default touches
-	// the world pool only on shape compilation, and the global trace cache
-	// would make that dependent on test order.)
-	ev.Scheduler = mp.SchedulerEvent
-	ev.SetWorldPoolCap(2)
-	sizes := [][2]int{{1, 1}, {1, 2}, {1, 3}, {2, 2}, {1, 5}}
-	want := make([]float64, len(sizes))
-	for i, d := range sizes {
-		p, err := ev.Predict(paperConfig(d[0], d[1]))
+// TestPooledWorldReuseMatchesFresh checks that trace-tier predictions
+// through the pooled replayers — alternating configurations of the same
+// array size — are bit-identical to a fresh evaluator's.
+func TestPooledWorldReuseMatchesFresh(t *testing.T) {
+	pooled := testEvaluator(t)
+	cfgA := paperConfig(3, 4)
+	cfgB := paperConfig(3, 4)
+	cfgB.MK = 5 // same array size, different kernel
+	var got [4]float64
+	for i, cfg := range []Config{cfgA, cfgB, cfgA, cfgB} {
+		p, err := pooled.Predict(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = p.Total
+		got[i] = p.Total
 	}
-	ps := ev.PoolStats()
-	if ps.IdleWorlds != 2 {
-		t.Errorf("idle worlds = %d, want 2 (cap)", ps.IdleWorlds)
+	if got[0] != got[2] || got[1] != got[3] {
+		t.Fatalf("pooled reuse drifted: %v", got)
 	}
-	if ps.WorldEvictions != uint64(len(sizes)-2) {
-		t.Errorf("world evictions = %d, want %d", ps.WorldEvictions, len(sizes)-2)
-	}
-	// Eviction must prune emptied pool keys, not just their worlds: a
-	// long-tailed sweep may see thousands of distinct sizes.
-	if got := len(ev.shared.worlds); got != 2 {
-		t.Errorf("pool map holds %d keys after eviction, want 2", got)
-	}
-	// The first size was evicted long ago; predicting it again builds a
-	// fresh world and must reproduce the value bit for bit.
-	p, err := ev.Predict(paperConfig(1, 1))
+	fresh := testEvaluator(t)
+	fa, err := fresh.Predict(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Total != want[0] {
-		t.Errorf("post-eviction prediction %v != original %v", p.Total, want[0])
+	fb, err := fresh.Predict(cfgB)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Raising the cap stops eviction; dropping it evicts immediately.
-	ev.SetWorldPoolCap(0)
-	for _, d := range sizes {
-		if _, err := ev.Predict(paperConfig(d[0], d[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ev.PoolStats().IdleWorlds; got != len(sizes) {
-		t.Errorf("uncapped idle worlds = %d, want %d", got, len(sizes))
-	}
-	before := ev.PoolStats().WorldEvictions
-	ev.SetWorldPoolCap(1)
-	after := ev.PoolStats()
-	if after.IdleWorlds != 1 {
-		t.Errorf("idle worlds after cap shrink = %d, want 1", after.IdleWorlds)
-	}
-	if after.WorldEvictions != before+uint64(len(sizes)-1) {
-		t.Errorf("shrink evicted %d, want %d", after.WorldEvictions-before, len(sizes)-1)
-	}
-}
-
-// TestPooledWorldReuseMatchesFresh checks that predictions through the
-// world pool — including alternating configurations of the same array
-// size and both backends — are bit-identical to a fresh evaluator's.
-func TestPooledWorldReuseMatchesFresh(t *testing.T) {
-	for _, sched := range []string{"", mp.SchedulerEvent} {
-		pooled := testEvaluator(t)
-		pooled.Scheduler = sched
-		cfgA := paperConfig(3, 4)
-		cfgB := paperConfig(3, 4)
-		cfgB.MK = 5 // same world size, different kernel
-		var got [4]float64
-		for i, cfg := range []Config{cfgA, cfgB, cfgA, cfgB} {
-			p, err := pooled.Predict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[i] = p.Total
-		}
-		if got[0] != got[2] || got[1] != got[3] {
-			t.Fatalf("sched=%q: pooled reuse drifted: %v", sched, got)
-		}
-		fresh := testEvaluator(t)
-		fresh.Scheduler = sched
-		fa, err := fresh.Predict(cfgA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := fresh.Predict(cfgB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fa.Total != got[0] || fb.Total != got[1] {
-			t.Fatalf("sched=%q: pooled %v/%v vs fresh %v/%v", sched, got[0], got[1], fa.Total, fb.Total)
-		}
+	if fa.Total != got[0] || fb.Total != got[1] {
+		t.Fatalf("pooled %v/%v vs fresh %v/%v", got[0], got[1], fa.Total, fb.Total)
 	}
 }
 

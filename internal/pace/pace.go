@@ -100,6 +100,16 @@ type Prediction struct {
 	ExtrapolatedIterations int
 }
 
+// The template evaluation tiers of Evaluator.Scheduler.
+const (
+	// SchedulerTrace compiles each configuration shape's communication
+	// script once and replays it per prediction (the default).
+	SchedulerTrace = "trace"
+	// SchedulerEvent evaluates every prediction live on the mp event
+	// backend.
+	SchedulerEvent = "event"
+)
+
 // Evaluator binds the application model to a fitted hardware model.
 type Evaluator struct {
 	HW *hwmodel.Model
@@ -116,11 +126,12 @@ type Evaluator struct {
 	UseOpcodeCosts bool
 
 	// Scheduler selects the mp backend for template evaluation; empty (or
-	// mp.SchedulerTrace) uses the trace tier: the configuration shape's
+	// SchedulerTrace) uses the trace tier: the configuration shape's
 	// communication script is compiled once and replayed per prediction
 	// under this evaluator's cost tables, bit-identical to the event
-	// backend. "event" forces live evaluation on the event backend, the
-	// trace tier's reference in the cross-backend equivalence tests.
+	// backend. SchedulerEvent runs every prediction live on a fresh event
+	// world, the trace tier's reference in the cross-backend equivalence
+	// tests.
 	Scheduler string
 
 	// Memo, when non-nil, caches whole Prediction results keyed by the
@@ -130,10 +141,10 @@ type Evaluator struct {
 	// rows across figures are computed once. See PredictionMemo.
 	Memo *PredictionMemo
 
-	// shared holds the world pool and cost-kernel cache. It is created by
-	// NewEvaluator and deliberately survives the shallow evaluator copies
-	// the drivers make for ablation/boost variants; nil on zero-value
-	// evaluators, which then take the uncached paths.
+	// shared holds the cost-kernel cache and idle replayers. It is
+	// created by NewEvaluator and deliberately survives the shallow
+	// evaluator copies the drivers make for ablation/boost variants; nil
+	// on zero-value evaluators, which then take the uncached paths.
 	shared *evalShared
 }
 

@@ -106,7 +106,7 @@ func templateClass(d grid.Decomp) func(rank int) int {
 // shape's communication script is compiled once (from its rank classes)
 // and replayed under this evaluator's cost tables — bit-identical clocks
 // to the event backend, no goroutines or channels on the replay.
-// Scheduler "event" forces live evaluation on the event backend.
+// SchedulerEvent evaluates live on a fresh event world instead.
 func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -129,9 +129,9 @@ func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	var total, sweepOnly float64
 	var extrapolated int
 	switch sched := e.Scheduler; sched {
-	case "", mp.SchedulerTrace:
+	case "", SchedulerTrace:
 		total, sweepOnly, extrapolated, err = e.evalTrace(cfg, k)
-	case mp.SchedulerEvent:
+	case SchedulerEvent:
 		total, sweepOnly, err = e.evalWorld(cfg, k)
 	default:
 		return nil, fmt.Errorf("pace: unknown scheduler %q", sched)
@@ -159,15 +159,14 @@ func (e *Evaluator) Predict(cfg Config) (*Prediction, error) {
 	return pred, nil
 }
 
-// evalWorld runs the template body live on a pooled event world,
+// evalWorld runs the template body live on a fresh event world,
 // returning the makespan and the first iteration's rank-0 sweep span.
 func (e *Evaluator) evalWorld(cfg Config, k *costKernel) (total, sweepOnly float64, err error) {
 	d := cfg.Decomp
-	w, release, err := e.acquireWorld(d.Size())
+	w, err := mp.NewWorld(d.Size(), mp.Options{Net: e.HW.Net()})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer release()
 	w.SetParams(k.charges, k.sizes)
 	if err := w.Run(templateBody(d, k.nab, k.nkb, cfg.Iterations, 0)); err != nil {
 		return 0, 0, err

@@ -25,7 +25,7 @@ package pace
 // per-evaluator cache block (evalShared) — because traces are
 // evaluator-independent: paceserve's per-platform evaluators all replay
 // the same compiled shapes. Replayers, by contrast, carry mutable replay
-// state and are pooled per evaluator family beside the worlds.
+// state and are pooled per evaluator family beside the kernel cache.
 
 import (
 	"errors"
@@ -309,7 +309,7 @@ func compileTrace(d grid.Decomp, nab, nkb, iterations, ckptEvery int) (*mp.Trace
 
 // replayerPoolCap bounds idle pooled replayers per evaluator family; a
 // replayer retains one trace's worth of cursor/stream state, so the cap is
-// small like the world pool's.
+// small.
 const replayerPoolCap = 16
 
 // acquireReplayer returns a pooled replayer and its release function.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pacesweep/internal/grid"
-	"pacesweep/internal/mp"
 )
 
 // traceMatrix is the cross-backend equivalence matrix: serial, asymmetric,
@@ -36,12 +35,12 @@ func TestTraceBackendBitIdentical(t *testing.T) {
 	ev := testEvaluator(t)
 	for _, cfg := range traceMatrix() {
 		evE := *ev
-		evE.Scheduler = mp.SchedulerEvent
+		evE.Scheduler = SchedulerEvent
 		want, err := evE.Predict(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sched := range []string{"", mp.SchedulerTrace} {
+		for _, sched := range []string{"", SchedulerTrace} {
 			evS := *ev
 			evS.Scheduler = sched
 			got, err := evS.Predict(cfg)
@@ -93,7 +92,7 @@ func TestTraceTierRepeatStable(t *testing.T) {
 	}
 	// And it must match the event backend bit for bit too.
 	evE := *ev
-	evE.Scheduler = mp.SchedulerEvent
+	evE.Scheduler = SchedulerEvent
 	want, err := evE.Predict(big)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package pace
 
-import (
-	"testing"
-
-	"pacesweep/internal/mp"
-)
+import "testing"
 
 // TestTracePredictLongHorizonExtrapolates is the canonicalization
 // acceptance: a long-horizon prediction on the (deterministic) fitted
@@ -33,7 +29,7 @@ func TestTracePredictLongHorizonExtrapolates(t *testing.T) {
 	}
 
 	evE := *ev
-	evE.Scheduler = mp.SchedulerEvent
+	evE.Scheduler = SchedulerEvent
 	want, err := evE.Predict(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -418,7 +418,7 @@ func (ev *evaluator) runPartmp(tmpl *Object, env *scope) (float64, error) {
 	if v, ok := env.lookup("npe_j"); ok && v.kind == 'n' && v.num >= 1 {
 		py = int(v.num)
 	}
-	w, err := mp.NewWorld(px*py, mp.Options{Net: ev.hw.Net(), Scheduler: mp.SchedulerEvent})
+	w, err := mp.NewWorld(px*py, mp.Options{Net: ev.hw.Net()})
 	if err != nil {
 		return 0, err
 	}

@@ -21,6 +21,7 @@ import (
 
 	"pacesweep/internal/breaker"
 	"pacesweep/internal/lru"
+	"pacesweep/internal/shard"
 )
 
 // chaosMode is one injected behaviour for one incoming request.
@@ -608,9 +609,9 @@ func TestChaosRingDisagreement(t *testing.T) {
 	hB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { sB.ServeHTTP(w, r) }))
 	defer hB.Close()
 
-	mk := func(self string, peers []string) *Server {
+	mk := func(self string, peers, platforms []string) *Server {
 		s, err := New(Config{
-			Platforms:         chaosPlatforms(),
+			Platforms:         platforms,
 			BuildEvaluator:    testBuilder(t),
 			Peers:             peers,
 			SelfURL:           self,
@@ -628,27 +629,49 @@ func TestChaosRingDisagreement(t *testing.T) {
 	// replica holds mid rolling-restart — so the rings disagree on every
 	// key the phantom "stole" from B's view.
 	phantom := "http://192.0.2.1:1"
-	sA = mk(hA.URL, []string{hA.URL, hB.URL})
-	sB = mk(hB.URL, []string{hA.URL, hB.URL, phantom})
+	membersA := []string{hA.URL, hB.URL}
+	membersB := []string{hA.URL, hB.URL, phantom}
 
 	// nameAB: A forwards to B, but B's ring says the phantom owns the key
 	// — the genuine disagreement; only the forwarded header stops B from
-	// proxying onward to the dead phantom. nameBA: B forwards to A.
+	// proxying onward to the dead phantom. nameBA: B forwards to A. The
+	// rings hash the httptest servers' random ports, so which names
+	// qualify changes from run to run (nameAB covers about a sixth of all
+	// keys): search generated names on rings built like the servers' until
+	// both turn up, and serve exactly those.
+	ringA, err := shard.New(membersA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringB, err := shard.New(membersB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nameAB, nameBA := "", ""
-	for _, n := range chaosPlatforms() {
+	for i := 0; i < 1<<16 && (nameAB == "" || nameBA == ""); i++ {
+		n := fmt.Sprintf("ring%05d", i)
 		fp := lru.HashString(n)
-		if nameAB == "" && sA.ring.Owner(fp) == hB.URL && sB.ring.Owner(fp) == phantom {
+		if nameAB == "" && ringA.Owner(fp) == hB.URL && ringB.Owner(fp) == phantom {
 			nameAB = n
 		}
-		if nameBA == "" && sB.ring.Owner(fp) == hA.URL {
+		if nameBA == "" && ringB.Owner(fp) == hA.URL {
 			nameBA = n
 		}
 	}
 	if nameAB == "" || nameBA == "" {
-		t.Fatalf("no disagreeing chaos platforms found (nameAB=%q nameBA=%q)", nameAB, nameBA)
+		t.Fatalf("no disagreeing platform names found (nameAB=%q nameBA=%q)", nameAB, nameBA)
+	}
+	platforms := []string{nameAB, nameBA}
+	sA = mk(hA.URL, membersA, platforms)
+	sB = mk(hB.URL, membersB, platforms)
+	if fp := lru.HashString(nameAB); sA.ring.Owner(fp) != hB.URL || sB.ring.Owner(fp) != phantom {
+		t.Fatalf("server rings route %s differently from the search rings", nameAB)
+	}
+	if sB.ring.Owner(lru.HashString(nameBA)) != hA.URL {
+		t.Fatalf("server rings route %s differently from the search rings", nameBA)
 	}
 
-	ref, err := New(Config{Platforms: chaosPlatforms(), BuildEvaluator: testBuilder(t)})
+	ref, err := New(Config{Platforms: platforms, BuildEvaluator: testBuilder(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,15 @@
 //
 //   - Every platform gets one fitted pace.Evaluator, built once on first
 //     use (the simulated benchmarking pipeline takes seconds) and shared
-//     by all requests; its world pool is capped (pace.SetWorldPoolCap) so
-//     long-tailed sweeps over many array sizes cannot pin a warmed world
-//     per size forever.
+//     by all requests.
 //   - Template evaluations run on pace's trace tier by default: each
 //     configuration *shape* is compiled once into a communication script
 //     (from the template's rank classes) and replayed per point with
 //     the point's cost tables — goroutine- and channel-free, bit-identical
 //     to the event backend. /v1/sweep groups its points by shape so one
 //     worker's chunk shares the compiled trace and a warmed replayer.
+//     Scheduler "event" evaluates every point live on a fresh event
+//     world instead; it is the reference the trace tier is tested against.
 //   - Each evaluator carries a size-bounded sharded-LRU prediction memo
 //     (pace.NewPredictionMemoSize), which is what /v1/sweep points hit.
 //   - Above that sits the response cache: a sharded LRU keyed by the
@@ -87,8 +87,9 @@ type Config struct {
 
 	// CustomEvaluators bounds the LRU of evaluators fitted for inline
 	// platform_spec submissions, keyed by spec fingerprint (default 16;
-	// <0 disables inline specs entirely). Each evaluator carries warmed
-	// world pools, so the bound is deliberately small.
+	// <0 disables inline specs entirely). Each evaluator carries a
+	// prediction memo, kernel cache and idle replayers, so the bound is
+	// deliberately small.
 	CustomEvaluators int
 
 	// Seed drives the simulated benchmarking pipeline that fits each
@@ -96,9 +97,11 @@ type Config struct {
 	Seed int64
 
 	// Scheduler selects the mp backend for template evaluation; empty
-	// means the trace tier (compile each configuration shape's
-	// communication script once, replay it per point — bit-identical to
-	// the event backend). "event" forces the live event scheduler.
+	// (or pace.SchedulerTrace) means the trace tier: compile each
+	// configuration shape's communication script once, replay it per
+	// point — bit-identical to the event backend. pace.SchedulerEvent
+	// evaluates every point live on a fresh event world, the one-shot
+	// reference.
 	Scheduler string
 
 	// ResponseCacheEntries bounds the /v1/predict response-byte LRU
@@ -113,11 +116,6 @@ type Config struct {
 	// MemoShards is the prediction memo's shard count (default
 	// pace.DefaultMemoShards).
 	MemoShards int
-
-	// WorldPoolCap bounds each evaluator's idle pooled worlds (default
-	// pace.DefaultWorldPoolCap; <0 = unbounded). Only the event scheduler
-	// runs on pooled worlds.
-	WorldPoolCap int
 
 	// MaxConcurrent bounds simultaneous model evaluations across all
 	// requests (default 2*GOMAXPROCS).
@@ -265,12 +263,6 @@ func (c Config) withDefaults() Config {
 	if c.MemoShards <= 0 {
 		c.MemoShards = pace.DefaultMemoShards
 	}
-	switch {
-	case c.WorldPoolCap == 0:
-		c.WorldPoolCap = pace.DefaultWorldPoolCap
-	case c.WorldPoolCap < 0:
-		c.WorldPoolCap = 0 // explicit unbounded
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -375,9 +367,10 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Scheduler {
-	case "", "trace", "event":
+	case "", pace.SchedulerTrace, pace.SchedulerEvent:
 	default:
-		return nil, fmt.Errorf("serve: unknown scheduler %q (want \"trace\" or \"event\")", cfg.Scheduler)
+		return nil, fmt.Errorf("serve: unknown scheduler %q (want %q or %q)",
+			cfg.Scheduler, pace.SchedulerTrace, pace.SchedulerEvent)
 	}
 	if cfg.BuildEvaluator == nil {
 		cfg.BuildEvaluator = defaultBuilder(cfg)
@@ -611,12 +604,11 @@ func (s *Server) modelEvaluator(spec platform.Spec) (*pace.Evaluator, error) {
 	return s.cfg.EvaluatorFromModel(m)
 }
 
-// equip attaches the server's serving configuration — scheduler backend,
-// bounded prediction memo, world-pool cap — to a freshly built evaluator.
+// equip attaches the server's serving configuration — scheduler backend
+// and bounded prediction memo — to a freshly built evaluator.
 func (s *Server) equip(ev *pace.Evaluator) *pace.Evaluator {
 	ev.Scheduler = s.cfg.Scheduler
 	ev.Memo = pace.NewPredictionMemoSize(s.cfg.MemoEntries, s.cfg.MemoShards)
-	ev.SetWorldPoolCap(s.cfg.WorldPoolCap)
 	return ev
 }
 

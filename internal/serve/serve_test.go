@@ -443,17 +443,16 @@ func TestSweepValidation(t *testing.T) {
 // TestSweepBoundedMemoryAndEvictionStats is the serving acceptance for
 // bounded caches: a 1000-point sweep over many array sizes on tightly
 // capped caches must complete, stay within the bounds, and surface LRU
-// and world-pool evictions through /v1/stats.
+// evictions through /v1/stats.
 func TestSweepBoundedMemoryAndEvictionStats(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.MemoEntries = 16
 		c.MemoShards = 1
-		c.WorldPoolCap = 2
 		c.ResponseCacheEntries = 4
 		c.ResponseCacheShards = 1
 		c.MaxSweepPoints = 1000
-		// The world pool serves only the event backend: the trace default
-		// compiles shapes without a world.
+		// Every point runs on its own fresh event world, so the bounds
+		// hold without any shape's trace in the process-global cache.
 		c.Scheduler = "event"
 	})
 	// 10 array sizes x 10 mk x 10 mmi = 1000 points over 10 world sizes.
@@ -514,13 +513,6 @@ func TestSweepBoundedMemoryAndEvictionStats(t *testing.T) {
 	if ev.Memo.Misses < 1000 {
 		t.Errorf("memo misses = %d, want >= 1000 distinct evaluations", ev.Memo.Misses)
 	}
-	// 10 world sizes through a 2-world idle pool.
-	if ev.Pool.IdleWorlds > 2 {
-		t.Errorf("idle worlds = %d, cap 2", ev.Pool.IdleWorlds)
-	}
-	if ev.Pool.WorldEvictions == 0 {
-		t.Error("world evictions = 0; pool eviction never engaged")
-	}
 	// 6 distinct predict responses through a 4-entry response cache.
 	if st.ResponseCache == nil {
 		t.Fatal("response cache stats missing")
@@ -551,11 +543,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`paceserve_requests_total{endpoint="predict"} 1`,
 		`paceserve_request_seconds_bucket{endpoint="predict",le="+Inf"} 1`,
 		`paceserve_memo_misses_total{platform="alpha"} 1`,
-		// Idle worlds depend on whether this shape's trace was already
-		// compiled (the trace cache is process-global), so assert only the
-		// series; the replayer pool is deterministically warmed by the
-		// trace-tier predict.
-		`paceserve_pool_idle_worlds{platform="alpha"} `,
+		// The replayer pool is deterministically warmed by the trace-tier
+		// predict.
 		`paceserve_pool_idle_replayers{platform="alpha"} 1`,
 		"paceserve_trace_cache_entries ",
 		"paceserve_trace_replays_total ",

@@ -129,8 +129,8 @@ func (e *endpointStats) snapshot() EndpointSnapshot {
 }
 
 // EvaluatorSnapshot is one fitted evaluator's cache block in the stats
-// JSON: the prediction memo's sharded-LRU counters plus the world-pool
-// and kernel-cache occupancy/evictions.
+// JSON: the prediction memo's sharded-LRU counters plus the idle replayer
+// count and the kernel cache's counters.
 type EvaluatorSnapshot struct {
 	Memo lru.Stats      `json:"memo"`
 	Pool pace.PoolStats `json:"pool"`
@@ -428,17 +428,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		writeCacheMetrics(w, "paceserve_memo", labels, memos)
 		writeCacheMetrics(w, "paceserve_kernel_cache", labels, kernels)
-		fmt.Fprintf(w, "# TYPE paceserve_pool_idle_worlds gauge\n")
-		for i, name := range platforms {
-			fmt.Fprintf(w, "paceserve_pool_idle_worlds%s %d\n", labels[i], st.Evaluators[name].Pool.IdleWorlds)
-		}
 		fmt.Fprintf(w, "# TYPE paceserve_pool_idle_replayers gauge\n")
 		for i, name := range platforms {
 			fmt.Fprintf(w, "paceserve_pool_idle_replayers%s %d\n", labels[i], st.Evaluators[name].Pool.IdleReplayers)
-		}
-		fmt.Fprintf(w, "# TYPE paceserve_pool_world_evictions_total counter\n")
-		for i, name := range platforms {
-			fmt.Fprintf(w, "paceserve_pool_world_evictions_total%s %d\n", labels[i], st.Evaluators[name].Pool.WorldEvictions)
 		}
 	}
 }
