@@ -62,7 +62,9 @@ type NetworkModel interface {
 // run calls Perturb in schedule order, interleaving ranks; a trace replay
 // under a deterministic net binds its noise first (BindNoise), calling
 // Perturb rank by rank, each rank's charges in program order. Both give
-// the same draws because each rank draws from its own stream.
+// the same draws because each rank draws from its own stream, seeded alike:
+// the run's on rand.NewSource, the replay's on a source with the same
+// state and outputs but a cheaper Seed (rankSource).
 type ComputeNoise interface {
 	Perturb(seconds float64, rng *rand.Rand) float64
 }
@@ -384,10 +386,11 @@ func (c *Comm) Now() float64 { return c.clock }
 
 // rand returns the rank's RNG stream, materialising it on first use.
 // Deferring this keeps RNG-free runs (deterministic cost models, no noise)
-// from paying the ~5KB source allocation and 607-step seeding scramble per
+// from paying the ~5KB source allocation and 1,841-step seeding chain per
 // rank.
 func (c *Comm) rand() *rand.Rand {
 	if c.rng == nil {
+		// rand.NewSource on purpose: the independent reference for rankSource.
 		c.rng = rand.New(rand.NewSource(c.seed))
 	}
 	return c.rng

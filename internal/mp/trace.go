@@ -1117,17 +1117,13 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	return nil
 }
 
-// rng returns the rank's replay RNG stream, seeded exactly as the live
-// backends seed theirs, so RNG-using cost models and noise draw identical
+// rng returns the rank's replay RNG stream, seeded exactly as the event
+// backend seeds its rank streams (on a rankSource, which draws what
+// rand.NewSource does), so RNG-using cost models and noise draw identical
 // sequences in identical per-rank program order.
 func (r *Replayer) rng(id int) *rand.Rand {
 	if !r.rngOK[id] {
-		seed := r.opts.Seed + int64(id)*0x9E3779B9
-		if r.rngs[id] == nil {
-			r.rngs[id] = rand.New(rand.NewSource(seed))
-		} else {
-			r.rngs[id].Seed(seed)
-		}
+		r.rngs[id] = seedRand(r.rngs[id], r.opts.Seed+int64(id)*0x9E3779B9)
 		r.rngOK[id] = true
 	}
 	return r.rngs[id]
@@ -1137,12 +1133,7 @@ func (r *Replayer) rng(id int) *rand.Rand {
 // the event backend's dedicated collective RNG).
 func (r *Replayer) collRngStream() *rand.Rand {
 	if !r.collRngOK {
-		seed := r.opts.Seed ^ 0x1F3D5B79
-		if r.collRng == nil {
-			r.collRng = rand.New(rand.NewSource(seed))
-		} else {
-			r.collRng.Seed(seed)
-		}
+		r.collRng = seedRand(r.collRng, r.opts.Seed^0x1F3D5B79)
 		r.collRngOK = true
 	}
 	return r.collRng
@@ -1360,21 +1351,23 @@ type NoiseTable struct {
 }
 
 // BindNoise draws the compute noise of a replay of t under charges, noise
-// and seed, with one rand.Rand reseeded per rank exactly as the event
-// backend seeds its rank streams. It calls noise.Perturb rank by rank,
-// each rank's charges in program order. It returns nil when there is
-// nothing to bind (no noise, or charges shorter than t references) and when
-// the table would hold more than maxBoundDraws draws; a replay then draws
-// live.
+// and seed, with one rand.Rand reseeded per rank to the seed the event
+// backend gives that rank's stream. The stream runs on a rankSource, whose
+// closed-form Seed costs about a quarter of rand.NewSource's and draws the
+// same values. It calls noise.Perturb rank by rank, each rank's charges in
+// program order. It returns nil when there is nothing to bind (no noise,
+// or charges shorter than t references) and when the table would hold more
+// than maxBoundDraws draws; a replay then draws live.
 func BindNoise(t *Trace, charges []float64, noise ComputeNoise, seed int64) *NoiseTable {
 	if noise == nil || int(t.maxChPar) >= len(charges) {
 		return nil
 	}
 	// Each chunk's noisy charges in program order; a rank draws its chunks'
-	// lists in script order.
+	// lists in script order. A fused op draws at most once, so cs never
+	// outgrows the program.
 	nchunks := len(t.fstart) - 1
 	cst := make([]int32, nchunks+1)
-	var cs []float64
+	cs := make([]float64, 0, len(t.fops))
 	for c := 0; c < nchunks; c++ {
 		for i := t.fstart[c]; i < t.fstart[c+1]; i++ {
 			if s, ok := noisyCharge(&t.fops[i], t.lits, charges); ok {
@@ -1400,12 +1393,7 @@ func BindNoise(t *Trace, charges []float64, noise ComputeNoise, seed int64) *Noi
 		if start[rank+1] == start[rank] {
 			continue
 		}
-		seed := seed + int64(rank)*0x9E3779B9
-		if rng == nil {
-			rng = rand.New(rand.NewSource(seed))
-		} else {
-			rng.Seed(seed)
-		}
+		rng = seedRand(rng, seed+int64(rank)*0x9E3779B9)
 		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
 			for _, s := range cs[cst[c]:cst[c+1]] {
 				vals = append(vals, noise.Perturb(s, rng))
