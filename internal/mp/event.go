@@ -142,8 +142,9 @@ type evRank struct {
 }
 
 // evColl is the lock-free, generation-counted collective state of the
-// event backend. Collective costs draw from a dedicated RNG stream, not the
-// closing rank's, so pricing does not depend on which rank arrives last.
+// event backend. A drawing net's collective costs draw from a dedicated RNG
+// stream, not the closing rank's, so pricing does not depend on which rank
+// arrives last; the stream is nil under a nil or DeterministicCosts net.
 type evColl struct {
 	n       int
 	arrived int
@@ -174,7 +175,11 @@ type evWorld struct {
 func newEvWorld(w *World) *evWorld {
 	ev := &evWorld{w: w, slot: -1, master: make(chan struct{}, 1)}
 	ev.coll.n = w.n
-	ev.coll.rng = rand.New(rand.NewSource(w.opts.Seed ^ 0x1F3D5B79))
+	if w.opts.Net != nil && !w.detNet {
+		// Only a drawing net reads the collective stream; DeterministicCosts
+		// models take a nil one, as on the message path.
+		ev.coll.rng = rand.New(rand.NewSource(w.opts.Seed ^ 0x1F3D5B79))
+	}
 	ev.ranks = make([]evRank, w.n)
 	ev.boxes = make([]evInbox, w.n)
 	ev.heap.e = make([]heapEntry, 0, w.n)

@@ -5,23 +5,23 @@ package mp
 //
 // A matched set's runs (a baseline and its perturbed variants) execute the
 // same ops per rank, take the same messages from the same streams in the
-// same order and read the same noise and RNG-net draws; only their clock
-// values differ. A lane pass therefore walks the fused program once and
-// carries one clock per run ("lane"): the script cursors, the rank status,
-// the noise cursor, every RNG draw, each stream's FIFO position and the
-// schedule are shared, while each lane keeps its own clock, idle total,
-// checkpoint, collective completion, message availabilities, injected
-// events and recorders.
+// same order, pay the same prices and read the same noise draws; only their
+// clock values differ. A lane pass therefore walks the fused program once
+// and carries one clock per run ("lane"): the script cursors, the rank
+// status, the noise cursor, every noise draw, each stream's FIFO position
+// and the schedule are shared, while each lane keeps its own clock, idle
+// total, checkpoint, collective completion, message availabilities,
+// injected events and recorders.
 //
 // The scheduler keys on lane 0's clock (rrank.clock), so lane 0 runs the
-// exact event schedule of its solo replay. Lanes ≥ 1 are exact too,
-// because no clock depends on the schedule (DESIGN.md "Parallel fused
-// replay"): every stream has one sender and is read in FIFO order,
-// collectives combine arrivals with max, noise and RNG-net draws follow
-// per-rank program order, and delays and fail-stops are addressed by op
-// index and change time only. The one exception is a mark slot with two
-// writer ranks, whose final value is the later writer in schedule order;
-// a lane pass therefore exposes lane 0's marks only.
+// exact event schedule of its solo replay. Lanes ≥ 1 are exact too, because
+// no clock depends on the schedule (DESIGN.md "Parallel fused replay"):
+// every stream has one sender and is read in FIFO order, collectives
+// combine arrivals with max, noise draws follow per-rank program order, and
+// delays and fail-stops are addressed by op index and change time only. The
+// one exception is a mark slot with two writer ranks, whose final value is
+// the later writer in schedule order; a lane pass therefore exposes lane
+// 0's marks only.
 
 import (
 	"errors"
@@ -267,10 +267,10 @@ func (r *Replayer) xrecord(id int, x []xlane) {
 // laneReduce enters rank id into the open collective generation with lane
 // 0 at clock and its extra lanes x at theirs. Until the last participant
 // arrives it queues id as a waiter and returns closed == false. The last
-// arriver closes the generation: the reduction is priced once (one RNG
-// draw under a drawing net) and added to each lane's latest arrival, every
-// waiter's extra lanes get their completion clocks (xlane.done), and the
-// caller gets lane 0's, with the extra lanes' left in r.xmax.
+// arriver closes the generation: the reduction is priced once and added to
+// each lane's latest arrival, every waiter's extra lanes get their
+// completion clocks (xlane.done), and the caller gets lane 0's, with the
+// extra lanes' left in r.xmax.
 func (r *Replayer) laneReduce(id int, clock float64, x []xlane, words int32) (done float64, closed bool) {
 	w := &r.w
 	first := w.collArrived == 0
@@ -287,16 +287,11 @@ func (r *Replayer) laneReduce(id int, clock float64, x []xlane, words int32) (do
 		return 0, false
 	}
 	w.collArrived = 0
-	done = w.collMax
-	var cost float64
-	if r.opts.Net != nil {
-		cost = r.reduceCost(words)
-		done += cost
-	}
+	cost := r.reduceCost(words)
 	if len(x) > 0 {
 		r.xcloseColl(cost)
 	}
-	return done, true
+	return w.collMax + cost, true
 }
 
 // xarrive folds a rank's extra lanes x into the open collective's latest
@@ -310,13 +305,11 @@ func (r *Replayer) xarrive(x []xlane, first bool) {
 }
 
 // xcloseColl turns the closing generation's extra-lane arrivals into
-// completion clocks, adding the reduction's cost (zero on a nil net, where
-// the completion is the arrival itself), and hands them to every waiter.
+// completion clocks, adding the reduction's cost, and hands them to every
+// waiter.
 func (r *Replayer) xcloseColl(cost float64) {
-	if r.opts.Net != nil {
-		for k := range r.xmax {
-			r.xmax[k] += cost
-		}
+	for k := range r.xmax {
+		r.xmax[k] += cost
 	}
 	for _, wid := range r.w.collWaiters {
 		for k, d := range r.xmax {

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// laneTestNets are the nets the lane generator replays on: none, a flat
-// and a hierarchical deterministic net (noise bound into a table), and a
-// flat and a hierarchical jittered net (noise and message costs drawn
-// live from the rank streams, interleaved).
+// laneTestNets are the nets the lane generator runs on: none and a flat
+// and a hierarchical deterministic net, which replay with their noise
+// bound into a table, and a flat and a hierarchical jittered net, which
+// only the event backend runs (a replay refuses them).
 func laneTestNets() []struct {
 	name string
 	net  NetworkModel
@@ -21,7 +21,7 @@ func laneTestNets() []struct {
 		net  NetworkModel
 	}{
 		{"nil", nil},
-		{"flat", detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}},
+		{"flat", alphaBeta{alpha: 1e-5, beta: 2e-9}},
 		{"two-level", hier["two-level"]},
 		{"jitter", jitterNet{alphaBeta{alpha: 1e-5, beta: 2e-9}, 0.1}},
 		{"two-level-jitter", hier["two-level-jitter"]},
@@ -61,10 +61,11 @@ func randomLane(rng *rand.Rand, tr *Trace) Lane {
 // one- and two-receive macros, checkpoints, collectives) replayed as
 // passes of 1, 2, 3 and 5 lanes with random per-lane delays, fail-stops,
 // probes and fail logs, on the nets of laneTestNets, with the noise bound
-// by the replay, bound once by the caller, or drawn live. Every lane's
-// clocks, makespan, probe rows and fail log must equal a solo replay of
-// that run and the event backend's run of it bit for bit, and lane 0's
-// marks the solo replay's.
+// by the replay or bound once by the caller. Every lane's clocks,
+// makespan, probe rows and fail log must equal a solo replay of that run
+// and the event backend's run of it bit for bit, and lane 0's marks the
+// solo replay's. On a jittered net the event backend runs the program and
+// both a solo replay and a 2-lane pass are refused.
 func TestLaneReplayRandomPrograms(t *testing.T) {
 	const n, steps = 6, 15
 	charges := []float64{3e-4, 7e-4, 1.1e-3, 2e-4} // entry 3: checkpoint write
@@ -77,7 +78,7 @@ func TestLaneReplayRandomPrograms(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(5000 + trial)
 		prog := noisyRandomProgram(n, steps, seed)
-		rec, err := NewWorld(n, Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}, Noise: noise, Seed: seed})
+		rec, err := NewWorld(n, Options{Net: alphaBeta{alpha: 1e-5, beta: 2e-9}, Noise: noise, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,19 @@ func TestLaneReplayRandomPrograms(t *testing.T) {
 		for _, nt := range laneTestNets() {
 			opts := Options{Net: nt.net, Noise: noise, Seed: seed}
 			params := ReplayParams{Charges: charges}
-			if trial%2 == 1 && netIsDeterministic(nt.net) {
+			if drawsCosts(nt.net) {
+				ew, err := NewWorld(n, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ew.SetParams(charges, nil)
+				if err := ew.Run(prog); err != nil {
+					t.Fatalf("seed %d %s: event: %v", seed, nt.name, err)
+				}
+				requireRefusesTrace(t, fmt.Sprintf("seed %d %s", seed, nt.name), tr, opts, params)
+				continue
+			}
+			if trial%2 == 1 {
 				params.Noise = BindNoise(tr, charges, noise, seed)
 			}
 			for _, nl := range []int{1, 2, 3, 5} {
@@ -177,7 +190,7 @@ func TestLaneReplayRejects(t *testing.T) {
 func TestLaneReplayZeroAllocs(t *testing.T) {
 	tr := recordParamRing(t, 6, 20)
 	rp := NewReplayer()
-	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}}
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}}
 	p := ReplayParams{Charges: []float64{1e-3}, Sizes: []int{512}}
 	lanes := []Lane{{Probe: &RunProbe{}}, {Probe: &RunProbe{}}, {}}
 	for i := 0; i < 2; i++ {
@@ -203,7 +216,7 @@ func TestLaneReplayZeroAllocs(t *testing.T) {
 // others show what each further lane adds.
 func BenchmarkTraceReplayLanes(b *testing.B) {
 	charges := []float64{1e-4}
-	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}, Noise: jitterNoise{0.2}, Seed: 7}
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.2}, Seed: 7}
 	w, err := NewWorld(16, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -60,8 +60,8 @@ type NetworkModel interface {
 // run-to-run variation. Implementations must be pure functions of their
 // arguments and the RNG stream so that simulations are reproducible. A
 // run calls Perturb in schedule order, interleaving ranks; a trace replay
-// under a deterministic net binds its noise first (BindNoise), calling
-// Perturb rank by rank, each rank's charges in program order. Both give
+// binds its noise first (BindNoise), calling Perturb rank by rank, each
+// rank's charges in program order. Both give
 // the same draws because each rank draws from its own stream, seeded alike:
 // the run's on rand.NewSource, the replay's on a source with the same
 // state and outputs but a cheaper Seed (rankSource).
@@ -74,6 +74,7 @@ type ComputeNoise interface {
 // arguments (no RNG use): the runtime then skips per-rank RNG materialisation
 // on the message path and caches one priced size per curve per rank, which is
 // a near-100% hit rate for block-structured workloads like the wavefront.
+// A trace replay (Replayer) takes only such models.
 type DeterministicCosts interface {
 	CostsDeterministic() bool
 }
@@ -135,7 +136,11 @@ func netIsDeterministic(net NetworkModel) bool {
 
 // Options configure a World.
 type Options struct {
-	Net   NetworkModel // nil: zero-cost (functional) transport
+	// Net prices messages and collectives; nil is zero-cost (functional)
+	// transport. A World runs any model. A trace replay (Replayer) takes
+	// nil or a DeterministicCosts model only and refuses one that draws its
+	// costs with ErrDrawingNet.
+	Net   NetworkModel
 	Noise ComputeNoise // nil: charges applied exactly
 	Seed  int64        // base seed for per-rank RNG streams
 	// Delays are injected one-off delays (fault injection); each charges

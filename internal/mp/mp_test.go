@@ -10,8 +10,11 @@ import (
 )
 
 // alphaBeta is a simple latency/bandwidth model for tests: every operation
-// costs alpha + beta*bytes seconds, with transit twice that.
+// costs alpha + beta*bytes seconds, with transit twice that. It never reads
+// its rng, so it declares DeterministicCosts.
 type alphaBeta struct{ alpha, beta float64 }
+
+func (alphaBeta) CostsDeterministic() bool { return true }
 
 func (m alphaBeta) SendOverhead(b int, _ *rand.Rand) float64 { return m.alpha + m.beta*float64(b) }
 func (m alphaBeta) RecvOverhead(b int, _ *rand.Rand) float64 { return m.alpha + m.beta*float64(b) }

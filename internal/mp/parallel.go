@@ -162,9 +162,9 @@ func (w *rworker) edgeKey(id int) float64 {
 
 // xmsg is a message on its way to another worker's rank.
 type xmsg struct {
-	avail, aux float64 // as in rmsg
-	dst        int32
-	slot       uint8
+	avail, recv float64 // as in rmsg
+	dst         int32
+	slot        uint8
 }
 
 // Worker states (parState.state).
@@ -326,7 +326,7 @@ func (w *rworker) stop() bool {
 			done := p.done
 			p.mu.Unlock()
 			for _, m := range w.in {
-				w.deliver(int(m.dst), m.slot, m.avail, m.aux)
+				w.deliver(int(m.dst), m.slot, m.avail, m.recv)
 			}
 			w.in = w.in[:0]
 			if released {
@@ -393,7 +393,7 @@ func (r *Replayer) closeColl() float64 {
 		}
 		w.collArrived = 0
 	}
-	done := r.reduceDone(clock, words)
+	done := clock + r.reduceCost(words)
 	if r.cycOn {
 		r.cycBoundary(done)
 	}

@@ -130,7 +130,7 @@ func randomMarkedProgram(n, steps int, seed int64) func(c *Comm) error {
 // backend.
 func TestParallelReplayRandomPrograms(t *testing.T) {
 	nets := map[string]NetworkModel{
-		"flat": detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}},
+		"flat": alphaBeta{alpha: 1e-5, beta: 2e-9},
 		"nil":  nil,
 	}
 	for name, net := range testHierNets() {
@@ -241,7 +241,7 @@ func TestParallelReplayExtrapolation(t *testing.T) {
 // on one.
 func TestParallelReplayPlanMemoHit(t *testing.T) {
 	const px, py, iters = 4, 3, 10
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	w, err := NewWorld(px*py, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func bigWavefrontTrace(t testing.TB) *Trace {
 // TestParallelReplayAdmission pins each serial reason and the default
 // admission of a large trace.
 func TestParallelReplayAdmission(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	small, err := CompileClasses(6, func(r int) int { return r }, soloMarkedWavefront(3, 2, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestParallelReplayAdmission(t *testing.T) {
 // no wait starves the worker it waits for.
 func TestParallelReplayOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	w, err := NewWorld(12, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestParallelReplayStall(t *testing.T) {
 // small constant number of objects, whatever the trace's length.
 func TestParallelReplayAllocs(t *testing.T) {
 	withWorkers(t, 2)
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	w, err := NewWorld(12, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +525,7 @@ func TestParallelReplayInFlightAcrossCollective(t *testing.T) {
 		c.AllreduceSum(0)
 		return nil
 	}
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	w, err := NewWorld(4, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)

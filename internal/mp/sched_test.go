@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,6 +30,50 @@ func recordReplay(tb testing.TB, n int, opts Options, charges []float64, sizes [
 		tb.Fatal(err)
 	}
 	return rp
+}
+
+// drawsCosts reports whether net draws its costs from the rank streams, so
+// that a trace replay refuses it (ErrDrawingNet) and only the event backend
+// runs it.
+func drawsCosts(net NetworkModel) bool {
+	return net != nil && !netIsDeterministic(net)
+}
+
+// requireRefused records f on n ranks under opts, whose net draws its
+// costs, on the event backend, and requires a fresh replayer to refuse the
+// trace, alone and as a 2-lane pass (requireRefusesTrace).
+func requireRefused(tb testing.TB, name string, n int, opts Options, charges []float64, sizes []int, f func(c *Comm) error) {
+	tb.Helper()
+	w, err := NewWorld(n, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.SetParams(charges, sizes)
+	tr, err := w.RunRecorded(f)
+	if err != nil {
+		tb.Fatalf("%s: event backend: %v", name, err)
+	}
+	requireRefusesTrace(tb, name, tr, opts, ReplayParams{Charges: charges, Sizes: sizes})
+}
+
+// requireRefusesTrace requires Replay and a 2-lane ReplayLanes of tr under
+// opts to fail with ErrDrawingNet on a fresh replayer, and the replayer to
+// hold no trace, rank, stream, RNG or lane state afterwards. opts' events
+// and recorders go to lane 0 of the pass.
+func requireRefusesTrace(tb testing.TB, name string, tr *Trace, opts Options, p ReplayParams) {
+	tb.Helper()
+	rp := NewReplayer()
+	if err := rp.Replay(tr, opts, p); !errors.Is(err, ErrDrawingNet) {
+		tb.Fatalf("%s: Replay err = %v, want ErrDrawingNet", name, err)
+	}
+	lane := Lane{Delays: opts.Delays, Fails: opts.Fails, Probe: opts.Probe, FailLog: opts.FailLog}
+	opts.Delays, opts.Fails, opts.Probe, opts.FailLog = nil, nil, nil, nil
+	if err := rp.ReplayLanes(tr, opts, p, []Lane{lane, {}}); !errors.Is(err, ErrDrawingNet) {
+		tb.Fatalf("%s: 2-lane ReplayLanes err = %v, want ErrDrawingNet", name, err)
+	}
+	if rp.t != nil || rp.rk != nil || rp.streams != nil || rp.rngs != nil || rp.pr != nil || rp.lq != nil || rp.xs != nil || rp.nv != nil {
+		tb.Fatalf("%s: a refused replay left replay state behind", name)
+	}
 }
 
 // requireSameClocks fails unless the event world and the replay agree bit
@@ -364,18 +409,17 @@ func TestEventSchedulerRunsAheadPipeline(t *testing.T) {
 }
 
 // TestSchedulerEquivalenceRandomPrograms fuzzes both backends with random
-// charge/exchange schedules under three option sets, one per replay path:
-// an RNG-drawing net (the perturbed loop drawing per op), a deterministic
-// net (the fused loop; steps that receive from both neighbours fuse into
-// two-receive macros, which park between their receives), and the
-// deterministic net with seeded random delays and a probe (the perturbed
-// loop). A replay of the recorded trace must match the event backend bit
-// for bit on every rank's clock and the probe's clock/idle rows.
-// A fourth input set, noisy random programs under delays and fail-stops
-// at every op index, runs in requireNoisyRandomEquivalence.
+// charge/exchange schedules under two option sets, one per replay loop: a
+// deterministic net (the fused loop; steps that receive from both
+// neighbours fuse into two-receive macros, which park between their
+// receives), and the same net with seeded random delays and a probe (the
+// perturbed loop). A replay of the recorded trace must match the event
+// backend bit for bit on every rank's clock and the probe's clock/idle
+// rows. A third input set, noisy random programs under delays and
+// fail-stops at every op index, runs in requireNoisyRandomEquivalence.
 func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 	const n, steps = 6, 15
-	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	det := alphaBeta{alpha: 1e-5, beta: 2e-9}
 	for trial := 0; trial < 10; trial++ {
 		seed := int64(1000 + trial)
 		prog := func(c *Comm) error {
@@ -410,7 +454,6 @@ func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 			opts  Options
 			probe bool
 		}{
-			{"rng", Options{Net: alphaBeta{alpha: 1e-5, beta: 2e-9}, Seed: seed}, false},
 			{"det", Options{Net: det}, false},
 			{"det+delays+probe", Options{Net: det, Delays: delays}, true},
 		}
@@ -517,17 +560,18 @@ func macroSubStepsHit(tr *Trace, delays []Delay, hit *[5]bool) {
 
 // requireNoisyRandomEquivalence runs one noisy random program under
 // delays and fail-stops drawn over every op index of every rank, on a
-// deterministic, a jittered and two hierarchical nets, and checks each
-// trace replay against its own event-backend run: clocks, marks, probe
-// rows and FailLog, bit for bit. On the deterministic net it also binds
-// the noise once (BindNoise) and replays three delay sets from the one
-// table.
+// deterministic and a hierarchical net, and checks each trace replay
+// against its own event-backend run: clocks, marks, probe rows and
+// FailLog, bit for bit. On a jittered flat and a jittered hierarchical net
+// the event backend runs the program and a replay is refused. On the
+// deterministic net it also binds the noise once (BindNoise) and replays
+// three delay sets from the one table.
 func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 	t.Helper()
 	const n, steps = 6, 15
 	prog := noisyRandomProgram(n, steps, seed)
 	charges := []float64{3e-4, 7e-4, 1.1e-3, 2e-4} // entry 3: checkpoint write
-	det := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	det := alphaBeta{alpha: 1e-5, beta: 2e-9}
 	noise := jitterNoise{0.3}
 	rec, err := NewWorld(n, Options{Net: det, Noise: noise, Seed: seed})
 	if err != nil {
@@ -599,6 +643,10 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 		macroSubStepsHit(tr, ds, hit)
 		opts := Options{Net: net, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
 		ew, ep, el := run(opts)
+		if drawsCosts(net) {
+			requireRefusesTrace(t, fmt.Sprintf("seed %d %s", seed, name), tr, opts, ReplayParams{Charges: charges})
+			continue
+		}
 		rp, tp, tl := replay(opts)
 		same(fmt.Sprintf("seed %d %s", seed, name), ew, ep, el, rp.Clock, rp.Marks(), tp, tl)
 	}
@@ -624,8 +672,8 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 // harness: ranks are packed into nodes of `cores` ranks (and optionally
 // nodes into clusters of `nodesPerCluster`), and every class prices with a
 // different latency/bandwidth pair. With jitter > 0 the model stops being
-// deterministic and every cost draws from the supplied RNG — exercising
-// the replay path that re-draws in program order.
+// deterministic and every cost draws from the supplied RNG: the event
+// backend runs it, and a trace replay refuses it.
 type hierNet struct {
 	cores           int
 	nodesPerCluster int
@@ -707,7 +755,8 @@ func testHierNets() map[string]hierNet {
 // TestSchedulerEquivalenceHierarchical extends the cross-backend harness
 // to hierarchical (src, dst)-classed interconnects: the event backend and
 // a replay of the recorded trace must agree bit for bit on every rank's
-// clock, with and without per-class RNG jitter.
+// clock. Under per-class RNG jitter the event backend runs the program and
+// a replay is refused.
 func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 	for name, net := range testHierNets() {
 		t.Run(name, func(t *testing.T) {
@@ -720,8 +769,13 @@ func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 				if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
 					t.Fatal(err)
 				}
+				sname := fmt.Sprintf("%s seed %d", name, seed)
+				if drawsCosts(net) {
+					requireRefused(t, sname, 12, opts, nil, nil, wavefrontProgram(4, 3, 4))
+					continue
+				}
 				rp := recordReplay(t, 12, opts, nil, nil, wavefrontProgram(4, 3, 4))
-				requireSameClocks(t, fmt.Sprintf("%s seed %d", name, seed), e, rp)
+				requireSameClocks(t, sname, e, rp)
 			}
 		})
 	}

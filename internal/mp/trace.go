@@ -50,11 +50,11 @@ package mp
 // so one recorded script can be replayed under different hardware models
 // and cost kernels (see ReplayParams and internal/pace's shape-keyed trace
 // compilation). Replays re-price everything from the replay-time
-// NetworkModel: for DeterministicCosts models each distinct size is priced
-// once per replay into flat arrays, so the per-op loop does no interface
-// calls at all; for RNG-using models every op draws from per-rank streams
-// in program order — exactly the order the event backend draws in — keeping
-// replays bit-identical even under jitter.
+// NetworkModel, which must declare DeterministicCosts (or be nil): each
+// distinct (cost class, size) pair is priced once per replay into flat
+// arrays, so the per-op loop does no interface calls at all. A net that
+// draws its costs from the rank streams is refused with ErrDrawingNet; the
+// event backend runs it.
 //
 // Memory: per-rank scripts are delta-encoded (a send stores dst-rank, so
 // every interior rank of a regular decomposition produces byte-identical
@@ -204,9 +204,8 @@ type ReplayParams struct {
 
 	// Noise, when non-nil, supplies the replay's compute noise draws:
 	// a table BindNoise made for this trace, these Charges, Options.Noise
-	// and Options.Seed, under a deterministic net. Replays of a matched set
-	// share one table; without one, a noisy replay under a deterministic
-	// net binds its own for the replay's duration.
+	// and Options.Seed. Replays of a matched set share one table; without
+	// one, a noisy replay binds its own for the replay's duration.
 	Noise *NoiseTable
 }
 
@@ -696,17 +695,13 @@ func (t *Trace) buildSlots() ([]uint8, error) {
 // a collective must not be woken by message delivery.
 const rBlockedColl uint8 = 200
 
-// rmsg is one in-flight replay message: its availability time plus the
-// receive-side pricing, resolved at delivery time — the sender knows the
-// (src, dst) pair, so the cost class is settled here and the consume path
-// never re-derives it. Under a deterministic net aux IS the receive
-// overhead in seconds (the consume path adds it with no further table
-// lookup); under an RNG-using net aux carries the class-resolved unified
-// table index cls*ns+u (exactly representable: indices are small) and the
-// receiver prices at completion, preserving draw order.
+// rmsg is one in-flight replay message: its availability time plus its
+// receive overhead in seconds, priced at delivery time — the sender knows
+// the (src, dst) pair, so the cost class is settled there and the consume
+// path adds recv with no further table lookup.
 type rmsg struct {
 	avail float64
-	aux   float64
+	recv  float64
 }
 
 // rstream is one stream slot's FIFO of replay messages; consumed entries
@@ -742,7 +737,6 @@ func (st *rstream) take() (rmsg, bool) {
 type Replayer struct {
 	t    *Trace
 	opts Options
-	det  bool              // opts.Net is nil or DeterministicCosts
 	cnet ClassNetworkModel // opts.Net with >1 (src,dst) cost class; nil flat
 	ncls int               // cost classes priced (1 for flat nets)
 	ns   int               // unified size-table width (literals + params)
@@ -754,12 +748,11 @@ type Replayer struct {
 	charges []float64 // params.Charges (aliased, not copied)
 
 	// Unified size tables: literal sizes first, then params.Sizes; bytes
-	// holds the ns distinct wire sizes. With a deterministic net every
-	// (cost class, size) pair is priced once per replay into the price
-	// tables — entry cls*ns+u prices size u at class cls, a flat net
-	// degenerating to the single-class prefix — so the op loop does pure
-	// array arithmetic whatever the interconnect's shape. A nil net prices
-	// every entry at zero.
+	// holds the ns distinct wire sizes. Every (cost class, size) pair is
+	// priced once per replay into the price tables — entry cls*ns+u prices
+	// size u at class cls, a flat net degenerating to the single-class
+	// prefix — so the op loops do pure array arithmetic whatever the
+	// interconnect's shape. A nil net prices every entry at zero.
 	bytes    []int32
 	sendSec  []float64
 	availSec []float64
@@ -775,7 +768,7 @@ type Replayer struct {
 	rk      []rrank
 	streams []rstream
 	nslots  int
-	rngs    []*rand.Rand // per-rank streams, made only when the net draws or noise draws live
+	rngs    []*rand.Rand // per-rank streams, made only when noise draws live
 	rngOK   []bool
 
 	// Scheduling. w is the replay's first worker and, on a serial replay,
@@ -788,9 +781,10 @@ type Replayer struct {
 	serial string     // why an unperturbed replay ran on one worker ("" when it did not)
 	extraP int32      // Ps this replay reserved for helper workers (replayPs)
 
-	collRng   *rand.Rand
-	collRngOK bool
-	redMemo   sizeCost // reduce-cost memo keyed by payload bytes (det nets)
+	// The last collective priced (reduceCost): its payload bytes, -1 none,
+	// and its cost.
+	redBytes int
+	redSec   float64
 
 	marks []float64
 
@@ -820,7 +814,7 @@ type Replayer struct {
 	xav   [][]float64
 
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
-	// fused loop (deterministic costs, no perturbation) over the perturbed
+	// fused loop (one lane, no noise, no perturbation) over the perturbed
 	// loop; cycOn tracks a detected cycle through its boundaries; the stat
 	// counters feed Stats(). The plan memo fields cache last-cycle
 	// boundary clocks of completed replays keyed by their exact inputs.
@@ -932,6 +926,12 @@ func (r *Replayer) unbind() {
 // run; it guards against corrupted or hand-built traces.
 var errStalled = errors.New("mp: trace replay stalled (incomplete trace)")
 
+// ErrDrawingNet is returned by Replay and ReplayLanes for a network model
+// that does not declare DeterministicCosts: a replay prices every (cost
+// class, size) pair once and never draws a net cost. The event backend
+// runs such models.
+var ErrDrawingNet = errors.New("mp: trace replay needs a nil or DeterministicCosts network model")
+
 // run schedules every rank on the replayer's one worker until each has
 // finished.
 func (r *Replayer) run() error {
@@ -990,26 +990,28 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	if err := validLanes(t.n, lanes); err != nil {
 		return err
 	}
+	if opts.Net != nil && !netIsDeterministic(opts.Net) {
+		return ErrDrawingNet
+	}
 	sameTrace := r.t == t
 	r.opts = opts
 	r.lanes = lanes
-	r.det = opts.Net == nil || netIsDeterministic(opts.Net)
 	r.cnet, r.ncls = classesOf(opts.Net)
 	r.charges = p.Charges
-	// The fused loop (and with it extrapolation) runs only when costs are
-	// deterministic and one unperturbed lane replays; every other
-	// combination takes the perturbed loop.
-	r.fusedPath = r.det && !perturbing(lanes) && opts.Noise == nil
+	// The fused loop (and with it extrapolation) runs only when one
+	// unperturbed lane replays without noise; every other combination
+	// takes the perturbed loop.
+	r.fusedPath = !perturbing(lanes) && opts.Noise == nil
 	r.nv = nil
 	if nt := p.Noise; nt != nil {
-		if opts.Noise == nil || !r.det {
-			return errors.New("mp: a bound noise table needs Options.Noise and a deterministic net")
+		if opts.Noise == nil {
+			return errors.New("mp: a bound noise table needs Options.Noise")
 		}
 		if nt.t != t || nt.seed != opts.Seed || !f64SliceEqual(nt.charges, p.Charges) {
 			return errors.New("mp: noise table bound for another trace, seed or charge table")
 		}
 		r.nv = nt
-	} else if opts.Noise != nil && r.det {
+	} else if opts.Noise != nil {
 		r.nv = BindNoise(t, p.Charges, opts.Noise, opts.Seed)
 	}
 
@@ -1021,17 +1023,14 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	for i, b := range p.Sizes {
 		r.bytes[nlit+i] = int32(b)
 	}
-	if r.det {
-		r.sendSec = resizeF(r.sendSec, r.ncls*ns)
-		r.availSec = resizeF(r.availSec, r.ncls*ns)
-		r.recvSec = resizeF(r.recvSec, r.ncls*ns)
-	}
+	r.sendSec = resizeF(r.sendSec, r.ncls*ns)
+	r.availSec = resizeF(r.availSec, r.ncls*ns)
+	r.recvSec = resizeF(r.recvSec, r.ncls*ns)
 	if net := opts.Net; net == nil {
-		// Zero prices, read by the perturbed loop's deterministic arms.
 		clear(r.sendSec)
 		clear(r.availSec)
 		clear(r.recvSec)
-	} else if r.det {
+	} else {
 		for i := 0; i < ns; i++ {
 			b := int(r.bytes[i])
 			if r.cnet == nil {
@@ -1065,9 +1064,8 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 			r.rk[i] = rrank{}
 		}
 	}
-	// Per-rank RNG streams exist only for nets that draw; noise under a
-	// deterministic net reads its bound table instead.
-	if !r.det || (opts.Noise != nil && r.nv == nil) {
+	// Per-rank RNG streams exist only for noise too large to bind.
+	if opts.Noise != nil && r.nv == nil {
 		if len(r.rngs) != n {
 			r.rngs = make([]*rand.Rand, n)
 			r.rngOK = make([]bool, n)
@@ -1080,8 +1078,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 		r.rk[i].spos = t.sstart[i]
 		r.rk[i].status = evReady
 	}
-	r.collRngOK = false
-	r.redMemo = sizeCost{bytes: -1}
+	r.redBytes = -1
 	r.collGen = 0
 	r.nx = 0
 	if !r.fusedPath {
@@ -1119,24 +1116,14 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 
 // rng returns the rank's replay RNG stream, seeded exactly as the event
 // backend seeds its rank streams (on a rankSource, which draws what
-// rand.NewSource does), so RNG-using cost models and noise draw identical
-// sequences in identical per-rank program order.
+// rand.NewSource does), so live noise draws identical sequences in
+// identical per-rank program order.
 func (r *Replayer) rng(id int) *rand.Rand {
 	if !r.rngOK[id] {
 		r.rngs[id] = seedRand(r.rngs[id], r.opts.Seed+int64(id)*0x9E3779B9)
 		r.rngOK[id] = true
 	}
 	return r.rngs[id]
-}
-
-// collRngStream is the collective-pricing stream (same seed derivation as
-// the event backend's dedicated collective RNG).
-func (r *Replayer) collRngStream() *rand.Rand {
-	if !r.collRngOK {
-		r.collRng = seedRand(r.collRng, r.opts.Seed^0x1F3D5B79)
-		r.collRngOK = true
-	}
-	return r.collRng
 }
 
 // rworker schedules the ranks [lo, lo+n) of a replay with the event
@@ -1246,14 +1233,14 @@ func (w *rworker) next() int {
 // worker's rank goes to out instead; the owner applies it after the next
 // flush. The stream index is relative to the worker's range, so one
 // comparison both tests ownership and bounds the index.
-func (w *rworker) deliver(dst int, slot uint8, avail, aux float64) {
+func (w *rworker) deliver(dst int, slot uint8, avail, recv float64) {
 	i := (dst-w.lo)*w.nslots + int(slot)
 	if uint(i) >= uint(len(w.streams)) {
-		w.post(dst, slot, avail, aux)
+		w.post(dst, slot, avail, recv)
 		return
 	}
 	st := &w.streams[i]
-	st.msgs = append(st.msgs, rmsg{avail: avail, aux: aux})
+	st.msgs = append(st.msgs, rmsg{avail: avail, recv: recv})
 	if st.waiting {
 		st.waiting = false
 		w.wake(dst)
@@ -1265,11 +1252,11 @@ func (w *rworker) deliver(dst int, slot uint8, avail, aux float64) {
 // corrupted trace sends outside the world.
 //
 //go:noinline
-func (w *rworker) post(dst int, slot uint8, avail, aux float64) {
+func (w *rworker) post(dst int, slot uint8, avail, recv float64) {
 	if uint(dst) >= uint(w.r.t.n) {
 		panic(fmt.Sprintf("mp: replay sends to rank %d of a %d-rank world", dst, w.r.t.n))
 	}
-	w.out = append(w.out, xmsg{avail: avail, aux: aux, dst: int32(dst), slot: slot})
+	w.out = append(w.out, xmsg{avail: avail, recv: recv, dst: int32(dst), slot: slot})
 }
 
 // reduce enters rank id into the open collective generation at clock.
@@ -1291,30 +1278,19 @@ func (w *rworker) reduce(id int, clock float64, words int32) (done float64, clos
 		return 0, false
 	}
 	w.collArrived = 0
-	return w.r.reduceDone(w.collMax, words), true
+	return w.collMax + w.r.reduceCost(words), true
 }
 
-// reduceDone returns the completion clock of a collective of words
-// float64s whose latest participant arrived at clock.
-func (r *Replayer) reduceDone(clock float64, words int32) float64 {
-	if r.opts.Net == nil {
-		return clock
-	}
-	return clock + r.reduceCost(words)
-}
-
-// reduceCost prices a collective of words float64s under a non-nil net,
-// drawing from the collective stream when the net draws.
+// reduceCost prices a collective of words float64s, once per payload size
+// in a row; a nil net prices it at zero.
 func (r *Replayer) reduceCost(words int32) float64 {
-	net := r.opts.Net
-	bytes := 8 * int(words)
-	if r.det {
-		if r.redMemo.bytes != bytes {
-			r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(r.t.n, bytes, nil)}
+	if b := 8 * int(words); b != r.redBytes {
+		r.redBytes, r.redSec = b, 0
+		if net := r.opts.Net; net != nil {
+			r.redSec = net.ReduceCost(r.t.n, b, nil)
 		}
-		return r.redMemo.sec
 	}
-	return net.ReduceCost(r.t.n, bytes, r.collRngStream())
+	return r.redSec
 }
 
 // release hands a closed generation's completion clock to every parked
@@ -1336,11 +1312,11 @@ func (w *rworker) release(done float64) {
 const maxBoundDraws = 1 << 21
 
 // NoiseTable is compute noise bound to a replay's inputs: every draw a
-// noisy replay of one trace, charge table, noise model and seed makes
-// under a deterministic net, per rank in program order. Under such a net
-// noise is the only thing that draws, and each rank draws from its own
-// stream, so the draws do not depend on the schedule, on injected delays
-// or on fail-stops, and one table serves every replay of a matched set.
+// noisy replay of one trace, charge table, noise model and seed makes, per
+// rank in program order. Noise is the only thing a replay draws, and each
+// rank draws from its own stream, so the draws do not depend on the
+// schedule, on injected delays or on fail-stops, and one table serves
+// every replay of a matched set.
 // A table is immutable and may be shared by concurrent replays.
 type NoiseTable struct {
 	t       *Trace
@@ -1421,23 +1397,23 @@ func noisyCharge(f *fop, lits, charges []float64) (float64, bool) {
 // runRankPerturbed runs one rank's fused program, on every lane of the
 // pass, until the rank blocks or finishes. It serves every replay the
 // fused loop does not: compute noise, injected delays and fail-stops,
-// probes, RNG-drawing nets and lane passes. It never extrapolates. A macro
-// runs sub-step by sub-step (recv 0, recv 1, charge, send 0, send 1), and
-// sub-step k of a macro whose first op has index opn has op index opn+k,
-// so an injected event lands before exactly the sub-step its op index
-// names. Delays and fail-stops at an op index are consumed at its first
-// execution, so a receive or collective that parks and re-executes cannot
-// apply them twice. Costs and schedule law are the fused loop's, and every
+// probes and lane passes. It never extrapolates. A macro runs sub-step by
+// sub-step (recv 0, recv 1, charge, send 0, send 1), and sub-step k of a
+// macro whose first op has index opn has op index opn+k, so an injected
+// event lands before exactly the sub-step its op index names. Delays and
+// fail-stops at an op index are consumed at its first execution, so a
+// receive or collective that parks and re-executes cannot apply them
+// twice. Costs and schedule law are the fused loop's, and every
 // lane's clocks are bit-identical to the event backend's run of it.
 //
 // Lane 0's clock and idle total stay in locals. The extra lanes' are
-// updated out of line from the same charge, draw or price (lanes.go), and
-// a one-lane pass never calls there.
+// updated out of line from the same charge, noise draw or price
+// (lanes.go), and a one-lane pass never calls there.
 func (r *Replayer) runRankPerturbed(id int) {
 	t := r.t
 	lits, charges := t.lits, r.charges
 	probe := r.lanes[0].Probe
-	det, cnet, ns := r.det, r.cnet, r.ns
+	cnet, ns := r.cnet, r.ns
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	w := &r.w
 	self := &r.rk[id]
@@ -1475,9 +1451,7 @@ run:
 		}
 		f := &chunk[op]
 		if f.kind == fMacro {
-			// Sub-steps in recorded order; an RNG-drawing net prices
-			// through send and recvCost, a deterministic one from its
-			// tables.
+			// Sub-steps in recorded order, priced from the tables.
 			at := opn
 			if f.nr > 0 && sub == 0 {
 				if at == ps.ev {
@@ -1488,10 +1462,7 @@ run:
 					status = evBlocked // fsub stays 0: resume re-executes recv 0
 					break run
 				}
-				cost := m.aux
-				if !det {
-					cost = r.recvCost(id, m)
-				}
+				cost := m.recv
 				if m.avail > clock {
 					idle += m.avail - clock
 					clock = m.avail
@@ -1512,10 +1483,7 @@ run:
 					self.fsub = 1 // recv 0 consumed; resume at recv 1
 					break run
 				}
-				cost := m.aux
-				if !det {
-					cost = r.recvCost(id, m)
-				}
+				cost := m.recv
 				if m.avail > clock {
 					idle += m.avail - clock
 					clock = m.avail
@@ -1544,36 +1512,28 @@ run:
 					clock = r.inject(id, ps, clock)
 				}
 				dst, u := id+int(f.s0dst), int(f.s0u)
-				if det {
-					if cnet != nil {
-						u += cnet.ClassOf(id, dst) * ns
-					}
-					w.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
-					if len(x) > 0 {
-						r.xdeliver(x, dst, f.s0slot, availSec[u], sendSec[u])
-					}
-					clock += sendSec[u]
-				} else {
-					clock = r.send(id, dst, f.s0slot, u, clock, x)
+				if cnet != nil {
+					u += cnet.ClassOf(id, dst) * ns
 				}
+				w.deliver(dst, f.s0slot, clock+availSec[u], recvSec[u])
+				if len(x) > 0 {
+					r.xdeliver(x, dst, f.s0slot, availSec[u], sendSec[u])
+				}
+				clock += sendSec[u]
 			}
 			if f.ns > 1 {
 				if at+2 == ps.ev {
 					clock = r.inject(id, ps, clock)
 				}
 				dst, u := id+int(f.s1dst), int(f.s1u)
-				if det {
-					if cnet != nil {
-						u += cnet.ClassOf(id, dst) * ns
-					}
-					w.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
-					if len(x) > 0 {
-						r.xdeliver(x, dst, f.s1slot, availSec[u], sendSec[u])
-					}
-					clock += sendSec[u]
-				} else {
-					clock = r.send(id, dst, f.s1slot, u, clock, x)
+				if cnet != nil {
+					u += cnet.ClassOf(id, dst) * ns
 				}
+				w.deliver(dst, f.s1slot, clock+availSec[u], recvSec[u])
+				if len(x) > 0 {
+					r.xdeliver(x, dst, f.s1slot, availSec[u], sendSec[u])
+				}
+				clock += sendSec[u]
 			}
 			opn = at + 1 + int(f.ns)
 			op++
@@ -1613,10 +1573,7 @@ run:
 				status = evBlocked
 				break run
 			}
-			cost := m.aux
-			if !det {
-				cost = r.recvCost(id, m)
-			}
+			cost := m.recv
 			if m.avail > clock {
 				idle += m.avail - clock
 				clock = m.avail
@@ -1689,55 +1646,14 @@ func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
 
 // send prices rank id's send of unified size index u to dst at clock,
 // delivers it to dst's stream slot on every lane and returns lane 0's
-// clock, advancing the extra lanes' (x) in place. Under
-// an RNG-drawing net it draws the send overhead and then the transit from
-// the rank's stream, once for all lanes, and the receiver prices its
-// overhead on completion.
+// clock, advancing the extra lanes' (x) in place.
 func (r *Replayer) send(id, dst int, slot uint8, u int, clock float64, x []xlane) float64 {
-	net := r.opts.Net
-	if net == nil {
-		r.w.deliver(dst, slot, clock, 0)
-		if len(x) > 0 {
-			r.xdeliver(x, dst, slot, 0, 0)
-		}
-		return clock
-	}
-	ui := u // class-resolved table index: cls*ns + size index
 	if r.cnet != nil {
-		ui += r.cnet.ClassOf(id, dst) * r.ns
+		u += r.cnet.ClassOf(id, dst) * r.ns
 	}
-	if r.det {
-		r.w.deliver(dst, slot, clock+r.availSec[ui], r.recvSec[ui])
-		if len(x) > 0 {
-			r.xdeliver(x, dst, slot, r.availSec[ui], r.sendSec[ui])
-		}
-		return clock + r.sendSec[ui]
-	}
-	rng := r.rng(id)
-	b := int(r.bytes[u])
-	var busy, avail float64
-	if r.cnet != nil {
-		cls := ui / r.ns
-		busy = r.cnet.SendOverheadClass(cls, b, rng)
-		avail = r.cnet.TransitClass(cls, b, rng)
-	} else {
-		busy = net.SendOverhead(b, rng)
-		avail = net.Transit(b, rng)
-	}
-	r.w.deliver(dst, slot, clock+avail, float64(ui))
+	r.w.deliver(dst, slot, clock+r.availSec[u], r.recvSec[u])
 	if len(x) > 0 {
-		r.xdeliver(x, dst, slot, avail, busy)
+		r.xdeliver(x, dst, slot, r.availSec[u], r.sendSec[u])
 	}
-	return clock + busy
-}
-
-// recvCost draws rank id's receive overhead of m under an RNG-drawing net
-// (m.aux carries the class-resolved size index). Under a deterministic net
-// the overhead is m.aux itself.
-func (r *Replayer) recvCost(id int, m rmsg) float64 {
-	ui := int(m.aux)
-	if r.cnet != nil {
-		return r.cnet.RecvOverheadClass(ui/r.ns, int(r.bytes[ui%r.ns]), r.rng(id))
-	}
-	return r.opts.Net.RecvOverhead(int(r.bytes[ui]), r.rng(id))
+	return clock + r.sendSec[u]
 }

@@ -3,23 +3,18 @@ package mp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 )
 
-// detAlphaBeta is alphaBeta with the DeterministicCosts opt-in, driving
-// the replayer's precomputed-price fast path.
-type detAlphaBeta struct{ alphaBeta }
-
-func (detAlphaBeta) CostsDeterministic() bool { return true }
-
 // TestTraceRecordThenReplayDetNet covers the deterministic-cost replay
 // fast path: recorded clocks and replayed clocks must match a fresh event
 // run bit for bit, across several replays on one replayer.
 func TestTraceRecordThenReplayDetNet(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	prog := wavefrontProgram(4, 3, 4)
 	ref, err := NewWorld(12, Options{Net: net, Seed: 11})
 	if err != nil {
@@ -95,7 +90,7 @@ func TestTraceParamReplay(t *testing.T) {
 		c.Barrier()
 		return nil
 	}
-	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 3e-9}}
+	net := alphaBeta{alpha: 1e-5, beta: 3e-9}
 	chargesA := []float64{1e-4, 2e-4, 0}
 	sizesA := []int{800, 1600}
 	chargesB := []float64{5e-4, 1e-5, 7e-4}
@@ -136,7 +131,7 @@ func TestTraceParamReplay(t *testing.T) {
 // TestTraceReplayerShared replays one trace from several Replayers and
 // under different parameter tables via the public Replayer API.
 func TestTraceReplayerShared(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 1e-5}}
+	net := alphaBeta{alpha: 1e-5}
 	w, err := NewWorld(4, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +236,8 @@ func recordRing(tb testing.TB, opts Options) *Trace {
 func requireZeroAllocReplays(t *testing.T, name string, tr *Trace, opts Options) {
 	t.Helper()
 	rp := NewReplayer()
-	// Warm: the first replays materialise the replayer, its per-rank
-	// streams and RNGs.
+	// Warm: the first replays materialise the replayer and its per-rank
+	// streams.
 	for i := 0; i < 2; i++ {
 		if err := rp.Replay(tr, opts, ReplayParams{}); err != nil {
 			t.Fatal(err)
@@ -259,17 +254,19 @@ func requireZeroAllocReplays(t *testing.T, name string, tr *Trace, opts Options)
 }
 
 // TestTraceReplayZeroAllocs is the replay-path allocation acceptance: a
-// warmed replayer must replay with zero heap allocations.
+// warmed replayer must replay with zero heap allocations (precomputed price
+// tables, no RNGs).
 func TestTraceReplayZeroAllocs(t *testing.T) {
 	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Seed: 7}
-	requireZeroAllocReplays(t, "rng net", recordRing(t, opts), opts)
+	requireZeroAllocReplays(t, "flat net", recordRing(t, opts), opts)
 }
 
-// TestTraceReplayZeroAllocsDetNet is the same acceptance on the
-// deterministic-cost fast path (precomputed price tables, no RNGs).
+// TestTraceReplayZeroAllocsDetNet is the same acceptance on a
+// deterministic class-resolved net, unseeded: the per-class price tables
+// are built once and reused by every further replay.
 func TestTraceReplayZeroAllocsDetNet(t *testing.T) {
-	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}}
-	requireZeroAllocReplays(t, "det net", recordRing(t, opts), opts)
+	opts := Options{Net: testHierNets()["three-level"]}
+	requireZeroAllocReplays(t, "class net", recordRing(t, opts), opts)
 }
 
 // TestTraceReplayZeroAllocsPerturbationDisabled guards the serving fast
@@ -323,23 +320,6 @@ func TestTraceReplayZeroAllocsPerturbationDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceNonDeterministicNetBitIdentical drives the faithful (RNG
-// drawing) replay path with a jittering cost model: replays must still be
-// bit-identical to the event backend because per-rank draw order is the
-// program order on both paths.
-func TestTraceNonDeterministicNetBitIdentical(t *testing.T) {
-	net := jitterNet{alphaBeta{alpha: 2e-5, beta: 1e-8}, 0.2}
-	prog := wavefrontProgram(3, 2, 4)
-	ref, err := NewWorld(6, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	requireRepeatedReplays(t, ref, Options{Net: net, Noise: jitterNoise{0.05}, Seed: 99}, prog)
-}
-
 // requireRepeatedReplays records prog under opts and replays the trace
 // three times on one replayer; every replay must equal the event run ref
 // bit for bit.
@@ -362,11 +342,121 @@ func requireRepeatedReplays(t *testing.T, ref *World, opts Options, prog func(c 
 	}
 }
 
-// jitterNet perturbs every alphaBeta cost with the supplied RNG stream —
-// the adversarial case for replay fidelity.
+// jitterNet perturbs every alphaBeta cost with the supplied RNG stream: a
+// drawing net, which the event backend runs and a trace replay refuses.
 type jitterNet struct {
 	alphaBeta
 	frac float64
+}
+
+func (jitterNet) CostsDeterministic() bool { return false }
+
+// TestTraceRefusesDrawingNets: Replay and a 2-lane ReplayLanes refuse every
+// net that draws its costs with ErrDrawingNet, before sizing any replay
+// state, with and without noise, while the event backend runs the same
+// program under the same options.
+func TestTraceRefusesDrawingNets(t *testing.T) {
+	hier := testHierNets()
+	nets := map[string]NetworkModel{
+		"jitter":           jitterNet{alphaBeta{alpha: 2e-5, beta: 1e-8}, 0.2},
+		"two-level-jitter": hier["two-level-jitter"],
+		"wan-jitter":       hier["wan-jitter"],
+	}
+	prog := wavefrontProgram(4, 3, 4)
+	tr := recordMarkedWavefront(t, alphaBeta{alpha: 2e-5, beta: 1e-8}, 4)
+	for name, net := range nets {
+		for _, noise := range []ComputeNoise{nil, jitterNoise{0.05}} {
+			opts := Options{Net: net, Noise: noise, Seed: 99}
+			rname := fmt.Sprintf("%s noise=%v", name, noise != nil)
+			ev, err := NewWorld(12, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Run(prog); err != nil || !(ev.Makespan() > 0) {
+				t.Fatalf("%s: event backend: makespan %v, err %v", rname, ev.Makespan(), err)
+			}
+			requireRefused(t, rname, 12, opts, nil, nil, prog)
+			requireRefusesTrace(t, rname+" (other trace)", tr, opts, ReplayParams{})
+		}
+	}
+}
+
+// TestTraceLiveNoisePastBindCap covers the replay's live noise arm: a
+// program whose noisy charges number one more than maxBoundDraws binds no
+// table (BindNoise returns nil), so a replay draws from per-rank streams,
+// and must still equal the event backend bit for bit, alone and as lane 0
+// and lane 1 of a 2-lane pass. With the extra charge priced at zero the
+// same trace binds a table of exactly maxBoundDraws draws.
+func TestTraceLiveNoisePastBindCap(t *testing.T) {
+	const n = 2
+	per := maxBoundDraws / n // noisy charges per rank at the cap
+	prog := func(c *Comm) error {
+		peer := 1 - c.Rank()
+		for i := 0; i < per; i++ {
+			c.ChargeParam(0)
+			if i%1024 == 1023 {
+				c.SendN(peer, 0, 64, nil)
+				c.RecvN(peer, 0)
+			}
+		}
+		if c.Rank() == 0 {
+			c.ChargeParam(1) // draws only when charges[1] > 0
+		}
+		c.Barrier()
+		return nil
+	}
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.1}, Seed: 5}
+	over := []float64{1e-6, 2e-6}
+	atCap := []float64{1e-6, 0}
+	w, err := NewWorld(n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetParams(over, nil)
+	tr, err := w.RunRecorded(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nt := BindNoise(tr, over, opts.Noise, opts.Seed); nt != nil {
+		t.Fatalf("BindNoise bound %d draws, over the cap of %d", len(nt.vals), maxBoundDraws)
+	}
+	if nt := BindNoise(tr, atCap, opts.Noise, opts.Seed); nt == nil || len(nt.vals) != maxBoundDraws {
+		t.Fatalf("BindNoise at the cap: table %v, want %d draws", nt != nil, maxBoundDraws)
+	}
+
+	rp := NewReplayer()
+	if err := rp.Replay(tr, opts, ReplayParams{Charges: over}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rp.rngs) != n {
+		t.Fatalf("replay made %d rank streams, want %d (live noise)", len(rp.rngs), n)
+	}
+	requireMatchesEvent(t, "live, 1 lane", rp, w)
+
+	delayed := Lane{Delays: []Delay{{Rank: 1, Op: 5000, Seconds: 1e-3}}}
+	dopts := opts
+	dopts.Delays = delayed.Delays
+	dw, err := NewWorld(n, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dw.SetParams(over, nil)
+	if err := dw.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.ReplayLanes(tr, opts, ReplayParams{Charges: over}, []Lane{{}, delayed}); err != nil {
+		t.Fatal(err)
+	}
+	for lane, ref := range []*World{w, dw} {
+		for i := 0; i < n; i++ {
+			if got, want := rp.LaneClock(lane, i), ref.Clock(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("live, lane %d of 2: rank %d clock %v, event %v", lane, i, got, want)
+			}
+		}
+	}
+	if dw.Makespan() == w.Makespan() {
+		t.Fatal("the delay did not move the makespan")
+	}
 }
 
 func (m jitterNet) jitter(v float64, rng *rand.Rand) float64 {
@@ -407,7 +497,7 @@ func TestTraceStreamOverflow(t *testing.T) {
 		}
 		return nil
 	}
-	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	net := alphaBeta{alpha: 1e-5, beta: 2e-9}
 	ref, err := NewWorld(n, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +525,7 @@ func TestTraceStreamSlotCap(t *testing.T) {
 		c.SendN(0, 3, 64, nil)
 		return nil
 	}
-	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
+	net := alphaBeta{alpha: 1e-5, beta: 2e-9}
 	ev, err := NewWorld(n, Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +585,7 @@ func TestTraceStreamSlotCap(t *testing.T) {
 // rand.Rand per rank, and the replayer keeps no table once Replay returns.
 // A table bound for another seed is refused.
 func TestTraceReplayBoundNoise(t *testing.T) {
-	opts := Options{Net: detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}, Noise: jitterNoise{0.2}, Seed: 4}
+	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.2}, Seed: 4}
 	w, err := NewWorld(8, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -542,8 +632,9 @@ func TestTraceReplayBoundNoise(t *testing.T) {
 }
 
 // BenchmarkTraceReplay measures a warmed replay of an 8-rank, 800-op ring
-// trace; ReportAllocs documents the zero-allocation steady state the CI
-// gate holds.
+// trace on the fused loop (BenchmarkTraceReplayLanes/lanes=1 times the
+// one-lane perturbed loop); ReportAllocs documents the zero-allocation
+// steady state the CI gate holds.
 func BenchmarkTraceReplay(b *testing.B) {
 	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Seed: 7}
 	tr := recordRing(b, opts)

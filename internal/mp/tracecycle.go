@@ -1099,7 +1099,7 @@ func (w *rworker) runRankFused(id int) {
 					clock = m.avail
 				}
 				if net != nil {
-					clock += m.aux
+					clock += m.recv
 				}
 				sub = 1
 			}
@@ -1116,7 +1116,7 @@ func (w *rworker) runRankFused(id int) {
 					clock = m.avail
 				}
 				if net != nil {
-					clock += m.aux
+					clock += m.recv
 				}
 			}
 			sub = 0
@@ -1133,7 +1133,7 @@ func (w *rworker) runRankFused(id int) {
 				dst := id + int(f.s0dst)
 				start := clock
 				avail := start
-				var aux float64
+				var recv float64
 				if net != nil {
 					ui := int(f.s0u)
 					if cnet != nil {
@@ -1141,15 +1141,15 @@ func (w *rworker) runRankFused(id int) {
 					}
 					clock = start + sendSec[ui]
 					avail = start + availSec[ui]
-					aux = recvSec[ui]
+					recv = recvSec[ui]
 				}
-				w.deliver(dst, f.s0slot, avail, aux)
+				w.deliver(dst, f.s0slot, avail, recv)
 			}
 			if f.ns > 1 {
 				dst := id + int(f.s1dst)
 				start := clock
 				avail := start
-				var aux float64
+				var recv float64
 				if net != nil {
 					ui := int(f.s1u)
 					if cnet != nil {
@@ -1157,9 +1157,9 @@ func (w *rworker) runRankFused(id int) {
 					}
 					clock = start + sendSec[ui]
 					avail = start + availSec[ui]
-					aux = recvSec[ui]
+					recv = recvSec[ui]
 				}
-				w.deliver(dst, f.s1slot, avail, aux)
+				w.deliver(dst, f.s1slot, avail, recv)
 			}
 		case topChargeParam, topCkpt:
 			if s := charges[f.arg0]; s > 0 {
@@ -1173,7 +1173,7 @@ func (w *rworker) runRankFused(id int) {
 			dst := id + int(f.arg0)
 			start := clock
 			avail := start
-			var aux float64
+			var recv float64
 			if net != nil {
 				ui := int(f.arg2)
 				if cnet != nil {
@@ -1181,9 +1181,9 @@ func (w *rworker) runRankFused(id int) {
 				}
 				clock = start + sendSec[ui]
 				avail = start + availSec[ui]
-				aux = recvSec[ui]
+				recv = recvSec[ui]
 			}
-			w.deliver(dst, uint8(f.arg1), avail, aux)
+			w.deliver(dst, uint8(f.arg1), avail, recv)
 		case topRecv:
 			m, ok := streams[f.arg0].take()
 			if !ok {
@@ -1196,7 +1196,7 @@ func (w *rworker) runRankFused(id int) {
 				clock = m.avail
 			}
 			if net != nil {
-				clock += m.aux
+				clock += m.recv
 			}
 		case topReduce:
 			if self.collResolved {

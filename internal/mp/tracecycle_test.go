@@ -65,7 +65,7 @@ func recordMarkedWavefront(t *testing.T, net NetworkModel, iters int) *Trace {
 // extrapolation equivalence tests: flat alpha-beta plus the two- and
 // three-level hierarchical class models.
 func cycleTestNets() map[string]NetworkModel {
-	flat := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	flat := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	nets := map[string]NetworkModel{"flat": flat}
 	for name, hn := range testHierNets() {
 		if hn.CostsDeterministic() {
@@ -79,7 +79,7 @@ func cycleTestNets() map[string]NetworkModel {
 // wavefront shape: period-1 steady cycle, non-trivial prefix, and the
 // fused-op accounting distinguishing macro steps from scalar ops.
 func TestTraceCycleDetected(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	tr := recordMarkedWavefront(t, net, 8)
 	if !tr.CycleDetected() {
 		t.Fatal("no steady-state cycle detected on the wavefront template")
@@ -157,7 +157,7 @@ func TestTraceExtrapolationMatchesEvent(t *testing.T) {
 // the recorded horizon on one platform and checks the work stays bounded:
 // virtually all steady cycles must be skipped, not replayed.
 func TestTraceExtrapolationLongHorizonFlat(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	tr := recordMarkedWavefront(t, net, 8)
 	r := NewReplayer()
 	const iters = 100000
@@ -179,9 +179,10 @@ func TestTraceExtrapolationLongHorizonFlat(t *testing.T) {
 // TestTraceExtrapolationPerturbedFallsBack pins the fallback contract:
 // every perturbation option forces the full-replay path (zero
 // extrapolated cycles, bit-identical to the event backend), and asking
-// for ExtraCycles under perturbation is an explicit error.
+// for ExtraCycles under perturbation is an explicit error. A jittered net
+// is no fallback: the event backend runs it and a replay refuses it.
 func TestTraceExtrapolationPerturbedFallsBack(t *testing.T) {
-	det := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	det := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	rows := map[string]Options{
 		"noise":  {Net: det, Noise: jitterNoise{0.05}, Seed: 3},
 		"probe":  {Net: det, Probe: &RunProbe{}},
@@ -202,6 +203,11 @@ func TestTraceExtrapolationPerturbedFallsBack(t *testing.T) {
 			}
 			if err := ref.Run(markedWavefront(4, 3, 8)); err != nil {
 				t.Fatal(err)
+			}
+			if drawsCosts(opts.Net) {
+				requireRefusesTrace(t, name, tr, opts, ReplayParams{})
+				requireRefusesTrace(t, name+" extra cycles", tr, opts, ReplayParams{ExtraCycles: 5})
+				return
 			}
 			row := tr
 			if opts.Noise != nil {
@@ -238,7 +244,7 @@ func TestTraceExtrapolationPerturbedFallsBack(t *testing.T) {
 // negative ExtraCycles is an argument error, and ExtraCycles on a trace
 // with no usable cycle is ErrCannotExtrapolate.
 func TestTraceExtrapolationParamValidation(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	tr := recordMarkedWavefront(t, net, 8)
 	r := NewReplayer()
 	if err := r.Replay(tr, Options{Net: net}, ReplayParams{ExtraCycles: -1}); err == nil {
@@ -262,7 +268,7 @@ func TestTraceExtrapolationParamValidation(t *testing.T) {
 // to extrapolated replays: once a Replayer is warmed (tables sized, plan
 // memo populated), long-horizon replays must not allocate.
 func TestTraceReplayZeroAllocsExtrapolated(t *testing.T) {
-	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	tr := recordMarkedWavefront(t, net, 8)
 	r := NewReplayer()
 	opts := Options{Net: net}

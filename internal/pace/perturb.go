@@ -89,15 +89,14 @@ type SetOptions struct {
 // baseline.
 type SetRun = mp.Lane
 
-// MatchedSet replays one configuration several times under one noise
-// model and seed, as the idle-wave and resilience analyses need: a
-// baseline plus perturbed runs whose clock differences are exactly the
-// injected damage. The set holds one pooled replayer and, under a
-// deterministic net with noise, one bound noise table (mp.BindNoise), so
-// the per-rank noise streams are seeded and drawn once for the whole set
-// instead of once per replay. RunAll replays several runs in one pass.
-// Close returns the replayer and drops the table. A MatchedSet is not safe
-// for concurrent use.
+// MatchedSet replays one configuration several times under one noise model
+// and seed, as the idle-wave and resilience analyses need: a baseline plus
+// perturbed runs whose clock differences are exactly the injected damage.
+// The set holds one pooled replayer and, with noise, one bound noise table
+// (mp.BindNoise), so the per-rank noise streams are seeded and drawn once
+// for the whole set instead of once per replay. RunAll replays several runs
+// in one pass. Close returns the replayer and drops the table. A MatchedSet
+// is not safe for concurrent use.
 type MatchedSet struct {
 	t       *mp.Trace
 	opts    mp.Options
@@ -127,7 +126,7 @@ func (e *Evaluator) OpenMatchedSet(cfg Config, o SetOptions) (*MatchedSet, error
 		opts:   mp.Options{Net: e.HW.Net(), Noise: o.Noise, Seed: o.Seed},
 		params: mp.ReplayParams{Charges: charges, Sizes: k.sizes},
 	}
-	if o.Noise != nil && netDeterministic(s.opts.Net) {
+	if o.Noise != nil {
 		s.params.Noise = mp.BindNoise(t, charges, o.Noise, o.Seed)
 	}
 	s.rp, s.release = e.acquireReplayer()

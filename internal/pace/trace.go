@@ -230,15 +230,15 @@ const steadyCanonIters = 12
 // shape's script, then replay it under this evaluator's kernel tables and
 // fitted network model. Clocks are bit-identical to the event backend.
 //
-// Long horizons on deterministic-cost platforms canonicalise to the
-// steadyCanonIters-iteration trace replayed with ExtraCycles — the
-// replayer extrapolates the steady cycles analytically, so prediction
-// cost is nearly independent of cfg.Iterations. The canonical path is a
-// replay-time decision (the full-length trace key is untouched) and falls
-// back to the full-length script whenever the cycle is unusable.
+// Long horizons canonicalise to the steadyCanonIters-iteration trace
+// replayed with ExtraCycles — the replayer extrapolates the steady cycles
+// analytically, so prediction cost is nearly independent of
+// cfg.Iterations. The canonical path is a replay-time decision (the
+// full-length trace key is untouched) and falls back to the full-length
+// script whenever the cycle is unusable.
 func (e *Evaluator) evalTrace(cfg Config, k *costKernel) (total, sweepOnly float64, extrapolated int, err error) {
 	d := cfg.Decomp
-	if cfg.Iterations > steadyCanonIters && netDeterministic(e.HW.Net()) {
+	if cfg.Iterations > steadyCanonIters {
 		total, sweepOnly, extrapolated, err = e.replayTraceShape(
 			d, k, steadyCanonIters, cfg.Iterations-steadyCanonIters)
 		if err == nil {
@@ -291,13 +291,6 @@ func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, e
 	// state such as the steady-state plan memo, so it would not be
 	// deterministic across repeat predictions.)
 	return rp.Makespan(), marks[1] - marks[0], extraCycles, nil
-}
-
-// netDeterministic reports whether the fitted network model opted into
-// deterministic costs — the precondition for replay-time extrapolation.
-func netDeterministic(net mp.NetworkModel) bool {
-	dc, ok := net.(mp.DeterministicCosts)
-	return ok && dc.CostsDeterministic()
 }
 
 // compileTrace compiles the shape's script from its rank classes (see the
