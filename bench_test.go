@@ -214,9 +214,13 @@ func BenchmarkPredictTemplate(b *testing.B) {
 
 // BenchmarkPredictTrace is BenchmarkPredictTemplate on the trace tier
 // (the default scheduler): the shape's communication script is compiled
-// once — amortised across b.N — and every op replays through the flat
-// goroutine-free engine. The PR 4 acceptance is >= 2x over sched=event at
-// P=4000.
+// once, outside the timed loop. Every op repeats the warm-up's exact
+// configuration, so after the first replay each op is a hit in the
+// replayer's steady-state plan memo (mp planScan/planStore), which jumps
+// straight to the final cycle: this times that memo, not a replay. With
+// plan hits disabled, P=4000 read 152-256 ms/op against 41-43 ms, and
+// P=64 2.2-3.8 ms/op against 0.50-0.82 ms (go1.24, one pinned CPU of a
+// 2-vCPU Linux VM). BenchmarkPredictTraceDistinct times real replays.
 func BenchmarkPredictTrace(b *testing.B) {
 	ev, _, err := experiments.BuildEvaluator(platform.OpteronMyrinet(), grid.Global{NX: 5, NY: 5, NZ: 100}, 5)
 	if err != nil {
@@ -250,10 +254,10 @@ func BenchmarkPredictTrace(b *testing.B) {
 		})
 	}
 
-	// Iteration axis at the largest array: steady-state cycle
-	// extrapolation must make the horizon nearly free — the PR 10
-	// acceptance is iters=10000 within 2x of iters=100 (vs ~100x work
-	// replayed op by op).
+	// Iteration axis at the largest array. Its flat profile is the plan
+	// memo's: with plan hits disabled, iters=100/1000/10000 read about
+	// 280/410-470/615-630 ms/op on the machine above. The horizon cost of
+	// a configuration not seen before is BenchmarkPredictTraceDistinct's.
 	const itersP = 4000
 	d, err := grid.FactorNearSquare(itersP)
 	if err != nil {

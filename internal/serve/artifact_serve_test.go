@@ -222,9 +222,10 @@ func TestQuarantineCorruptModelArtifact(t *testing.T) {
 
 // TestPlatformPersistence covers the POST → restart → GET-by-fingerprint
 // loop: a runtime registration lands in the artifact store, a fresh server
-// on the same store restores it, serves it by name without a new fit
-// beyond the first, and answers GET /v1/platforms/{fingerprint} with the
-// full spec. Unknown fingerprints are structured 404s.
+// on the same store restores it, serves it by name on all four evaluation
+// endpoints without a new fit beyond the first, and answers
+// GET /v1/platforms/{fingerprint} with the full spec. Unknown
+// fingerprints are structured 404s.
 func TestPlatformPersistence(t *testing.T) {
 	dir := t.TempDir()
 	var fits atomic.Int64
@@ -286,11 +287,18 @@ func TestPlatformPersistence(t *testing.T) {
 		t.Errorf("restored spec fingerprint %s, want %s", restored.FingerprintHex(), spec.FingerprintHex())
 	}
 
-	// The restored platform serves by name on the restarted process.
-	predict := postJSON(t, second, "/v1/predict",
-		fmt.Sprintf(`{"platform":%q,"grid":{"nx":100,"ny":100,"nz":50},"array":{"px":2,"py":2}}`, spec.Name))
-	if predict.Code != http.StatusOK {
-		t.Errorf("predict on restored platform: status %d: %s", predict.Code, predict.Body.String())
+	// The restored platform serves by name on every evaluation endpoint of
+	// the restarted process.
+	config := fmt.Sprintf(`"platform":%q,"grid":{"nx":100,"ny":100,"nz":50},"array":{"px":2,"py":2},"iterations":4`, spec.Name)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/predict", "{" + config + "}"},
+		{"/v1/sweep", fmt.Sprintf(`{"platform":%q,"arrays":[{"px":2,"py":2}],"iterations":4}`, spec.Name)},
+		{"/v1/perturb", "{" + config + `,"scenario":{"seed":1,"delays":[{"rank":1,"iteration":1,"seconds":3.0}]}}`},
+		{"/v1/resilience", "{" + config + `,"study":{"seed":1,"checkpoint":{"interval_iterations":2,"checkpoint_seconds":0.01,"restart_seconds":0.01},"failure":{"mtbf_seconds":2.0,"scenarios":2}}}`},
+	} {
+		if rec := postJSON(t, second, c.path, c.body); rec.Code != http.StatusOK {
+			t.Errorf("%s on restored platform: status %d: %s", c.path, rec.Code, rec.Body.String())
+		}
 	}
 
 	// Unknown fingerprint: structured 404.

@@ -217,24 +217,25 @@ func TestBatchSweepGrouping(t *testing.T) {
 		mk("alpha", 2, 10), mk("beta", 2, 10), mk("alpha", 2, 10),
 		mk("alpha", 3, 10), mk("alpha", 2, 25), mk("beta", 2, 10),
 	}
-	order, spans := s.batchSweep(points, 2)
-	if len(order) != len(points) {
-		t.Fatalf("order holds %d of %d points", len(order), len(points))
-	}
-	groupAt := func(i int) sweepGroupKey { return sweepGroupOf(&points[order[i]]) }
+	spans := s.batchSweep(points, 2)
+	var order []int
 	for _, sp := range spans {
-		for i := sp.lo + 1; i < sp.hi; i++ {
-			if groupAt(i) != groupAt(sp.lo) {
-				t.Fatalf("span %+v crosses shape boundary at %d", sp, i)
+		for _, i := range sp {
+			if sweepGroupOf(&points[i]) != sweepGroupOf(&points[sp[0]]) {
+				t.Fatalf("span %v crosses shape boundary at point %d", sp, i)
 			}
 		}
+		order = append(order, sp...)
+	}
+	if len(order) != len(points) {
+		t.Fatalf("spans hold %d of %d points", len(order), len(points))
 	}
 	// mk=10 vs mk=25 at nz=50: different nkb -> different groups; the two
 	// platforms split too. Expect 4 groups: alpha/2x1/mk10 (x2), beta (x2),
 	// alpha/3x1, alpha/mk25.
 	seen := map[sweepGroupKey]bool{}
-	for i := range order {
-		seen[groupAt(i)] = true
+	for _, i := range order {
+		seen[sweepGroupOf(&points[i])] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("grouping produced %d shapes, want 4", len(seen))
@@ -245,7 +246,7 @@ func TestBatchSweepGrouping(t *testing.T) {
 	for i := range big {
 		big[i] = mk("alpha", 2, 10)
 	}
-	_, spans = s.batchSweep(big, 4)
+	spans = s.batchSweep(big, 4)
 	if len(spans) < 4 {
 		t.Fatalf("single-shape sweep produced %d spans, want >= 4 for the pool", len(spans))
 	}

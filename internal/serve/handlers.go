@@ -146,13 +146,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) (ok bool)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if q.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if !s.servesPlatform(q.Platform) {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", q.Platform, s.cfg.Platforms)
+	if err := s.acceptPlatform(&q); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	if done, ok := s.maybeProxy(w, r, []uint64{routeFingerprint(s, &q)}, &q, false); done {
@@ -253,7 +248,7 @@ type PlatformInfo struct {
 	CoresPerNode int    `json:"cores_per_node"`
 	Levels       int    `json:"levels"`
 	Hierarchical bool   `json:"hierarchical"`
-	Served       bool   `json:"served"`      // accepted by name on this server
+	Served       bool   `json:"served"`      // named in Config.Platforms
 	Fingerprint  string `json:"fingerprint"` // spec identity (cache/ETag token)
 }
 
@@ -261,13 +256,14 @@ type PlatformInfo struct {
 type PlatformsResponse struct {
 	Platforms []PlatformInfo `json:"platforms"`
 	// InlineSpecs reports whether this server accepts platform_spec
-	// submissions on /v1/predict and /v1/sweep.
+	// submissions on the evaluation endpoints, and with them registered
+	// names beyond Config.Platforms.
 	InlineSpecs bool `json:"inline_specs"`
 }
 
 // handlePlatforms serves /v1/platforms: GET lists the platform registry as
 // data — every registered spec with its topology shape and fingerprint,
-// plus whether it is served by name here — and POST registers a new spec
+// plus whether it is a configured platform — and POST registers a new spec
 // at runtime, persisting it to the artifact store (when one is attached)
 // so it survives restarts.
 func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
@@ -299,10 +295,7 @@ func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
 			Fingerprint:  spec.FingerprintHex(),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = writeJSON(w, http.StatusOK, resp)
 }
 
 // PlatformRegisterResponse is the POST /v1/platforms body: the accepted
@@ -316,8 +309,8 @@ type PlatformRegisterResponse struct {
 // handlePlatformRegister is POST /v1/platforms: register a platform spec
 // at runtime. The spec is validated, added to the registry (a conflicting
 // spec under an existing name is a 409), persisted to the artifact store
-// when one is attached, and immediately servable by name on /v1/predict
-// and /v1/sweep.
+// when one is attached, and immediately servable by name on /v1/predict,
+// /v1/sweep, /v1/perturb and /v1/resilience.
 func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
 	var spec platform.Spec
 	if err := decodeJSON(r, &spec); err != nil {
@@ -347,11 +340,7 @@ func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) 
 			resp.Persisted = true
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = writeJSON(w, http.StatusCreated, resp)
 }
 
 // handlePlatformGet is GET /v1/platforms/{fingerprint}: the full spec of a
@@ -370,10 +359,7 @@ func (s *Server) handlePlatformGet(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, spec := range s.cfg.Registry.Specs() {
 		if spec.FingerprintHex() == fp {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(spec)
+			_ = writeJSON(w, http.StatusOK, spec)
 			return
 		}
 	}

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pacesweep/internal/perturb"
 	"pacesweep/internal/platform"
@@ -50,15 +48,33 @@ func (q *PerturbRequest) predictRequest() PredictRequest {
 
 // PerturbResponse is the single-scenario /v1/perturb body.
 type PerturbResponse struct {
-	Platform            string          `json:"platform"`
-	PlatformFingerprint string          `json:"platform_fingerprint,omitempty"`
-	Grid                GridSpec        `json:"grid"`
-	Array               ArraySpec       `json:"array"`
-	MK                  int             `json:"mk"`
-	MMI                 int             `json:"mmi"`
-	Angles              int             `json:"angles"`
-	Iterations          int             `json:"iterations"`
-	Report              *perturb.Report `json:"report"`
+	ReportHeader
+	Report *perturb.Report `json:"report"`
+}
+
+// ReportHeader echoes the canonical configuration a single-shot
+// /v1/perturb or /v1/resilience report was computed on.
+type ReportHeader struct {
+	Platform            string    `json:"platform"`
+	PlatformFingerprint string    `json:"platform_fingerprint,omitempty"`
+	Grid                GridSpec  `json:"grid"`
+	Array               ArraySpec `json:"array"`
+	MK                  int       `json:"mk"`
+	MMI                 int       `json:"mmi"`
+	Angles              int       `json:"angles"`
+	Iterations          int       `json:"iterations"`
+}
+
+// reportHeader fills the header from a canonical predict request.
+func reportHeader(q *PredictRequest) ReportHeader {
+	h := ReportHeader{
+		Platform: platformName(q), Grid: q.Grid, Array: q.Array,
+		MK: q.MK, MMI: q.MMI, Angles: q.Angles, Iterations: q.Iterations,
+	}
+	if q.PlatformSpec != nil {
+		h.PlatformFingerprint = q.PlatformSpec.FingerprintHex()
+	}
+	return h
 }
 
 // PerturbPoint is one line of a streamed scenario grid. Error is set (and
@@ -94,13 +110,8 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) (ok bool)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if pq.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if _, known := s.evals[pq.Platform]; !known {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", pq.Platform, s.cfg.Platforms)
+	if err := s.acceptPlatform(&pq); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	// Every scenario must be well-formed before any evaluation: a typo in
@@ -141,79 +152,23 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) (ok bool)
 			writeEvalError(w, r, err)
 			return false
 		}
-		resp := PerturbResponse{
-			Platform: platformName(&pq), Grid: pq.Grid, Array: pq.Array,
-			MK: pq.MK, MMI: pq.MMI, Angles: pq.Angles, Iterations: pq.Iterations,
-			Report: rep,
-		}
-		if pq.PlatformSpec != nil {
-			resp.PlatformFingerprint = pq.PlatformSpec.FingerprintHex()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&resp) == nil
+		return writeJSON(w, http.StatusOK, &PerturbResponse{ReportHeader: reportHeader(&pq), Report: rep}) == nil
 	}
 
-	// Scenario grid: fan out on a bounded pool, stream NDJSON in index
-	// order as each report lands.
-	n := len(scenarios)
-	results := make([]PerturbPoint, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	workers := s.cfg.SweepWorkers
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	ctx := r.Context()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pt := PerturbPoint{Index: i}
-				if err := ctx.Err(); err != nil {
-					pt.Error = "cancelled: " + err.Error()
-				} else if rep, err := run(scenarios[i]); err != nil {
-					pt.Error = err.Error()
-				} else {
-					pt.Report = rep
-				}
-				results[i] = pt
-				close(ready[i])
+	// Scenario grid: fan out in index order, stream NDJSON as each report
+	// lands.
+	results, ready, finished := fanOut(r.Context(), s.cfg.SweepWorkers, indexSpans(len(scenarios)),
+		func(i int) PerturbPoint {
+			pt := PerturbPoint{Index: i}
+			if rep, err := run(scenarios[i]); err != nil {
+				pt.Error = err.Error()
+			} else {
+				pt.Report = rep
 			}
-		}()
-	}
-	finished := make(chan struct{})
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		close(finished)
-	}()
-	defer func() { <-finished }() // never leave workers writing after return
-
-	announceRetryTrailer(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range results {
-		<-ready[i]
-		if err := enc.Encode(&results[i]); err != nil {
-			return false // client went away; workers drain via ctx
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	finishRetryTrailer(w, r)
-	return true
+			return pt
+		},
+		func(i int, err error) PerturbPoint { return PerturbPoint{Index: i, Error: "cancelled: " + err.Error()} })
+	return streamNDJSON(w, r, results, ready, finished)
 }
 
 // platformName names the request's platform for response bodies.

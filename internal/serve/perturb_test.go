@@ -331,60 +331,7 @@ func TestPerturbNoGoroutineLeaks(t *testing.T) {
 			t.Fatalf("round %d: %d", i, rec.Code)
 		}
 	}
-	// The worker pools are fully synchronous per request; allow brief
-	// scheduler lag before declaring a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestPerturbDisconnectedStreamNoGoroutineLeaks abandons an NDJSON
-// scenario grid mid-write — the client-disconnect counterpart of
-// TestPerturbNoGoroutineLeaks's completed path: the encode error return
-// must drain the scenario workers via context cancellation.
-func TestPerturbDisconnectedStreamNoGoroutineLeaks(t *testing.T) {
-	s := newTestServer(t, nil)
-	body := `{
-		"platform": "alpha",
-		"grid": {"nx": 100, "ny": 100, "nz": 50},
-		"array": {"px": 2, "py": 2},
-		"scenarios": [
-			{"seed": 1, "delays": [{"rank": 0, "iteration": 0, "seconds": 3.0}]},
-			{"seed": 1, "delays": [{"rank": 3, "iteration": 5, "seconds": 1.5}]},
-			{"seed": 2, "delays": [{"rank": 1, "iteration": 9, "seconds": 4.0}]},
-			{"seed": 3, "delays": [{"rank": 2, "iteration": 2, "seconds": 2.0}]}
-		]
-	}`
-	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		req := httptest.NewRequest(http.MethodPost, "/v1/perturb", strings.NewReader(body)).WithContext(ctx)
-		w := &disconnectingWriter{header: make(http.Header), cancel: cancel}
-		s.ServeHTTP(w, req)
-		cancel()
-		if w.writes < 2 {
-			t.Fatalf("round %d: stream never hit the disconnect (%d writes)", round, w.writes)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestSweepScenarioAxis proves robustness works as a sweep axis: every

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pacesweep/internal/platform"
 	"pacesweep/internal/resilience"
@@ -55,15 +53,8 @@ func (q *ResilienceRequest) predictRequest() PredictRequest {
 
 // ResilienceResponse is the single-study /v1/resilience body.
 type ResilienceResponse struct {
-	Platform            string             `json:"platform"`
-	PlatformFingerprint string             `json:"platform_fingerprint,omitempty"`
-	Grid                GridSpec           `json:"grid"`
-	Array               ArraySpec          `json:"array"`
-	MK                  int                `json:"mk"`
-	MMI                 int                `json:"mmi"`
-	Angles              int                `json:"angles"`
-	Iterations          int                `json:"iterations"`
-	Report              *resilience.Report `json:"report"`
+	ReportHeader
+	Report *resilience.Report `json:"report"`
 }
 
 // ResiliencePoint is one line of a streamed study grid: the report of
@@ -117,13 +108,8 @@ func (s *Server) handleResilience(w http.ResponseWriter, r *http.Request) (ok bo
 		pqs[i] = pq
 	}
 	pq0 := &pqs[0]
-	if pq0.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if _, known := s.evals[pq0.Platform]; !known {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", pq0.Platform, s.cfg.Platforms)
+	if err := s.acceptPlatform(pq0); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	// Every study must be well-formed before any evaluation: a malformed
@@ -166,103 +152,28 @@ func (s *Server) handleResilience(w http.ResponseWriter, r *http.Request) (ok bo
 			writeEvalError(w, r, err)
 			return false
 		}
-		resp := ResilienceResponse{
-			Platform: platformName(pq0), Grid: pq0.Grid, Array: pq0.Array,
-			MK: pq0.MK, MMI: pq0.MMI, Angles: pq0.Angles, Iterations: pq0.Iterations,
-			Report: rep,
-		}
-		if pq0.PlatformSpec != nil {
-			resp.PlatformFingerprint = pq0.PlatformSpec.FingerprintHex()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&resp) == nil
+		return writeJSON(w, http.StatusOK, &ResilienceResponse{ReportHeader: reportHeader(pq0), Report: rep}) == nil
 	}
 
-	// Cross product: fan out on a bounded pool, stream NDJSON in index
-	// order as each report lands (arrays outermost).
-	n := len(arrays) * len(studies)
-	results := make([]ResiliencePoint, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	// Cross product: fan out in index order (arrays outermost), stream
+	// NDJSON as each report lands.
+	point := func(i int) ResiliencePoint {
+		return ResiliencePoint{Index: i, Array: arrays[i/len(studies)], Study: i % len(studies)}
 	}
-	workers := s.cfg.SweepWorkers
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	ctx := r.Context()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ai, si := i/len(studies), i%len(studies)
-				pt := ResiliencePoint{Index: i, Array: arrays[ai], Study: si}
-				if err := ctx.Err(); err != nil {
-					pt.Error = "cancelled: " + err.Error()
-				} else if rep, err := run(&pqs[ai], studies[si]); err != nil {
-					pt.Error = err.Error()
-				} else {
-					pt.Report = rep
-				}
-				results[i] = pt
-				close(ready[i])
+	results, ready, finished := fanOut(r.Context(), s.cfg.SweepWorkers, indexSpans(len(arrays)*len(studies)),
+		func(i int) ResiliencePoint {
+			pt := point(i)
+			if rep, err := run(&pqs[i/len(studies)], studies[pt.Study]); err != nil {
+				pt.Error = err.Error()
+			} else {
+				pt.Report = rep
 			}
-		}()
-	}
-	finished := make(chan struct{})
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		close(finished)
-	}()
-	defer func() { <-finished }() // never leave workers writing after return
-
-	announceRetryTrailer(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range results {
-		<-ready[i]
-		if err := enc.Encode(&results[i]); err != nil {
-			return false // client went away; workers drain via ctx
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	finishRetryTrailer(w, r)
-	return true
-}
-
-// NDJSON mid-stream failure contract (see cmd/paceserve/README.md): once
-// streaming has begun the status line is long gone, so a deadline or
-// cancellation mid-grid cannot turn into a 503/504. Instead the remaining
-// lines carry "cancelled: ..." errors and the response announces a
-// Retry-After trailer up front, set to "1" after the stream if any work
-// was abandoned — the streaming analogue of the 503/504 Retry-After
-// header.
-
-// announceRetryTrailer declares the Retry-After trailer before the body
-// starts (trailers must be announced ahead of the status line to be
-// emitted at all).
-func announceRetryTrailer(w http.ResponseWriter) {
-	w.Header().Set("Trailer", "Retry-After")
-}
-
-// finishRetryTrailer sets the announced trailer when the request's
-// context ended mid-stream (deadline or cancellation): remaining lines
-// were marked cancelled rather than evaluated, so the client should
-// re-issue the request.
-func finishRetryTrailer(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
-		w.Header().Set("Retry-After", "1")
-	}
+			return pt
+		},
+		func(i int, err error) ResiliencePoint {
+			pt := point(i)
+			pt.Error = "cancelled: " + err.Error()
+			return pt
+		})
+	return streamNDJSON(w, r, results, ready, finished)
 }

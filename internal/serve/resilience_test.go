@@ -3,16 +3,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 const resilienceBody = `{
@@ -226,116 +221,6 @@ func TestResilienceRejectsMalformed(t *testing.T) {
 	}
 	if rec := postJSON(t, s, "/v1/resilience", resilienceBody); rec.Code != http.StatusOK {
 		t.Fatalf("valid request after rejects: %d", rec.Code)
-	}
-}
-
-// TestResilienceCancelledStreamTrailer drives a study grid with an
-// already-cancelled request context: every line must carry a cancellation
-// error and the announced Retry-After trailer must be set after the
-// stream — the NDJSON analogue of the 503/504 Retry-After header.
-func TestResilienceCancelledStreamTrailer(t *testing.T) {
-	s := newTestServer(t, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	body := `{
-		"platform": "alpha",
-		"grid": {"nx": 100, "ny": 100, "nz": 50},
-		"array": {"px": 2, "py": 2},
-		"studies": [
-			{"seed": 1, "checkpoint": {"interval_iterations": 2, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}},
-			{"seed": 2, "checkpoint": {"interval_iterations": 4, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}}
-		]
-	}`
-	req := httptest.NewRequest(http.MethodPost, "/v1/resilience", strings.NewReader(body)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	sc := bufio.NewScanner(rec.Body)
-	var lines int
-	for sc.Scan() {
-		var pt ResiliencePoint
-		if err := json.Unmarshal(sc.Bytes(), &pt); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(pt.Error, "cancelled") {
-			t.Fatalf("line %d not marked cancelled: %+v", lines, pt)
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Fatalf("streamed %d lines, want 2", lines)
-	}
-	if got := rec.Result().Trailer.Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After trailer = %q, want \"1\"", got)
-	}
-}
-
-// disconnectingWriter simulates a client that goes away mid-stream: the
-// first body write succeeds, every later write cancels the request
-// context and fails, like a real severed connection.
-type disconnectingWriter struct {
-	header http.Header
-	writes int
-	cancel context.CancelFunc
-}
-
-func (d *disconnectingWriter) Header() http.Header { return d.header }
-func (d *disconnectingWriter) WriteHeader(int)     {}
-func (d *disconnectingWriter) Write(p []byte) (int, error) {
-	d.writes++
-	if d.writes > 1 {
-		d.cancel()
-		return 0, errors.New("client disconnected")
-	}
-	return len(p), nil
-}
-
-// TestResilienceStreamNoGoroutineLeaks abandons an NDJSON study grid
-// mid-write and checks the worker fan-out still retires: the handler's
-// encode error return must drain the pool via context cancellation, never
-// strand workers blocked on the results channel.
-func TestResilienceStreamNoGoroutineLeaks(t *testing.T) {
-	s := newTestServer(t, nil)
-	body := `{
-		"platform": "alpha",
-		"grid": {"nx": 100, "ny": 100, "nz": 50},
-		"array": {"px": 2, "py": 2},
-		"studies": [
-			{"seed": 1, "checkpoint": {"interval_iterations": 2, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}},
-			{"seed": 2, "checkpoint": {"interval_iterations": 3, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}},
-			{"seed": 3, "checkpoint": {"interval_iterations": 4, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}},
-			{"seed": 4, "checkpoint": {"interval_iterations": 6, "checkpoint_seconds": 0.01, "restart_seconds": 0.01},
-				"failure": {"mtbf_seconds": 2.0, "scenarios": 2}}
-		]
-	}`
-	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		req := httptest.NewRequest(http.MethodPost, "/v1/resilience", strings.NewReader(body)).WithContext(ctx)
-		w := &disconnectingWriter{header: make(http.Header), cancel: cancel}
-		s.ServeHTTP(w, req)
-		cancel()
-		if w.writes < 2 {
-			t.Fatalf("round %d: stream never hit the disconnect (%d writes)", round, w.writes)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -680,6 +680,22 @@ func (s *Server) servesPlatform(name string) bool {
 	return ok
 }
 
+// acceptPlatform is the evaluation endpoints' one platform decision for a
+// canonical request: an inline spec when inline specs are enabled, or a
+// name servesPlatform accepts. Its errors are 400-class.
+func (s *Server) acceptPlatform(q *PredictRequest) error {
+	if q.PlatformSpec != nil {
+		if s.customEvals == nil {
+			return errRequest("inline platform specs are disabled on this server")
+		}
+		return nil
+	}
+	if !s.servesPlatform(q.Platform) {
+		return errRequest("unknown platform %q (serving %v)", q.Platform, s.cfg.Platforms)
+	}
+	return nil
+}
+
 // Warm fits the named platform's evaluator now instead of on first
 // request; cmd/paceserve's -warmup calls it before accepting traffic.
 func (s *Server) Warm(name string) error {

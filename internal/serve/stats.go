@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -312,10 +311,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.statsResponse())
+	_ = writeJSON(w, http.StatusOK, s.statsResponse())
 }
 
 // handleMetrics renders the same counters in Prometheus text exposition
@@ -337,21 +333,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "# TYPE paceserve_shedding gauge\npaceserve_shedding %d\n", shedding)
 
-	fmt.Fprintf(w, "# TYPE paceserve_requests_total counter\n")
-	for _, ep := range sortedKeys(st.Endpoints) {
-		fmt.Fprintf(w, "paceserve_requests_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].Requests)
+	counters := [...]struct {
+		name  string
+		value func(EndpointSnapshot) uint64
+	}{
+		{"paceserve_requests_total", func(e EndpointSnapshot) uint64 { return e.Requests }},
+		{"paceserve_request_errors_total", func(e EndpointSnapshot) uint64 { return e.Errors }},
+		{"paceserve_cache_hits_total", func(e EndpointSnapshot) uint64 { return e.CacheHits }},
+		{"paceserve_not_modified_total", func(e EndpointSnapshot) uint64 { return e.NotModified }},
+		{"paceserve_shed_total", func(e EndpointSnapshot) uint64 { return e.Shed }},
 	}
-	fmt.Fprintf(w, "# TYPE paceserve_request_errors_total counter\n")
-	for _, ep := range sortedKeys(st.Endpoints) {
-		fmt.Fprintf(w, "paceserve_request_errors_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].Errors)
-	}
-	fmt.Fprintf(w, "# TYPE paceserve_not_modified_total counter\n")
-	for _, ep := range sortedKeys(st.Endpoints) {
-		fmt.Fprintf(w, "paceserve_not_modified_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].NotModified)
-	}
-	fmt.Fprintf(w, "# TYPE paceserve_shed_total counter\n")
-	for _, ep := range sortedKeys(st.Endpoints) {
-		fmt.Fprintf(w, "paceserve_shed_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].Shed)
+	for _, c := range counters {
+		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
+		for _, ep := range sortedKeys(st.Endpoints) {
+			fmt.Fprintf(w, "%s{endpoint=%q} %d\n", c.name, ep, c.value(st.Endpoints[ep]))
+		}
 	}
 	// Full Prometheus histogram convention: _bucket series plus the _sum
 	// and _count series that rate()/avg queries depend on.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 
 	"pacesweep/internal/pace"
 	"pacesweep/internal/perturb"
@@ -308,14 +307,7 @@ func errRequest(format string, args ...any) error {
 // response cache on the way out, so the next repeat — and /v1/predict
 // itself — hits bytes), then the cold singleflight evaluation.
 func (s *Server) evaluatePoint(r *http.Request, i int, q *PredictRequest, sc *perturb.Scenario) SweepPoint {
-	name := q.Platform
-	if q.PlatformSpec != nil {
-		name = q.PlatformSpec.Name
-	}
-	pt := SweepPoint{
-		Index: i, Platform: name, Grid: q.Grid, Array: q.Array,
-		MK: q.MK, MMI: q.MMI,
-	}
+	pt := newSweepPoint(i, q)
 	if err := q.validate(); err != nil {
 		pt.Error = err.Error()
 		return pt
@@ -420,18 +412,9 @@ func (s *Server) perturbPoint(r *http.Request, pt SweepPoint, q *PredictRequest,
 	return pt
 }
 
-// cancelledPoint fills a sweep point abandoned because the request's
-// context ended before the point was evaluated.
-func cancelledPoint(i int, q *PredictRequest, err error) SweepPoint {
-	name := q.Platform
-	if q.PlatformSpec != nil {
-		name = q.PlatformSpec.Name
-	}
-	return SweepPoint{
-		Index: i, Platform: name, Grid: q.Grid, Array: q.Array,
-		MK: q.MK, MMI: q.MMI,
-		Error: "cancelled: " + err.Error(),
-	}
+// newSweepPoint echoes point i's configuration, before evaluation.
+func newSweepPoint(i int, q *PredictRequest) SweepPoint {
+	return SweepPoint{Index: i, Platform: platformName(q), Grid: q.Grid, Array: q.Array, MK: q.MK, MMI: q.MMI}
 }
 
 // pointFromBody fills a sweep point from canonical cached response bytes.
@@ -481,16 +464,12 @@ func sweepGroupOf(q *PredictRequest) sweepGroupKey {
 	}
 }
 
-// batchSpan is one worker work unit: a run of shape-coherent point
-// indices (into the grouped order).
-type batchSpan struct{ lo, hi int }
-
-// batchSweep reorders point indices shape-major and cuts the order into
-// bounded shape-coherent spans: one span never crosses a shape boundary
-// (so a worker processing it shares the compiled trace end to end), and
-// spans are small enough that even a single-shape sweep spreads across
-// the whole worker pool.
-func (s *Server) batchSweep(points []PredictRequest, workers int) (order []int, spans []batchSpan) {
+// batchSweep groups point indices shape-major and cuts each group into
+// bounded spans: one span never crosses a shape boundary (so a worker
+// processing it shares the compiled trace end to end), and spans are small
+// enough that even a single-shape sweep spreads across the whole worker
+// pool.
+func (s *Server) batchSweep(points []PredictRequest, workers int) (spans [][]int) {
 	n := len(points)
 	groups := make(map[sweepGroupKey][]int)
 	var keyOrder []sweepGroupKey
@@ -502,82 +481,30 @@ func (s *Server) batchSweep(points []PredictRequest, workers int) (order []int, 
 		groups[k] = append(groups[k], i)
 	}
 	// Bound spans so workers*4 units exist even for one giant group.
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	order = make([]int, 0, n)
+	chunk := max(1, (n+workers*4-1)/(workers*4))
 	maxGroup := 0
 	for _, k := range keyOrder {
 		idxs := groups[k]
-		if len(idxs) > maxGroup {
-			maxGroup = len(idxs)
-		}
-		start := len(order)
-		order = append(order, idxs...)
-		for lo := start; lo < len(order); lo += chunk {
-			hi := lo + chunk
-			if hi > len(order) {
-				hi = len(order)
-			}
-			spans = append(spans, batchSpan{lo: lo, hi: hi})
+		maxGroup = max(maxGroup, len(idxs))
+		for lo := 0; lo < len(idxs); lo += chunk {
+			spans = append(spans, idxs[lo:min(lo+chunk, len(idxs))])
 		}
 	}
 	s.st.observeSweepBatch(len(keyOrder), n, maxGroup)
-	return order, spans
+	return spans
 }
 
 // runSweep fans the points out on the sweep worker pool, batched by trace
-// shape (batchSweep). results[i] is valid once ready[i] is closed; the
-// returned channel closes when every worker has retired. Workers decide
-// only wall-clock, never values — each point is an independent
-// deterministic evaluation, so results are identical to a sequential pass
-// regardless of completion order or grouping.
+// shape (batchSweep).
 func (s *Server) runSweep(r *http.Request, points []PredictRequest, sc *perturb.Scenario) (results []SweepPoint, ready []chan struct{}, finished chan struct{}) {
-	n := len(points)
-	results = make([]SweepPoint, n)
-	ready = make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	workers := s.cfg.SweepWorkers
-	if workers > n {
-		workers = n
-	}
-	order, spans := s.batchSweep(points, workers)
-	next := make(chan batchSpan)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	ctx := r.Context()
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			defer wg.Done()
-			for sp := range next {
-				for _, i := range order[sp.lo:sp.hi] {
-					// A disconnected or expired client aborts the remaining
-					// points instead of burning evaluation slots on a response
-					// nobody reads; the already-claimed spans drain as cheap
-					// per-point error fills.
-					if err := ctx.Err(); err != nil {
-						results[i] = cancelledPoint(i, &points[i], err)
-					} else {
-						results[i] = s.evaluatePoint(r, i, &points[i], sc)
-					}
-					close(ready[i])
-				}
-			}
-		}()
-	}
-	finished = make(chan struct{})
-	go func() {
-		for _, sp := range spans {
-			next <- sp
-		}
-		close(next)
-		wg.Wait()
-		close(finished)
-	}()
-	return results, ready, finished
+	workers := min(s.cfg.SweepWorkers, len(points))
+	return fanOut(r.Context(), workers, s.batchSweep(points, workers),
+		func(i int) SweepPoint { return s.evaluatePoint(r, i, &points[i], sc) },
+		func(i int, err error) SweepPoint {
+			pt := newSweepPoint(i, &points[i])
+			pt.Error = "cancelled: " + err.Error()
+			return pt
+		})
 }
 
 // handleSweep is POST /v1/sweep.
@@ -606,26 +533,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (ok bool) {
 	}
 
 	results, ready, finished := s.runSweep(r, points, q.Scenario)
-	defer func() { <-finished }() // never leave workers writing after return
-
 	if q.Stream {
-		announceRetryTrailer(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
-		for i := range results {
-			<-ready[i]
-			if err := enc.Encode(&results[i]); err != nil {
-				return false // client went away; workers drain via ctx
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		finishRetryTrailer(w, r)
-		return true
+		return streamNDJSON(w, r, results, ready, finished)
 	}
-
 	<-finished
 	resp := SweepResponse{Count: len(results), Points: results}
 	for i := range results {
@@ -641,8 +551,5 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (ok bool) {
 	if len(q.NoiseFracs) > 0 && resp.Best != nil {
 		resp.NoiseTolerance = s.noiseToleranceFor(r, &points[resp.Best.Index], &q)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&resp) == nil
+	return writeJSON(w, http.StatusOK, &resp) == nil
 }
