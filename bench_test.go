@@ -215,12 +215,12 @@ func BenchmarkPredictTemplate(b *testing.B) {
 // BenchmarkPredictTrace is BenchmarkPredictTemplate on the trace tier
 // (the default scheduler): the shape's communication script is compiled
 // once, outside the timed loop. Every op repeats the warm-up's exact
-// configuration, so after the first replay each op is a hit in the
-// replayer's steady-state plan memo (mp planScan/planStore), which jumps
-// straight to the final cycle: this times that memo, not a replay. With
-// plan hits disabled, P=4000 read 152-256 ms/op against 41-43 ms, and
-// P=64 2.2-3.8 ms/op against 0.50-0.82 ms (go1.24, one pinned CPU of a
-// 2-vCPU Linux VM). BenchmarkPredictTraceDistinct times real replays.
+// configuration on a warmed replayer and replays it in full: a replay
+// keeps no result of the ones before it, so every op pays the replay a
+// configuration the replayer has not seen pays. P=64/512/4000 read about
+// 3.3/16/163 ms/op at best (go1.24, -cpu 1, 2-vCPU Xeon VM; runs spread
+// up to twice that). BenchmarkPredictTraceDistinct varies the
+// configuration instead.
 func BenchmarkPredictTrace(b *testing.B) {
 	ev, _, err := experiments.BuildEvaluator(platform.OpteronMyrinet(), grid.Global{NX: 5, NY: 5, NZ: 100}, 5)
 	if err != nil {
@@ -254,10 +254,10 @@ func BenchmarkPredictTrace(b *testing.B) {
 		})
 	}
 
-	// Iteration axis at the largest array. Its flat profile is the plan
-	// memo's: with plan hits disabled, iters=100/1000/10000 read about
-	// 280/410-470/615-630 ms/op on the machine above. The horizon cost of
-	// a configuration not seen before is BenchmarkPredictTraceDistinct's.
+	// Iteration axis at the largest array. Extrapolation replays about two
+	// cycles per binade the horizon crosses, so the cost grows far slower
+	// than the iteration count: iters=100/1000/10000 read about
+	// 276/452/550 ms/op at best on the machine above.
 	const itersP = 4000
 	d, err := grid.FactorNearSquare(itersP)
 	if err != nil {
@@ -289,12 +289,11 @@ func BenchmarkPredictTrace(b *testing.B) {
 }
 
 // BenchmarkPredictTraceDistinct is BenchmarkPredictTrace's iteration axis
-// on configurations that neither the kernel cache nor the steady-state
-// plan memo has seen: every op predicts a 32x64 array with a new
-// per-processor cell count (5-9 x 5-9 cells, NZ 101-110: 250 distinct
-// configurations before the sequence repeats), so each one prices a fresh
-// kernel and replays the shared canonical trace under its own cost
-// tables. That is the cost of a long-horizon question the service has
+// on configurations that the kernel cache has not seen: every op predicts
+// a 32x64 array with a new per-processor cell count (5-9 x 5-9 cells, NZ
+// 101-110: 250 distinct configurations before the sequence repeats), so
+// each one prices a fresh kernel and replays the shared canonical trace
+// under its own cost tables. That is the cost of a long-horizon question the service has
 // not answered before. replayed_cycles/op counts the steady cycles
 // replayed op by op (pace.TraceExtrapolationStats.ReplayedCycles); the
 // rest of the horizon is extrapolated.

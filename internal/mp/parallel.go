@@ -27,7 +27,7 @@ package mp
 // stops at a barrier. The last worker to stop closes the generation while
 // the others wait: it folds the workers' arrival maxima, prices the
 // reduction and runs the cycle engine (cycBoundary: binade validation,
-// jumps, repositioning, the plan memo and the cycle counters). Workers
+// jumps, repositioning and the cycle counters). Workers
 // flush before they stop, so streamsIdle, which also counts unapplied
 // inboxes, sees every message in flight, exactly as at a serial close.
 //
@@ -253,11 +253,8 @@ func (r *Replayer) runParallel() error {
 		panic(p.panicked)
 	case p.stalled:
 		return errStalled
-	case r.cycErr != nil:
-		return r.cycErr
 	}
-	r.finish()
-	return nil
+	return r.cycErr
 }
 
 // work runs the worker's ranks until the replay is over, flushing the

@@ -176,8 +176,8 @@ func TestParallelReplayRandomPrograms(t *testing.T) {
 // TestParallelReplayExtrapolation: generated periodic programs whose costs
 // sit on binade edges and half-ulp ties, replayed at long horizons, jump
 // binades identically on one, two and three workers and match a full event
-// run. A second replay of the same inputs hits the steady-state plan memo
-// on the parallel path as it does on the serial one.
+// run. A second replay of the same inputs on the warmed replayers repeats
+// the first, on the parallel path as on the serial one.
 func TestParallelReplayExtrapolation(t *testing.T) {
 	trials, maxExtra := 16, 5000
 	if testing.Short() {
@@ -221,7 +221,7 @@ func TestParallelReplayExtrapolation(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := ReplayParams{Charges: g.charges, ExtraCycles: extra}
-			for pass := 0; pass < 2; pass++ { // the second pass runs from the plan memo
+			for pass := 0; pass < 2; pass++ { // a warmed replayer repeats itself
 				replayWorkers(t, serial, 1, tr, Options{Net: net}, p)
 				requireMatchesEvent(t, fmt.Sprintf("seed %d iters=%d serial", seed, iters), serial, ref)
 				for k, rp := range map[int]*Replayer{2: par2, 3: par3} {
@@ -236,10 +236,11 @@ func TestParallelReplayExtrapolation(t *testing.T) {
 	}
 }
 
-// TestParallelReplayPlanMemoHit: a repeated long-horizon wavefront replay
-// skips its steady cycles through the plan memo on two workers exactly as
-// on one.
-func TestParallelReplayPlanMemoHit(t *testing.T) {
+// TestParallelReplayWarmRepeat: a warmed replayer repeats a long-horizon
+// wavefront replay, serially and on two workers, with the clocks, marks
+// and cycle counters of a cold serial replay: a replay keeps nothing from
+// the replays before it.
+func TestParallelReplayWarmRepeat(t *testing.T) {
 	const px, py, iters = 4, 3, 10
 	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	w, err := NewWorld(px*py, Options{Net: net})
@@ -251,16 +252,17 @@ func TestParallelReplayPlanMemoHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ReplayParams{ExtraCycles: 5000}
-	serial, par := NewReplayer(), NewReplayer()
-	replayWorkers(t, serial, 1, tr, Options{Net: net}, p)
-	replayWorkers(t, par, 2, tr, Options{Net: net}, p)
-	requireSameReplay(t, "first", serial, par)
-	cold := par.Stats()
-	replayWorkers(t, serial, 1, tr, Options{Net: net}, p)
-	warm := replayWorkers(t, par, 2, tr, Options{Net: net}, p)
-	requireSameReplay(t, "memo", serial, par)
-	if warm.ReplayedCycles >= cold.ReplayedCycles {
-		t.Fatalf("memo replay executed %d cycles, cold replay %d", warm.ReplayedCycles, cold.ReplayedCycles)
+	cold := NewReplayer()
+	if st := replayWorkers(t, cold, 1, tr, Options{Net: net}, p); st.ExtrapolatedCycles == 0 {
+		t.Fatalf("cold replay extrapolated nothing: %+v", st)
+	}
+	warm := NewReplayer()
+	for pass, k := range []int{1, 1, 2, 2} {
+		label := fmt.Sprintf("pass %d workers=%d", pass, k)
+		if st := replayWorkers(t, warm, k, tr, Options{Net: net}, p); st.Workers != k {
+			t.Fatalf("%s: ran on %d workers", label, st.Workers)
+		}
+		requireSameReplay(t, label, cold, warm)
 	}
 }
 
@@ -354,12 +356,8 @@ func TestParallelReplayAdmission(t *testing.T) {
 	if got := replayPs.Load(); got != 0 {
 		t.Fatalf("%d Ps still counted after the replays", got)
 	}
-	// rp has replayed big three times; so does the serial reference, so
-	// both plan memos hold the same plan.
 	serial := NewReplayer()
-	for i := 0; i < 3; i++ {
-		replayWorkers(t, serial, 1, big, Options{Net: net}, ReplayParams{})
-	}
+	replayWorkers(t, serial, 1, big, Options{Net: net}, ReplayParams{})
 	requireSameReplay(t, "admitted", serial, rp)
 }
 

@@ -816,8 +816,7 @@ type Replayer struct {
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
 	// fused loop (one lane, no noise, no perturbation) over the perturbed
 	// loop; cycOn tracks a detected cycle through its boundaries; the stat
-	// counters feed Stats(). The plan memo fields cache last-cycle
-	// boundary clocks of completed replays keyed by their exact inputs.
+	// counters feed Stats().
 	fusedPath   bool
 	cycOn       bool
 	cycErr      error
@@ -833,13 +832,6 @@ type Replayer struct {
 
 	statReplayed     int
 	statExtrapolated int
-
-	plans    [planSlots]steadyPlan
-	planNext int
-	planHit  int // matching plan slot for this replay; -1 none
-	planD    float64
-	planGot  bool
-	planRed  []float64 // scratch: priced collective costs for fingerprints
 }
 
 // rrank is one rank's scheduler-hot replay state. A delivery does not
@@ -942,7 +934,6 @@ func (r *Replayer) run() error {
 			if w.doneCount < r.t.n {
 				return errStalled
 			}
-			r.finish()
 			return nil
 		}
 		if r.fusedPath {
@@ -953,13 +944,6 @@ func (r *Replayer) run() error {
 		if r.cycErr != nil {
 			return r.cycErr
 		}
-	}
-}
-
-// finish does the bookkeeping of a replay that ran to completion.
-func (r *Replayer) finish() {
-	if r.planGot && r.planHit < 0 {
-		r.planStore()
 	}
 }
 
@@ -1096,8 +1080,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	r.cycPrevD, r.cycDelta = 0, 0
 	r.cycStreak, r.cycOpenIdle = 0, false
 	r.statReplayed, r.statExtrapolated = 0, 0
-	r.planHit = -1
-	r.planGot = false
 	if p.ExtraCycles < 0 {
 		return fmt.Errorf("mp: negative ExtraCycles %d", p.ExtraCycles)
 	}
@@ -1107,11 +1089,23 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	if t.cyc.detected && r.fusedPath {
 		r.cycOn = true
 		r.cycVirt = t.cyc.cycles + p.ExtraCycles
-		r.planScan()
 		r.priceCostBits()
 	}
 	r.startWorkers(r.admit(t))
 	return nil
+}
+
+// f64SliceEqual reports whether a and b hold the same float64 bit patterns.
+func f64SliceEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rng returns the rank's replay RNG stream, seeded exactly as the event

@@ -47,19 +47,14 @@ package mp
 // long iteration counts. internal/pace uses this to canonicalise long
 // predictions onto one short compiled shape.
 //
-// A warmed replayer also keeps a small steady-state plan memo: a completed
-// cycle-tracked replay records the last-cycle boundary clock keyed by the
-// exact replay inputs (trace, virtual horizon, parameter tables, priced
-// cost tables). A later replay with bitwise-identical inputs jumps straight
-// from the first boundary to the final cycle — the memoised value came from
-// a genuine replay of the same pure function, so the result is still
-// bit-identical — making warmed long-horizon replays near-O(1).
+// A replay keeps nothing from the replays before it but table capacity:
+// clocks, marks and ReplayStats are a function of its inputs alone, so a
+// warmed replayer repeats what a cold one returns.
 
 import (
 	"errors"
 	"math"
 	"math/bits"
-	"reflect"
 	"slices"
 )
 
@@ -288,7 +283,9 @@ func scalarFop(o *top, slot uint8, nlit int32) fop {
 }
 
 // collectReduceSizes records the distinct collective payload byte counts
-// referenced by the script, for replay-time plan fingerprinting.
+// referenced by the script. A cycle-tracked replay prices them into its
+// cost-bit set (priceCostBits): a collective's price is added to the
+// clocks it releases.
 func (t *Trace) collectReduceSizes() {
 	t.redSizes = t.redSizes[:0]
 	for i := range t.chunkOps {
@@ -652,8 +649,8 @@ type ReplayStats struct {
 	CycleDetected bool
 	// ReplayedCycles counts steady cycles executed op by op.
 	ReplayedCycles int
-	// ExtrapolatedCycles counts steady cycles skipped analytically (or via
-	// the steady-state plan memo) instead of replayed.
+	// ExtrapolatedCycles counts steady cycles skipped analytically instead
+	// of replayed.
 	ExtrapolatedCycles int
 	// Workers is how many workers ran the replay: 1 for a serial replay,
 	// more for a parallel fused one (parallel.go).
@@ -736,20 +733,24 @@ func (s *costBits) tieAt(d float64) bool {
 // priceCostBits rebuilds r.costs from every cost the fused loop can add to
 // a clock this replay: positive charge parameters (the loop skips the
 // rest), literal charges, the send, transit and receive tables, and the
-// collective prices. Called from prepare after planScan priced planRed.
+// price of every collective payload size (Trace.redSizes). Called from
+// prepare when the replay tracks a cycle.
 func (r *Replayer) priceCostBits() {
+	t := r.t
 	r.costs = costBits{}
 	for _, c := range r.charges {
 		if c > 0 {
 			r.costs.add(c)
 		}
 	}
-	r.costs.addAll(r.t.lits)
-	if r.opts.Net != nil {
+	r.costs.addAll(t.lits)
+	if net := r.opts.Net; net != nil {
 		r.costs.addAll(r.sendSec)
 		r.costs.addAll(r.availSec)
 		r.costs.addAll(r.recvSec)
-		r.costs.addAll(r.planRed)
+		for _, b := range t.redSizes {
+			r.costs.add(net.ReduceCost(t.n, b, nil))
+		}
 	}
 }
 
@@ -823,19 +824,6 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	if d == 0 {
 		// End of the prefix: the first steady cycle opens here.
 		r.cycPrevD, r.cycOpenIdle, r.cycStreak = done, idle, 0
-		if r.planHit >= 0 && r.cycVirt > 1 && idle {
-			// Steady-state plan memo: an identical earlier replay recorded
-			// the last-cycle boundary clock; jump straight to the final
-			// cycle body.
-			skip := r.cycVirt - 1
-			r.cycDone += skip
-			r.statExtrapolated += skip
-			D := r.plans[r.planHit].dLast
-			r.planGot, r.planD = true, D
-			r.cycReposition(D, true)
-			r.cycPrevD = D
-			return true
-		}
 		return false
 	}
 	// A full steady cycle just completed.
@@ -864,11 +852,7 @@ func (r *Replayer) cycBoundary(done float64) bool {
 		r.cycDone += k
 		r.statExtrapolated += k
 		remaining -= k
-		last := remaining == 1
-		if last {
-			r.planGot, r.planD = true, D
-		}
-		r.cycReposition(D, last)
+		r.cycReposition(D, remaining == 1)
 		r.cycPrevD = D
 		return true
 	}
@@ -876,16 +860,12 @@ func (r *Replayer) cycBoundary(done float64) bool {
 		// The next cycle is the final one: it must run from the last
 		// recorded body so the suffix follows it.
 		if r.cycRec == cy.cycles-1 {
-			if idle {
-				r.planGot, r.planD = true, done
-			}
 			return false
 		}
 		if !idle {
 			r.cycErr = ErrCannotExtrapolate
 			return false
 		}
-		r.planGot, r.planD = true, done
 		r.cycReposition(done, true)
 		return true
 	}
@@ -928,115 +908,6 @@ func (r *Replayer) cycJump(prev, done float64, remaining int) (k int, D float64)
 		k = int(h)
 	}
 	return k, math.Float64frombits(b + uint64(k)*step)
-}
-
-// --- steady-state plan memo ---
-
-// planSlots bounds the per-replayer steady-state plan memo; entries are
-// replaced round-robin. Replayers are pooled per evaluator family, so a
-// handful of slots covers a family's distinct (shape, horizon, table)
-// combinations.
-const planSlots = 8
-
-// steadyPlan memoises one completed cycle-tracked replay: the last-cycle
-// boundary clock, keyed by every input the deterministic fused path reads.
-// The tables are compared bitwise against the *current* replay's tables
-// (which prepare re-prices from the live net every call), so model or
-// parameter drift can never resurrect a stale plan.
-type steadyPlan struct {
-	t        *Trace
-	virt     int
-	hasNet   bool
-	cnet     ClassNetworkModel
-	dLast    float64
-	charges  []float64
-	bytes    []int32
-	sendSec  []float64
-	availSec []float64
-	recvSec  []float64
-	red      []float64
-}
-
-// cnetFingerprintable reports whether the class net's identity can be
-// compared with == (the plan key includes the rank→class mapping only
-// through the model's identity; non-comparable models opt out of the memo
-// rather than risk a false match).
-func cnetFingerprintable(c ClassNetworkModel) bool {
-	if c == nil {
-		return true
-	}
-	return reflect.TypeOf(c).Comparable()
-}
-
-func f64SliceEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// planScan prices the collective costs for fingerprinting and looks for a
-// plan matching this replay's exact inputs. Called from prepare once the
-// cycle path is known to be active.
-func (r *Replayer) planScan() {
-	t := r.t
-	net := r.opts.Net
-	r.planRed = resizeF(r.planRed, len(t.redSizes))
-	for i, b := range t.redSizes {
-		if net != nil {
-			r.planRed[i] = net.ReduceCost(t.n, b, nil)
-		} else {
-			r.planRed[i] = 0
-		}
-	}
-	r.planHit = -1
-	if !cnetFingerprintable(r.cnet) {
-		return
-	}
-	for i := range r.plans {
-		p := &r.plans[i]
-		if p.t != t || p.virt != r.cycVirt || p.hasNet != (net != nil) || p.cnet != r.cnet {
-			continue
-		}
-		if !f64SliceEqual(p.charges, r.charges) || !slices.Equal(p.bytes, r.bytes) ||
-			!f64SliceEqual(p.red, r.planRed) {
-			continue
-		}
-		if p.hasNet && (!f64SliceEqual(p.sendSec, r.sendSec) ||
-			!f64SliceEqual(p.availSec, r.availSec) || !f64SliceEqual(p.recvSec, r.recvSec)) {
-			continue
-		}
-		r.planHit = i
-		return
-	}
-}
-
-// planStore memoises the just-completed replay's last-cycle boundary
-// clock. Called only on successful completion of a cycle-tracked replay
-// that captured one (planGot) and did not itself run from a plan.
-func (r *Replayer) planStore() {
-	if !cnetFingerprintable(r.cnet) {
-		return
-	}
-	net := r.opts.Net
-	p := &r.plans[r.planNext]
-	r.planNext = (r.planNext + 1) % planSlots
-	p.t, p.virt, p.hasNet, p.cnet, p.dLast = r.t, r.cycVirt, net != nil, r.cnet, r.planD
-	p.charges = append(p.charges[:0], r.charges...)
-	p.bytes = append(p.bytes[:0], r.bytes...)
-	p.red = append(p.red[:0], r.planRed...)
-	if net != nil {
-		p.sendSec = append(p.sendSec[:0], r.sendSec...)
-		p.availSec = append(p.availSec[:0], r.availSec...)
-		p.recvSec = append(p.recvSec[:0], r.recvSec...)
-	} else {
-		p.sendSec, p.availSec, p.recvSec = p.sendSec[:0], p.availSec[:0], p.recvSec[:0]
-	}
 }
 
 // --- fused replay loop ---

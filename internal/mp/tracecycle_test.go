@@ -265,8 +265,8 @@ func TestTraceExtrapolationParamValidation(t *testing.T) {
 }
 
 // TestTraceReplayZeroAllocsExtrapolated extends the zero-alloc contract
-// to extrapolated replays: once a Replayer is warmed (tables sized, plan
-// memo populated), long-horizon replays must not allocate.
+// to extrapolated replays: once a Replayer is warmed (tables sized),
+// long-horizon replays must not allocate.
 func TestTraceReplayZeroAllocsExtrapolated(t *testing.T) {
 	net := alphaBeta{alpha: 2e-5, beta: 1e-8}
 	tr := recordMarkedWavefront(t, net, 8)

@@ -32,9 +32,6 @@ func TestParallelReplayCounters(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ev := testEvaluator(t)
 	for _, iters := range []int{12, 1000} {
-		// A fresh evaluator per run: its pooled replayers have no plan
-		// memo, so both runs replay every cycle they do not extrapolate.
-		evSerial := testEvaluator(t)
 		cfg := paperConfig(32, 32)
 		cfg.Iterations = iters
 		var par, ser *Prediction
@@ -50,7 +47,7 @@ func TestParallelReplayCounters(t *testing.T) {
 		runtime.GOMAXPROCS(1)
 		d = parallelDelta(func() {
 			var err error
-			if ser, err = evSerial.Predict(cfg); err != nil {
+			if ser, err = ev.Predict(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -286,10 +286,10 @@ func (e *Evaluator) replayTraceShape(d grid.Decomp, k *costKernel, iterations, e
 	marks := rp.Marks()
 	// The reported extrapolation is the *requested* horizon extension —
 	// iterations beyond the canonical recorded script — which is a pure
-	// function of the configuration. (The replayer's internal
-	// replayed/extrapolated cycle split additionally depends on warm-up
-	// state such as the steady-state plan memo, so it would not be
-	// deterministic across repeat predictions.)
+	// function of the configuration. The replayer's replayed/extrapolated
+	// cycle split is deterministic too, but it says how the cycle engine
+	// covered the whole horizon, recorded cycles included, not how far the
+	// request extended it.
 	return rp.Makespan(), marks[1] - marks[0], extraCycles, nil
 }
 

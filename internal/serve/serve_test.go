@@ -640,11 +640,8 @@ func TestPredictExtrapolationReported(t *testing.T) {
 // BenchmarkServePredict measures the full handler path, cached (response
 // LRU hit) versus uncached (response cache and evaluator memo miss on
 // every request); wired into the benchjson record by CI. The uncached
-// case alternates two configurations, so each request still replays
-// inputs the replayer has seen: 97 of its 98 plan scans at 99 ops were
-// hits in the steady-state plan memo (mp planScan/planStore), which skips
-// to the final cycle. It times the handler plus that memo, not a full
-// template replay.
+// case alternates two configurations, so each request times the handler
+// plus a full trace replay of its 2x2 array.
 func BenchmarkServePredict(b *testing.B) {
 	bodyA := `{"grid":{"nx":100,"ny":100,"nz":50},"array":{"px":2,"py":2}}`
 	bodyB := `{"grid":{"nx":100,"ny":100,"nz":50},"array":{"px":2,"py":2},"mk":25}`
@@ -668,8 +665,7 @@ func BenchmarkServePredict(b *testing.B) {
 	})
 	b.Run("uncached", func(b *testing.B) {
 		// Single-entry single-shard caches + two alternating requests:
-		// every request misses response cache and memo (the replayer's
-		// plan memo still hits; see above).
+		// every request misses response cache and memo, and replays.
 		s := newTestServer(b, func(c *Config) {
 			c.ResponseCacheEntries = 1
 			c.ResponseCacheShards = 1
