@@ -173,9 +173,6 @@ func (r *Replayer) prepareLanes(n int) {
 		for _, q := range r.lq[i*nl : (i+1)*nl] {
 			ps.ev = min(ps.ev, q.ev)
 		}
-		if r.nv != nil {
-			ps.nc = r.nv.start[i]
-		}
 		r.pr[i] = ps
 	}
 }

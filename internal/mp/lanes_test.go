@@ -60,8 +60,8 @@ func randomLane(rng *rand.Rand, tr *Trace) Lane {
 // programs (noisyRandomProgram: parametric and noisy literal charges,
 // one- and two-receive macros, checkpoints, collectives) replayed as
 // passes of 1, 2, 3 and 5 lanes with random per-lane delays, fail-stops,
-// probes and fail logs, on the nets of laneTestNets, with the noise bound
-// by the replay or bound once by the caller. Every lane's clocks,
+// probes and fail logs, on the nets of laneTestNets, with compute noise
+// drawn live from per-rank streams. Every lane's clocks,
 // makespan, probe rows and fail log must equal a solo replay of that run
 // and the event backend's run of it bit for bit, and lane 0's marks the
 // solo replay's. On a jittered net the event backend runs the program and
@@ -102,9 +102,6 @@ func TestLaneReplayRandomPrograms(t *testing.T) {
 				}
 				requireRefusesTrace(t, fmt.Sprintf("seed %d %s", seed, nt.name), tr, opts, params)
 				continue
-			}
-			if trial%2 == 1 {
-				params.Noise = BindNoise(tr, charges, noise, seed)
 			}
 			for _, nl := range []int{1, 2, 3, 5} {
 				name := fmt.Sprintf("seed %d %s L=%d", seed, nt.name, nl)
@@ -210,10 +207,11 @@ func TestLaneReplayZeroAllocs(t *testing.T) {
 
 // BenchmarkTraceReplayLanes times a matched set's pass on the perturbed
 // loop: a 4x4 wavefront of 12 iterations under a deterministic net with
-// compute noise bound once into a table, every lane recording a probe, as
-// a pass of 1, 2 and 4 lanes. lanes=1 is a single perturbed replay (the
-// cost of RunPerturbed, NoiseCurve and the resilience baseline); the
-// others show what each further lane adds.
+// compute noise, every lane recording a probe, as a pass of 1, 2 and 4
+// lanes. Each op makes, seeds and draws the 16 per-rank noise streams and
+// drops them on return, as every noisy replay does. lanes=1 is a single
+// perturbed replay (the cost of RunPerturbed, NoiseCurve and the
+// resilience baseline); the others show what each further lane adds.
 func BenchmarkTraceReplayLanes(b *testing.B) {
 	charges := []float64{1e-4}
 	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.2}, Seed: 7}
@@ -226,7 +224,7 @@ func BenchmarkTraceReplayLanes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := ReplayParams{Charges: charges, Noise: BindNoise(tr, charges, opts.Noise, opts.Seed)}
+	p := ReplayParams{Charges: charges}
 	for _, nl := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("lanes=%d", nl), func(b *testing.B) {
 			rp := NewReplayer()

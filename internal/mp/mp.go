@@ -59,12 +59,11 @@ type NetworkModel interface {
 // ComputeNoise perturbs compute charges, modelling OS interference and other
 // run-to-run variation. Implementations must be pure functions of their
 // arguments and the RNG stream so that simulations are reproducible. A
-// run calls Perturb in schedule order, interleaving ranks; a trace replay
-// binds its noise first (BindNoise), calling Perturb rank by rank, each
-// rank's charges in program order. Both give
-// the same draws because each rank draws from its own stream, seeded alike:
-// the run's on rand.NewSource, the replay's on a source with the same
-// state and outputs but a cheaper Seed (rankSource).
+// run calls Perturb in schedule order, interleaving ranks, and so does a
+// trace replay; each rank's charges are in program order on both. Both
+// give the same draws because each rank draws from its own stream, seeded
+// alike: the run's on rand.NewSource, the replay's on a source with the
+// same state and outputs but a cheaper Seed (rankSource).
 type ComputeNoise interface {
 	Perturb(seconds float64, rng *rand.Rand) float64
 }

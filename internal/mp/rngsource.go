@@ -136,15 +136,17 @@ func (s *rankSource) Uint64() uint64 {
 	return uint64(x)
 }
 
-// seedRand returns rng reseeded to seed, or, when rng is nil, a new
-// *rand.Rand over a rankSource seeded to seed. Either way its draws are
+// rankStream is a rand.Rand over a rankSource in one value, so a replay
+// allocates every rank's noise stream in one slab.
+type rankStream struct {
+	src rankSource
+	rng rand.Rand
+}
+
+// seed reseeds the stream to seed and returns it; its draws are then
 // rand.New(rand.NewSource(seed))'s.
-func seedRand(rng *rand.Rand, seed int64) *rand.Rand {
-	if rng == nil {
-		s := new(rankSource)
-		s.Seed(seed)
-		return rand.New(s)
-	}
-	rng.Seed(seed)
-	return rng
+func (s *rankStream) seed(seed int64) *rand.Rand {
+	s.src.Seed(seed)
+	s.rng = *rand.New(&s.src)
+	return &s.rng
 }

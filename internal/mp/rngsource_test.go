@@ -61,12 +61,11 @@ func TestRankSourceMatchesMathRand(t *testing.T) {
 			}
 		}
 	}
-	var reused *rand.Rand
+	var reused rankStream
 	for _, seed := range seeds {
-		sameDraws(t, seedRand(nil, seed), rand.New(rand.NewSource(seed)), seed)
+		sameDraws(t, new(rankStream).seed(seed), rand.New(rand.NewSource(seed)), seed)
 		// A used stream reseeded in place equals a fresh one.
-		reused = seedRand(reused, seed)
-		sameDraws(t, reused, rand.New(rand.NewSource(seed)), seed)
+		sameDraws(t, reused.seed(seed), rand.New(rand.NewSource(seed)), seed)
 	}
 }
 
@@ -93,7 +92,7 @@ func BenchmarkRankSeed(b *testing.B) {
 		rng  *rand.Rand
 	}{
 		{"src=math", rand.New(rand.NewSource(1))},
-		{"src=rank", seedRand(nil, 1)},
+		{"src=rank", new(rankStream).seed(1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -71,7 +71,7 @@ func requireRefusesTrace(tb testing.TB, name string, tr *Trace, opts Options, p 
 	if err := rp.ReplayLanes(tr, opts, p, []Lane{lane, {}}); !errors.Is(err, ErrDrawingNet) {
 		tb.Fatalf("%s: 2-lane ReplayLanes err = %v, want ErrDrawingNet", name, err)
 	}
-	if rp.t != nil || rp.rk != nil || rp.streams != nil || rp.rngs != nil || rp.pr != nil || rp.lq != nil || rp.xs != nil || rp.nv != nil {
+	if rp.t != nil || rp.rk != nil || rp.streams != nil || rp.rngs != nil || rp.pr != nil || rp.lq != nil || rp.xs != nil {
 		tb.Fatalf("%s: a refused replay left replay state behind", name)
 	}
 }
@@ -564,8 +564,8 @@ func macroSubStepsHit(tr *Trace, delays []Delay, hit *[5]bool) {
 // against its own event-backend run: clocks, marks, probe rows and
 // FailLog, bit for bit. On a jittered flat and a jittered hierarchical net
 // the event backend runs the program and a replay is refused. On the
-// deterministic net it also binds the noise once (BindNoise) and replays
-// three delay sets from the one table.
+// deterministic net it also replays three delay and fail-stop sets on one
+// reused replayer, which must reseed every rank's noise stream each time.
 func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 	t.Helper()
 	const n, steps = 6, 15
@@ -651,20 +651,16 @@ func requireNoisyRandomEquivalence(t *testing.T, seed int64, hit *[5]bool) {
 		same(fmt.Sprintf("seed %d %s", seed, name), ew, ep, el, rp.Clock, rp.Marks(), tp, tl)
 	}
 
-	nt := BindNoise(tr, charges, noise, seed)
-	if nt == nil {
-		t.Fatal("BindNoise bound no table")
-	}
 	rp := NewReplayer()
 	for k := 0; k < 3; k++ {
 		ds, fs := events()
 		opts := Options{Net: det, Noise: noise, Seed: seed, Delays: ds, Fails: fs}
 		ew, ep, el := run(opts)
 		opts.Probe, opts.FailLog = &RunProbe{}, &FailLog{}
-		if err := rp.Replay(tr, opts, ReplayParams{Charges: charges, Noise: nt}); err != nil {
+		if err := rp.Replay(tr, opts, ReplayParams{Charges: charges}); err != nil {
 			t.Fatal(err)
 		}
-		same(fmt.Sprintf("seed %d bound table, replay %d", seed, k), ew, ep, el, rp.Clock, rp.Marks(), opts.Probe, opts.FailLog)
+		same(fmt.Sprintf("seed %d reused replayer, replay %d", seed, k), ew, ep, el, rp.Clock, rp.Marks(), opts.Probe, opts.FailLog)
 	}
 }
 

@@ -74,7 +74,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -201,12 +200,6 @@ type ReplayParams struct {
 	// and the deterministic unperturbed replay path; Replay returns
 	// ErrCannotExtrapolate otherwise. 0 replays exactly as recorded.
 	ExtraCycles int
-
-	// Noise, when non-nil, supplies the replay's compute noise draws:
-	// a table BindNoise made for this trace, these Charges, Options.Noise
-	// and Options.Seed. Replays of a matched set share one table; without
-	// one, a noisy replay binds its own for the replay's duration.
-	Noise *NoiseTable
 }
 
 // --- recording ---
@@ -768,8 +761,7 @@ type Replayer struct {
 	rk      []rrank
 	streams []rstream
 	nslots  int
-	rngs    []*rand.Rand // per-rank streams, made only when noise draws live
-	rngOK   []bool
+	rngs    []rankStream // per-rank noise streams, one slab while a noisy replay runs
 
 	// Scheduling. w is the replay's first worker and, on a serial replay,
 	// its only one: it runs every rank. A parallel fused replay
@@ -790,12 +782,9 @@ type Replayer struct {
 
 	// Perturbed-loop state (runRankPerturbed): one prank per rank beside
 	// rk, so the fused loop's records stay as they are and unperturbed
-	// replays touch none of it. nv is this replay's bound noise table (nil
-	// without noise, or when noise draws live); Replay drops it on return,
-	// so a pooled replayer keeps no table. collGen mirrors the event
-	// backend's collective generation counter for probe rows.
+	// replays touch none of it. collGen mirrors the event backend's
+	// collective generation counter for probe rows.
 	pr      []prank
-	nv      *NoiseTable
 	collGen int
 
 	// Clock lanes (lanes.go): the runs of this pass, lane 0 first; one is
@@ -849,13 +838,13 @@ type rrank struct {
 
 // prank is one rank's perturbed-loop state shared by its lanes, plus lane
 // 0's idle total: the next event index over all lanes, the op index and
-// the noise cursor. The loop keeps idle and opn in locals while the rank
-// runs and writes them back when it parks or ends.
+// whether the rank's noise stream is seeded. The loop keeps idle and opn
+// in locals while the rank runs and writes them back when it parks or ends.
 type prank struct {
-	idle float64 // lane 0's accumulated idle seconds (RunProbe)
-	opn  int     // scalar op index of the current fused op's first sub-step
-	ev   int     // op index of any lane's next pending delay or fail-stop; noEvent if none
-	nc   int32   // next entry of the bound noise table (NoiseTable.vals)
+	idle   float64 // lane 0's accumulated idle seconds (RunProbe)
+	opn    int     // scalar op index of the current fused op's first sub-step
+	ev     int     // op index of any lane's next pending delay or fail-stop; noEvent if none
+	seeded bool    // Replayer.rngs[rank] is seeded for this replay
 }
 
 // noEvent is an event index when no injected event is left.
@@ -905,11 +894,12 @@ func (r *Replayer) replay(t *Trace, opts Options, p ReplayParams, lanes []Lane) 
 }
 
 // unbind releases what a replay holds only while it runs: its Ps in
-// replayPs, its noise table and its lanes' recorders.
+// replayPs, its noise streams and its lanes' recorders, so a pooled
+// replayer holds no rank streams while idle.
 func (r *Replayer) unbind() {
 	replayPs.Add(-1 - r.extraP)
 	r.extraP = 0
-	r.nv = nil
+	r.rngs = nil
 	r.lanes, r.one[0] = nil, Lane{}
 }
 
@@ -986,18 +976,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	// unperturbed lane replays without noise; every other combination
 	// takes the perturbed loop.
 	r.fusedPath = !perturbing(lanes) && opts.Noise == nil
-	r.nv = nil
-	if nt := p.Noise; nt != nil {
-		if opts.Noise == nil {
-			return errors.New("mp: a bound noise table needs Options.Noise")
-		}
-		if nt.t != t || nt.seed != opts.Seed || !f64SliceEqual(nt.charges, p.Charges) {
-			return errors.New("mp: noise table bound for another trace, seed or charge table")
-		}
-		r.nv = nt
-	} else if opts.Noise != nil {
-		r.nv = BindNoise(t, p.Charges, opts.Noise, opts.Seed)
-	}
 
 	nlit := len(t.sizes)
 	ns := nlit + len(p.Sizes)
@@ -1048,13 +1026,10 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 			r.rk[i] = rrank{}
 		}
 	}
-	// Per-rank RNG streams exist only for noise too large to bind.
-	if opts.Noise != nil && r.nv == nil {
-		if len(r.rngs) != n {
-			r.rngs = make([]*rand.Rand, n)
-			r.rngOK = make([]bool, n)
-		}
-		clear(r.rngOK)
+	// A noisy replay draws from per-rank streams, made as one slab here
+	// and dropped by unbind.
+	if opts.Noise != nil {
+		r.rngs = make([]rankStream, n)
 	}
 	// Reset cursors start every rank at its script head.
 	r.t = t
@@ -1093,31 +1068,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams, lanes []Lane)
 	}
 	r.startWorkers(r.admit(t))
 	return nil
-}
-
-// f64SliceEqual reports whether a and b hold the same float64 bit patterns.
-func f64SliceEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// rng returns the rank's replay RNG stream, seeded exactly as the event
-// backend seeds its rank streams (on a rankSource, which draws what
-// rand.NewSource does), so live noise draws identical sequences in
-// identical per-rank program order.
-func (r *Replayer) rng(id int) *rand.Rand {
-	if !r.rngOK[id] {
-		r.rngs[id] = seedRand(r.rngs[id], r.opts.Seed+int64(id)*0x9E3779B9)
-		r.rngOK[id] = true
-	}
-	return r.rngs[id]
 }
 
 // rworker schedules the ranks [lo, lo+n) of a replay with the event
@@ -1298,94 +1248,6 @@ func (w *rworker) release(done float64) {
 		w.wake(int(wid))
 	}
 	w.collWaiters = w.collWaiters[:0]
-}
-
-// maxBoundDraws caps a bound noise table at 16 MB of draws. A
-// sweep_perturb point binds at most a few hundred thousand; past the cap a
-// replay draws live from per-rank streams instead of holding the table.
-const maxBoundDraws = 1 << 21
-
-// NoiseTable is compute noise bound to a replay's inputs: every draw a
-// noisy replay of one trace, charge table, noise model and seed makes, per
-// rank in program order. Noise is the only thing a replay draws, and each
-// rank draws from its own stream, so the draws do not depend on the
-// schedule, on injected delays or on fail-stops, and one table serves
-// every replay of a matched set.
-// A table is immutable and may be shared by concurrent replays.
-type NoiseTable struct {
-	t       *Trace
-	seed    int64
-	charges []float64 // copy of the charge table the draws were bound for
-	start   []int32   // rank r's draws are vals[start[r]:start[r+1]]
-	vals    []float64 // noised charges
-}
-
-// BindNoise draws the compute noise of a replay of t under charges, noise
-// and seed, with one rand.Rand reseeded per rank to the seed the event
-// backend gives that rank's stream. The stream runs on a rankSource, whose
-// closed-form Seed costs about a quarter of rand.NewSource's and draws the
-// same values. It calls noise.Perturb rank by rank, each rank's charges in
-// program order. It returns nil when there is nothing to bind (no noise,
-// or charges shorter than t references) and when the table would hold more
-// than maxBoundDraws draws; a replay then draws live.
-func BindNoise(t *Trace, charges []float64, noise ComputeNoise, seed int64) *NoiseTable {
-	if noise == nil || int(t.maxChPar) >= len(charges) {
-		return nil
-	}
-	// Each chunk's noisy charges in program order; a rank draws its chunks'
-	// lists in script order. A fused op draws at most once, so cs never
-	// outgrows the program.
-	nchunks := len(t.fstart) - 1
-	cst := make([]int32, nchunks+1)
-	cs := make([]float64, 0, len(t.fops))
-	for c := 0; c < nchunks; c++ {
-		for i := t.fstart[c]; i < t.fstart[c+1]; i++ {
-			if s, ok := noisyCharge(&t.fops[i], t.lits, charges); ok {
-				cs = append(cs, s)
-			}
-		}
-		cst[c+1] = int32(len(cs))
-	}
-	start := make([]int32, t.n+1)
-	total := 0
-	for rank := 0; rank < t.n; rank++ {
-		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
-			total += int(cst[c+1] - cst[c])
-		}
-		if total > maxBoundDraws {
-			return nil
-		}
-		start[rank+1] = int32(total)
-	}
-	vals := make([]float64, 0, total)
-	var rng *rand.Rand
-	for rank := 0; rank < t.n; rank++ {
-		if start[rank+1] == start[rank] {
-			continue
-		}
-		rng = seedRand(rng, seed+int64(rank)*0x9E3779B9)
-		for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
-			for _, s := range cs[cst[c]:cst[c+1]] {
-				vals = append(vals, noise.Perturb(s, rng))
-			}
-		}
-	}
-	return &NoiseTable{t: t, seed: seed, charges: slices.Clone(charges), start: start, vals: vals}
-}
-
-// noisyCharge reports whether fused op f makes a noise draw and the charge
-// it perturbs: parametric charges (scalar or inside a macro) when positive,
-// and noisy literals. Exact literals and checkpoints never draw.
-func noisyCharge(f *fop, lits, charges []float64) (float64, bool) {
-	switch {
-	case f.kind == topChargeNoisy:
-		return lits[f.arg0], true
-	case f.kind == topChargeParam:
-		return charges[f.arg0], charges[f.arg0] > 0
-	case f.kind == fMacro && f.clit == 0:
-		return charges[f.arg2], charges[f.arg2] > 0
-	}
-	return 0, false
 }
 
 // runRankPerturbed runs one rank's fused program, on every lane of the
@@ -1624,18 +1486,22 @@ run:
 }
 
 // noisy returns the positive compute charge s as the replay applies it:
-// the rank's next bound draw, a live draw from its stream, or s itself
-// without noise. One draw serves every lane.
+// drawn from the rank's noise stream, or s itself without noise. The
+// stream is seeded at the rank's first draw to the seed the event backend
+// gives the rank (on a rankSource, which draws what rand.NewSource does),
+// and a rank draws in program order, so the draws are the event
+// backend's. One draw serves every lane.
 func (r *Replayer) noisy(id int, ps *prank, s float64) float64 {
-	if r.nv != nil {
-		s = r.nv.vals[ps.nc]
-		ps.nc++
+	n := r.opts.Noise
+	if n == nil {
 		return s
 	}
-	if n := r.opts.Noise; n != nil {
-		return n.Perturb(s, r.rng(id))
+	rs := &r.rngs[id]
+	if !ps.seeded {
+		rs.seed(r.opts.Seed + int64(id)*0x9E3779B9)
+		ps.seeded = true
 	}
-	return s
+	return n.Perturb(s, &rs.rng)
 }
 
 // send prices rank id's send of unified size index u to dst at clock,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -381,82 +380,89 @@ func TestTraceRefusesDrawingNets(t *testing.T) {
 	}
 }
 
-// TestTraceLiveNoisePastBindCap covers the replay's live noise arm: a
-// program whose noisy charges number one more than maxBoundDraws binds no
-// table (BindNoise returns nil), so a replay draws from per-rank streams,
-// and must still equal the event backend bit for bit, alone and as lane 0
-// and lane 1 of a 2-lane pass. With the extra charge priced at zero the
-// same trace binds a table of exactly maxBoundDraws draws.
-func TestTraceLiveNoisePastBindCap(t *testing.T) {
-	const n = 2
-	per := maxBoundDraws / n // noisy charges per rank at the cap
+// TestTraceLiveNoiseDropsStreams: a noisy replay draws from per-rank
+// streams that it seeds afresh and drops on return. Alone and as lane 0
+// and lane 1 of a 2-lane pass, on one reused replayer, it equals the event
+// backend bit for bit, and the replayer holds no rank streams after a
+// successful replay nor after a refused one (a bad lane, refused before
+// the streams are made; a noisy extrapolation, refused after).
+func TestTraceLiveNoiseDropsStreams(t *testing.T) {
+	const n, per = 2, 256
 	prog := func(c *Comm) error {
 		peer := 1 - c.Rank()
 		for i := 0; i < per; i++ {
 			c.ChargeParam(0)
-			if i%1024 == 1023 {
+			if i%16 == 15 {
 				c.SendN(peer, 0, 64, nil)
 				c.RecvN(peer, 0)
 			}
-		}
-		if c.Rank() == 0 {
-			c.ChargeParam(1) // draws only when charges[1] > 0
 		}
 		c.Barrier()
 		return nil
 	}
 	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.1}, Seed: 5}
-	over := []float64{1e-6, 2e-6}
-	atCap := []float64{1e-6, 0}
+	params := ReplayParams{Charges: []float64{1e-6}}
 	w, err := NewWorld(n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetParams(over, nil)
+	w.SetParams(params.Charges, nil)
 	tr, err := w.RunRecorded(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nt := BindNoise(tr, over, opts.Noise, opts.Seed); nt != nil {
-		t.Fatalf("BindNoise bound %d draws, over the cap of %d", len(nt.vals), maxBoundDraws)
-	}
-	if nt := BindNoise(tr, atCap, opts.Noise, opts.Seed); nt == nil || len(nt.vals) != maxBoundDraws {
-		t.Fatalf("BindNoise at the cap: table %v, want %d draws", nt != nil, maxBoundDraws)
-	}
-
 	rp := NewReplayer()
-	if err := rp.Replay(tr, opts, ReplayParams{Charges: over}); err != nil {
+	noStreams := func(name string) {
+		t.Helper()
+		if rp.rngs != nil {
+			t.Fatalf("%s: replayer kept %d rank streams", name, len(rp.rngs))
+		}
+	}
+	if err := rp.Replay(tr, opts, params); err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.rngs) != n {
-		t.Fatalf("replay made %d rank streams, want %d (live noise)", len(rp.rngs), n)
-	}
 	requireMatchesEvent(t, "live, 1 lane", rp, w)
+	noStreams("1 lane")
 
-	delayed := Lane{Delays: []Delay{{Rank: 1, Op: 5000, Seconds: 1e-3}}}
+	delayed := Lane{Delays: []Delay{{Rank: 1, Op: 100, Seconds: 1e-3}}}
 	dopts := opts
 	dopts.Delays = delayed.Delays
 	dw, err := NewWorld(n, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SetParams(over, nil)
+	dw.SetParams(params.Charges, nil)
 	if err := dw.Run(prog); err != nil {
 		t.Fatal(err)
-	}
-	if err := rp.ReplayLanes(tr, opts, ReplayParams{Charges: over}, []Lane{{}, delayed}); err != nil {
-		t.Fatal(err)
-	}
-	for lane, ref := range []*World{w, dw} {
-		for i := 0; i < n; i++ {
-			if got, want := rp.LaneClock(lane, i), ref.Clock(i); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("live, lane %d of 2: rank %d clock %v, event %v", lane, i, got, want)
-			}
-		}
 	}
 	if dw.Makespan() == w.Makespan() {
 		t.Fatal("the delay did not move the makespan")
 	}
+	for k := 0; k < 2; k++ {
+		if err := rp.ReplayLanes(tr, opts, params, []Lane{{}, delayed}); err != nil {
+			t.Fatal(err)
+		}
+		for lane, ref := range []*World{w, dw} {
+			for i := 0; i < n; i++ {
+				if got, want := rp.LaneClock(lane, i), ref.Clock(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("live, pass %d, lane %d of 2: rank %d clock %v, event %v", k, lane, i, got, want)
+				}
+			}
+		}
+		noStreams(fmt.Sprintf("2-lane pass %d", k))
+	}
+
+	bad := []Lane{{}, {Delays: []Delay{{Rank: n, Op: 0, Seconds: 1}}}}
+	if err := rp.ReplayLanes(tr, opts, params, bad); err == nil {
+		t.Fatal("a pass took a delay outside the world")
+	}
+	noStreams("bad lane")
+	extra := params
+	extra.ExtraCycles = 1
+	if err := rp.Replay(tr, opts, extra); !errors.Is(err, ErrCannotExtrapolate) {
+		t.Fatalf("noisy extrapolation: err = %v, want ErrCannotExtrapolate", err)
+	}
+	noStreams("noisy extrapolation")
 }
 
 func (m jitterNet) jitter(v float64, rng *rand.Rand) float64 {
@@ -577,57 +583,6 @@ func TestTraceStreamSlotCap(t *testing.T) {
 	}
 	if _, err := CompileClasses(2, func(r int) int { return r }, over); !errors.Is(err, ErrTooManyStreams) {
 		t.Fatalf("class compile over the cap: err = %v, want ErrTooManyStreams", err)
-	}
-}
-
-// TestTraceReplayBoundNoise: a noisy replay under a deterministic net
-// binds its noise (one rand.Rand for the whole bind) instead of making a
-// rand.Rand per rank, and the replayer keeps no table once Replay returns.
-// A table bound for another seed is refused.
-func TestTraceReplayBoundNoise(t *testing.T) {
-	opts := Options{Net: alphaBeta{alpha: 1e-6, beta: 1e-9}, Noise: jitterNoise{0.2}, Seed: 4}
-	w, err := NewWorld(8, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetParams([]float64{1e-4}, nil)
-	tr, err := w.RunRecorded(wavefrontProgram(4, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := NewReplayer()
-	if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if rp.Clock(i) != w.Clock(i) {
-			t.Fatalf("rank %d: replay %v, event %v", i, rp.Clock(i), w.Clock(i))
-		}
-	}
-	if len(rp.rngs) != 0 || rp.nv != nil {
-		t.Fatalf("replayer kept %d rank RNGs and table %p", len(rp.rngs), rp.nv)
-	}
-	// One table serves concurrent replays.
-	nt := BindNoise(tr, []float64{1e-4}, opts.Noise, opts.Seed)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rp := NewReplayer()
-			if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}, Noise: nt}); err != nil {
-				t.Error(err)
-				return
-			}
-			if rp.Makespan() != w.Makespan() {
-				t.Errorf("shared-table makespan %v, event %v", rp.Makespan(), w.Makespan())
-			}
-		}()
-	}
-	wg.Wait()
-	other := BindNoise(tr, []float64{1e-4}, opts.Noise, opts.Seed+1)
-	if err := rp.Replay(tr, opts, ReplayParams{Charges: []float64{1e-4}, Noise: other}); err == nil {
-		t.Fatal("replay accepted a table bound for another seed")
 	}
 }
 

@@ -65,7 +65,8 @@ func (e *Evaluator) TraceFor(cfg Config) (*mp.Trace, error) {
 // matched baseline: noise draws per rank are in program order on every
 // backend, so baseline and perturbed runs see identical draw sequences
 // and their clock difference is exactly the injected damage. A caller
-// replaying both opens one MatchedSet instead, which binds the noise once.
+// replaying both opens one MatchedSet instead, which replays them as lanes
+// of one pass, drawing the noise once.
 func (e *Evaluator) RunPerturbed(cfg Config, delays []mp.Delay, noise mp.ComputeNoise, seed int64, probe *mp.RunProbe) (PerturbedRun, error) {
 	set, err := e.OpenMatchedSet(cfg, SetOptions{Noise: noise, Seed: seed})
 	if err != nil {
@@ -92,11 +93,11 @@ type SetRun = mp.Lane
 // MatchedSet replays one configuration several times under one noise model
 // and seed, as the idle-wave and resilience analyses need: a baseline plus
 // perturbed runs whose clock differences are exactly the injected damage.
-// The set holds one pooled replayer and, with noise, one bound noise table
-// (mp.BindNoise), so the per-rank noise streams are seeded and drawn once
-// for the whole set instead of once per replay. RunAll replays several runs
-// in one pass. Close returns the replayer and drops the table. A MatchedSet
-// is not safe for concurrent use.
+// The set holds one pooled replayer. Each replay seeds the per-rank noise
+// streams afresh and drops them on return, so every run sees the same
+// draws; RunAll replays several runs in one pass, drawing the noise once
+// for all of them. Close returns the replayer. A MatchedSet is not safe
+// for concurrent use.
 type MatchedSet struct {
 	t       *mp.Trace
 	opts    mp.Options
@@ -106,9 +107,9 @@ type MatchedSet struct {
 }
 
 // OpenMatchedSet resolves the configuration's (checkpointed) trace and
-// cost kernel and binds the set's noise. The checkpoint charge is appended
-// to a copy of the kernel's charge table, so cached kernels and
-// unperturbed replays are untouched.
+// cost kernel. The checkpoint charge is appended to a copy of the
+// kernel's charge table, so cached kernels and unperturbed replays are
+// untouched.
 func (e *Evaluator) OpenMatchedSet(cfg Config, o SetOptions) (*MatchedSet, error) {
 	if o.CkptSeconds < 0 || math.IsNaN(o.CkptSeconds) || math.IsInf(o.CkptSeconds, 0) {
 		return nil, fmt.Errorf("pace: checkpoint seconds %v invalid", o.CkptSeconds)
@@ -125,9 +126,6 @@ func (e *Evaluator) OpenMatchedSet(cfg Config, o SetOptions) (*MatchedSet, error
 		t:      t,
 		opts:   mp.Options{Net: e.HW.Net(), Noise: o.Noise, Seed: o.Seed},
 		params: mp.ReplayParams{Charges: charges, Sizes: k.sizes},
-	}
-	if o.Noise != nil {
-		s.params.Noise = mp.BindNoise(t, charges, o.Noise, o.Seed)
 	}
 	s.rp, s.release = e.acquireReplayer()
 	return s, nil
@@ -170,10 +168,10 @@ func (s *MatchedSet) RunAll(runs []SetRun) ([]PerturbedRun, error) {
 	return out, nil
 }
 
-// Close returns the set's replayer to the pool and drops its noise table.
+// Close returns the set's replayer to the pool.
 func (s *MatchedSet) Close() {
 	if s.release != nil {
 		s.release()
 	}
-	s.rp, s.release, s.params.Noise = nil, nil, nil
+	s.rp, s.release = nil, nil
 }

@@ -5,7 +5,7 @@
 // trace's collective structure) plus an optional stochastic compute-noise
 // model. Run replays the configuration twice on the trace tier — once
 // perturbed, once as a matched baseline with the identical seed and noise,
-// both in one pace.MatchedSet that binds the noise once —
+// both as lanes of one pace.MatchedSet pass that draws the noise once —
 // and differences the per-generation collective-entry timelines. Because
 // noise draws are consumed in program order on every backend and injected
 // delays add constant seconds without consuming draws, the two runs see

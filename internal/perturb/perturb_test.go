@@ -290,11 +290,12 @@ func TestRunRejects(t *testing.T) {
 }
 
 // BenchmarkPerturbRun times perturb.Run, one 2-lane pass that replays the
-// baseline and the perturbed run together on one noise binding, over a
-// sweep's shape mix: six arrays from
+// baseline and the perturbed run together, sharing each live noise draw,
+// over a sweep's shape mix: six arrays from
 // 8x8 to 16x16, each with mk 10 and 25 and mmi 3 and 6, 40x40x50 cells per
 // processor and 12 iterations, under one 3 s delay plus 2% uniform noise.
-// One op is one shape's Run; traces are compiled before the timer starts.
+// One op is one shape's Run, which makes, seeds and drops its per-rank
+// noise streams; traces are compiled before the timer starts.
 func BenchmarkPerturbRun(b *testing.B) {
 	ev := testEvaluator(b, testModel())
 	var cfgs []pace.Config

@@ -282,9 +282,9 @@ func sampleFails(rng *rand.Rand, tr *mp.Trace, probe *mp.RunProbe, spec FailureS
 // evalInterval computes the expected makespan for one checkpoint period:
 // a checkpointed baseline (probe attached, for the time→iteration map),
 // then every sampled failure scenario in one lane pass, all one matched
-// set that shares the trace, the noise binding and one replayer. The
-// scenarios are sampled from the baseline's probe, so the baseline runs
-// first: two passes per interval.
+// set that shares the trace and one replayer. The scenarios are sampled
+// from the baseline's probe, so the baseline runs first: two passes per
+// interval, each seeding and drawing the per-rank noise streams afresh.
 func evalInterval(ev *pace.Evaluator, cfg pace.Config, st Study, noise mp.ComputeNoise, interval int) (ckpt float64, outcomes []ScenarioOutcome, err error) {
 	ck := st.Checkpoint
 	set, err := ev.OpenMatchedSet(cfg, pace.SetOptions{

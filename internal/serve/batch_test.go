@@ -252,9 +252,14 @@ func TestBatchSweepGrouping(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepBatch measures a full multi-shape sweep through the
-// batched worker pool with cold caches per iteration — the serving path
-// the trace tier accelerates (compile per shape once, replay per point).
+// BenchmarkSweepBatch times one 120-point multi-shape /v1/sweep through
+// the batched worker pool; one op is one sweep. Each op builds a fresh
+// server outside the timer, so its response cache and prediction memo are
+// cold and every point pays an evaluation, and the timer also covers the
+// lazy build of the two platforms' evaluators (hand-set models, no
+// fitting) and their cost kernels. The shape traces are cached
+// process-wide and warm after the first op, so the points replay without
+// compiling.
 func BenchmarkSweepBatch(b *testing.B) {
 	body := `{"platforms":["alpha","beta"],` +
 		`"arrays":[{"px":2,"py":2},{"px":2,"py":3},{"px":3,"py":3}],` +
@@ -262,9 +267,7 @@ func BenchmarkSweepBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// Fresh server: cold memo/response caches, so every point pays an
-		// evaluation (shape traces persist process-wide, as in serving
-		// steady state).
+		// Fresh server: cold memo and response caches; warm shape traces.
 		s := newTestServer(b, func(c *Config) { c.SweepWorkers = 4 })
 		b.StartTimer()
 		rec := postJSON(b, s, "/v1/sweep", body)
