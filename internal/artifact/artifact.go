@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pacesweep/internal/stats"
 )
 
 // Artifact kinds used across the codebase; any [a-z] name works, these are
@@ -70,8 +72,8 @@ type Store struct {
 	tempsSwept  atomic.Uint64
 	bytes       atomic.Int64 // bytes on disk (initial scan + write deltas)
 
-	load   histogram // Get file-read latency
-	decode histogram // caller-reported decode latency (ObserveDecode)
+	load   stats.Histogram // Get file-read latency
+	decode stats.Histogram // caller-reported decode latency (ObserveDecode)
 }
 
 type fill struct {
@@ -165,7 +167,7 @@ func (s *Store) Get(kind, key string) ([]byte, error) {
 	switch {
 	case err == nil:
 		s.hits.Add(1)
-		s.load.observe(time.Since(start))
+		s.load.Observe(&latencyBounds, time.Since(start))
 		return data, nil
 	case errors.Is(err, fs.ErrNotExist):
 		s.misses.Add(1)
@@ -326,7 +328,7 @@ func (s *Store) GetOrFill(kind, key string, build func() ([]byte, error)) (data 
 // ObserveDecode records how long a caller spent decoding a loaded
 // artifact; together with the load histogram it is the stats block's
 // load/decode latency story.
-func (s *Store) ObserveDecode(d time.Duration) { s.decode.observe(d) }
+func (s *Store) ObserveDecode(d time.Duration) { s.decode.Observe(&latencyBounds, d) }
 
 // --- stats ---
 
@@ -334,74 +336,20 @@ func (s *Store) ObserveDecode(d time.Duration) { s.decode.observe(d) }
 // seconds (+Inf is implicit). Artifact reads and decodes are
 // sub-millisecond to tens of milliseconds, so the bounds sit well below
 // the serving layer's request-latency bounds.
-var latencyBounds = [...]float64{0.0001, 0.0005, 0.002, 0.01, 0.05, 0.25, 1}
-
-type histogram struct {
-	count   atomic.Uint64
-	nanos   atomic.Uint64
-	buckets [len(latencyBounds) + 1]atomic.Uint64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	h.count.Add(1)
-	h.nanos.Add(uint64(d.Nanoseconds()))
-	sec := d.Seconds()
-	for i, bound := range latencyBounds {
-		if sec <= bound {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.buckets[len(latencyBounds)].Add(1)
-}
-
-// HistogramSnapshot is one latency histogram in a Stats snapshot:
-// cumulative Prometheus-style bucket counts plus count and sum.
-type HistogramSnapshot struct {
-	Count        uint64        `json:"count"`
-	TotalSeconds float64       `json:"total_seconds"`
-	Buckets      []BucketCount `json:"buckets"`
-}
-
-// BucketCount is one cumulative histogram bucket; the +Inf bucket is
-// encoded as Inf=true.
-type BucketCount struct {
-	LeSeconds float64 `json:"le_seconds"`
-	Inf       bool    `json:"inf,omitempty"`
-	Count     uint64  `json:"count"`
-}
-
-func (h *histogram) snapshot() HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count:        h.count.Load(),
-		TotalSeconds: float64(h.nanos.Load()) / 1e9,
-	}
-	cum := uint64(0)
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		b := BucketCount{Count: cum}
-		if i < len(latencyBounds) {
-			b.LeSeconds = latencyBounds[i]
-		} else {
-			b.Inf = true
-		}
-		out.Buckets = append(out.Buckets, b)
-	}
-	return out
-}
+var latencyBounds = stats.LatencyBounds{0.0001, 0.0005, 0.002, 0.01, 0.05, 0.25, 1}
 
 // Stats is a point-in-time snapshot of the store's counters — the
 // `artifacts` block of /v1/stats.
 type Stats struct {
-	Hits        uint64            `json:"hits"`
-	Misses      uint64            `json:"misses"`
-	Writes      uint64            `json:"writes"`
-	Errors      uint64            `json:"errors,omitempty"`
-	Quarantined uint64            `json:"quarantined,omitempty"`
-	TempsSwept  uint64            `json:"temps_swept,omitempty"`
-	BytesOnDisk int64             `json:"bytes_on_disk"`
-	Load        HistogramSnapshot `json:"load"`
-	Decode      HistogramSnapshot `json:"decode"`
+	Hits        uint64                  `json:"hits"`
+	Misses      uint64                  `json:"misses"`
+	Writes      uint64                  `json:"writes"`
+	Errors      uint64                  `json:"errors,omitempty"`
+	Quarantined uint64                  `json:"quarantined,omitempty"`
+	TempsSwept  uint64                  `json:"temps_swept,omitempty"`
+	BytesOnDisk int64                   `json:"bytes_on_disk"`
+	Load        stats.HistogramSnapshot `json:"load"`
+	Decode      stats.HistogramSnapshot `json:"decode"`
 }
 
 // Stats snapshots the counter set.
@@ -414,7 +362,7 @@ func (s *Store) Stats() Stats {
 		Quarantined: s.quarantined.Load(),
 		TempsSwept:  s.tempsSwept.Load(),
 		BytesOnDisk: s.bytes.Load(),
-		Load:        s.load.snapshot(),
-		Decode:      s.decode.snapshot(),
+		Load:        s.load.Snapshot(&latencyBounds),
+		Decode:      s.decode.Snapshot(&latencyBounds),
 	}
 }

@@ -301,18 +301,8 @@ func TestParallelReplaySharedMarkRunsSerially(t *testing.T) {
 func bigWavefrontTrace(t testing.TB) *Trace {
 	t.Helper()
 	const px, py = 16, 16
-	edge := func(i, n int) int {
-		switch {
-		case i == 0:
-			return 0
-		case i == n-1:
-			return 2
-		}
-		return 1
-	}
-	class := func(r int) int { return 9*(r%3) + 3*edge(r/px, py) + edge(r%px, px) }
 	for iters := 16; ; iters *= 2 {
-		tr, err := CompileClasses(px*py, class, soloMarkedWavefront(px, py, iters))
+		tr, err := CompileClasses(px*py, wavefrontClass(px, py), soloMarkedWavefront(px, py, iters))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -531,6 +531,14 @@ func noisyRandomProgram(n, steps int, seed int64) func(c *Comm) error {
 	}
 }
 
+// fopWidth is the number of recorded scalar ops a fused op covers.
+func fopWidth(f *fop) int32 {
+	if f.kind == fMacro {
+		return int32(f.nr) + 1 + int32(f.ns)
+	}
+	return 1
+}
+
 // macroSubStepsHit marks which macro sub-steps of the trace's fused
 // programs the delays land on: 0 and 1 the receives, 2 the charge, 3 and 4
 // the sends.

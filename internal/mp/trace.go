@@ -58,10 +58,13 @@ package mp
 //
 // Memory: per-rank scripts are delta-encoded (a send stores dst-rank, so
 // every interior rank of a regular decomposition produces byte-identical
-// ops) and interned in fixed-size chunks shared across ranks. An 8000-rank
-// wavefront whose raw op stream would be tens of millions of ops compacts
-// to a handful of distinct boundary-signature scripts — a few MB — and the
-// interning happens online during recording, so the raw stream never
+// ops) and interned in chunks shared across ranks. A chunk closes after
+// every collective and at traceChunkOps ops, so chunks line up with the
+// iteration structure: every steady iteration of a rank reuses the same
+// chunk ids, and the interned pool stops growing once the pipeline fills.
+// A 16x16 template trace with 2 angle and 5 k blocks interns 2,913 ops at
+// 12 iterations and at 1,000.
+// The interning happens online during recording, so the raw stream never
 // materialises.
 //
 // Canonical order: a finished trace numbers its chunks in order of first
@@ -103,10 +106,10 @@ type top struct {
 	kind uint8
 }
 
-// traceChunkOps is the interning granularity: scripts are split into
-// chunks of this many ops and deduplicated across ranks (and across the
-// repetitions within one rank). It bounds recording memory to
-// n*traceChunkOps ops of open buffers regardless of program length.
+// traceChunkOps is the longest chunk: scripts are split into chunks that
+// end at a collective or after this many ops, and deduplicated across
+// ranks and across the iterations of one rank. It bounds recording memory
+// to n*traceChunkOps ops of open buffers regardless of program length.
 const traceChunkOps = 128
 
 // Trace is a recorded communication script: per-rank sequences of chunk
@@ -164,15 +167,12 @@ func (t *Trace) RankOps(rank int) int {
 func (t *Trace) OpIndexOfReduce(rank, k int) int {
 	idx := 0
 	for _, c := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
-		ops := t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-		for i := range ops {
-			if ops[i].kind == topReduce {
-				if k == 0 {
-					return idx
-				}
-				k--
+		idx += int(t.cstart[c+1] - t.cstart[c])
+		if t.closesGen(c) {
+			if k == 0 {
+				return idx - 1 // the collective is its chunk's last op
 			}
-			idx++
+			k--
 		}
 	}
 	return -1
@@ -209,7 +209,7 @@ type ReplayParams struct {
 type traceRec struct {
 	n          int
 	scriptOnly bool      // CompileClasses: Comm ops stop after recording
-	buf        [][]top   // per-rank open chunk (flushed at traceChunkOps)
+	buf        [][]top   // per-rank open chunk (flushed after a collective or at traceChunkOps)
 	scripts    [][]int32 // per-rank chunk-id sequences
 
 	chunkOps []top
@@ -230,10 +230,11 @@ type traceRec struct {
 	ops      int
 }
 
-// recChunks is the chunk capacity a recorder starts with. A 2x2 template
-// trace at 12 iterations interns about 92 chunks and a 64x64 one about
-// 250, so the chunk tables grow once or twice rather than a dozen times.
-const recChunks = 64
+// recChunks is the chunk capacity a recorder starts with. A template
+// trace with 2 angle and 5 k blocks interns 11 chunks on a 2x2 array and
+// 27 on a 4x4 to 64x64 one, at any iteration count, so its chunk tables
+// never grow.
+const recChunks = 32
 
 func newTraceRec(n int) *traceRec {
 	return &traceRec{
@@ -257,7 +258,7 @@ func (r *traceRec) push(rank int, o top) {
 	}
 	r.buf[rank] = append(r.buf[rank], o)
 	r.ops++
-	if len(r.buf[rank]) == traceChunkOps {
+	if len(r.buf[rank]) == traceChunkOps || o.kind == topReduce {
 		r.flush(rank)
 	}
 }

@@ -622,7 +622,6 @@ func TestCompileClassesMatchesRecorded(t *testing.T) {
 		}
 		return 1
 	}
-	grid := func(r int) int { return 3*edge(r/px, py) + edge(r%px, px) }
 	cases := []struct {
 		name  string
 		n     int
@@ -630,8 +629,7 @@ func TestCompileClassesMatchesRecorded(t *testing.T) {
 		class func(r int) int
 	}{
 		{"wavefront/rank", px * py, wavefrontProgram(px, py, 5), func(r int) int { return r }},
-		// The wavefront's literal charge varies with rank%3 as well.
-		{"wavefront/boundary", px * py, wavefrontProgram(px, py, 5), func(r int) int { return 9*(r%3) + grid(r) }},
+		{"wavefront/boundary", px * py, wavefrontProgram(px, py, 5), wavefrontClass(px, py)},
 		{"marked/rank", px * py, markedWavefront(px, py, 8), func(r int) int { return r }},
 		{"ring/ends", 7, paramRingProgram(7, 4), func(r int) int { return edge(r, 7) }},
 		{"single", 1, paramRingProgram(1, 0), func(int) int { return 0 }},

@@ -15,10 +15,11 @@ package mp
 //     blocking. The non-extrapolated prefix/suffix sheds per-op dispatch
 //     cost; scalar ops pass through with their send size index pre-unified.
 //   - Cycle detection (build time): ranks are grouped into script-identity
-//     classes, each class's op stream is segmented at collectives, and the
-//     segment sequence is scanned for the longest periodic run. A detected
-//     cycle records period, prefix length, cycle count and the per-class
-//     cursors of the first and last recorded cycle bodies.
+//     classes, each class's script is cut at the chunks that close a
+//     collective generation, and the generations' chunk-id runs are scanned
+//     for the longest periodic run. A detected cycle records period, prefix
+//     length, cycle count and, per class, the script positions of the
+//     first and last recorded cycle bodies.
 //   - Analytic extrapolation (replay time): a cycle that opens and closes
 //     with idle streams inside one floating-point binade validates that
 //     binade — every op rounds onto the binade's ulp grid the same way
@@ -92,33 +93,17 @@ type fop struct {
 	clit       uint8 // 1: charge index arg2 is a literal (lits), else a param (charges)
 }
 
-// fopWidth is the number of recorded scalar ops a fused op covers.
-func fopWidth(f *fop) int32 {
-	if f.kind == fMacro {
-		return int32(f.nr) + 1 + int32(f.ns)
-	}
-	return 1
-}
-
-// cycCursor addresses a cycle-body start inside a rank's script: srel is
-// the chunk position relative to the rank's script slice, sop the scalar
-// op index within that chunk, fpos the corresponding fused-program index
-// (recomputed locally, never serialised).
-type cycCursor struct {
-	srel, sop, fpos int32
-}
-
-// traceCycle is the detected steady-state structure of a trace. Cursors
-// are per script-identity class; classOf maps ranks to classes.
+// traceCycle is the detected steady-state structure of a trace. Cycle
+// starts are per script-identity class; classOf maps ranks to classes.
 type traceCycle struct {
 	detected bool
 	period   int // generations per cycle
 	prefix   int // generations before the first cycle (>= 1)
 	cycles   int // recorded cycle count (>= 3)
-	gens     int // total collective generations in the script
 	classOf  []int32
-	first    []cycCursor // per class: start of the first recorded cycle
-	last     []cycCursor // per class: start of the last recorded cycle
+	// Per class: the script position, relative to the rank's script, of the
+	// chunk that opens the first (last) recorded cycle body.
+	first, last []int32
 }
 
 // finalize derives the replay acceleration structures after the scalar
@@ -319,59 +304,26 @@ const (
 	cycMinCycles = 3
 )
 
-// opCursor walks one rank's recorded scalar ops from a (srel, sop) cursor.
-type opCursor struct {
-	t   *Trace
-	s   []int32
-	ops []top
-	sr  int32
-	oi  int32
-}
-
-func (c *opCursor) init(t *Trace, rank int32, srel, sop int32) {
-	c.t = t
-	c.s = t.script[t.sstart[rank]:t.sstart[rank+1]]
-	c.sr = srel
-	c.oi = sop
-	c.ops = nil
-	if int(srel) < len(c.s) {
-		ch := c.s[srel]
-		c.ops = t.chunkOps[t.cstart[ch]:t.cstart[ch+1]]
-	}
-}
-
-func (c *opCursor) next() *top {
-	for int(c.oi) >= len(c.ops) {
-		c.sr++
-		c.oi = 0
-		if int(c.sr) >= len(c.s) {
-			return nil
-		}
-		ch := c.s[c.sr]
-		c.ops = c.t.chunkOps[c.t.cstart[ch]:c.t.cstart[ch+1]]
-	}
-	o := &c.ops[c.oi]
-	c.oi++
-	return o
-}
-
-// cycSeg is one collective generation of a class's op stream: a content
-// hash for the period scan (verified by full comparison before accepting a
-// cycle), the op count, and the start cursor.
-type cycSeg struct {
-	hash      uint64
-	nops      int32
-	srel, sop int32
-}
-
-// detectCycle finds the steady-state cycle of the recorded script, if any:
-// ranks grouped into script-identity classes, class streams segmented at
-// collectives, segment sequences scanned for the longest trailing periodic
-// run (excluding the final generation, which becomes the suffix). The
-// scan accepts the smallest period whose run covers at least cycMinCycles
-// cycles with at least one prefix generation.
+// detectCycle finds the steady-state cycle of the script, if any: ranks
+// grouped into script-identity classes, each class's script cut into its
+// collective generations, and the generation sequence scanned for the
+// longest trailing periodic run (excluding the final generation, which
+// becomes the suffix). The scan accepts the smallest period whose run
+// covers at least cycMinCycles cycles with at least one prefix generation.
+//
+// A generation is a whole run of chunk ids: the recorder closes a chunk
+// after every collective (traceRec.push), so each generation opens a fresh
+// chunk and is cut into chunks the same way wherever it runs. Interning
+// gives equal chunks one id, so two generations hold equal ops exactly
+// when their id runs are equal.
 func (t *Trace) detectCycle() {
 	t.cyc = traceCycle{}
+	G := t.gens
+	// Minimum viable script: one prefix generation, cycMinCycles cycles,
+	// one suffix generation.
+	if G < cycMinCycles+2 {
+		return
+	}
 	n := t.n
 	classOf := make([]int32, n)
 	// reps[c] is class c's lowest rank; first and next chain the classes
@@ -406,27 +358,38 @@ func (t *Trace) detectCycle() {
 		classOf[r] = cid
 	}
 
+	// bounds holds G+1 script positions per class: generation g of class c
+	// is its script's [bounds[c*(G+1)+g], bounds[c*(G+1)+g+1]). A class
+	// whose generation count differs from rank 0's rules out a global
+	// cycle. A class with G generations runs at least G chunks, so the
+	// table is never larger than the representatives' scripts.
 	nclass := len(reps)
-	segs, ok := t.segmentClasses(reps)
-	if !ok {
-		return // ranks disagree on generation count: no global cycle
+	bounds := make([]int32, 0, min(nclass*(G+1), len(t.script)+nclass))
+	for _, r := range reps {
+		k := len(bounds)
+		bounds = append(bounds, 0)
+		for i, ch := range scriptOf(r) {
+			if t.closesGen(ch) {
+				bounds = append(bounds, int32(i+1))
+			}
+		}
+		if len(bounds)-k != G+1 {
+			return
+		}
 	}
-	G := len(segs[0])
-	// Minimum viable script: one prefix generation, cycMinCycles cycles,
-	// one suffix generation.
-	if G < cycMinCycles+2 {
-		return
+	gen := func(c, g int) []int32 {
+		b := bounds[c*(G+1):]
+		return scriptOf(reps[c])[b[g]:b[g+1]]
 	}
-	end := G - 1 // the final generation is always suffix
 	match := func(g, p int) bool {
 		for c := 0; c < nclass; c++ {
-			a, b := &segs[c][g], &segs[c][g+p]
-			if a.hash != b.hash || a.nops != b.nops {
+			if !slices.Equal(gen(c, g), gen(c, g+p)) {
 				return false
 			}
 		}
 		return true
 	}
+	end := G - 1 // the final generation is always suffix
 	maxP := cycMaxPeriod
 	if lim := (end - 1) / cycMinCycles; lim < maxP {
 		maxP = lim
@@ -439,171 +402,42 @@ func (t *Trace) detectCycle() {
 			}
 			lo = g
 		}
-		if lo == end {
-			continue
-		}
 		m := (end - lo) / p
-		g0 := end - m*p
-		if g0 < 1 {
-			m--
-			g0 += p
-		}
 		if m < cycMinCycles {
 			continue
 		}
-		// Hashes matched; verify content before trusting the cycle.
-		if !t.verifyCycle(reps, segs, g0, p, end) {
-			continue
-		}
+		g0 := end - m*p
 		cyc := traceCycle{
-			detected: true, period: p, prefix: g0, cycles: m, gens: G,
+			detected: true, period: p, prefix: g0, cycles: m,
 			classOf: classOf,
-			first:   make([]cycCursor, nclass),
-			last:    make([]cycCursor, nclass),
+			first:   make([]int32, nclass),
+			last:    make([]int32, nclass),
 		}
-		ok := true
 		for c := 0; c < nclass; c++ {
-			f := segs[c][g0]
-			l := segs[c][g0+(m-1)*p]
-			ff, okf := t.fusedIndexAt(reps[c], f.srel, f.sop)
-			lf, okl := t.fusedIndexAt(reps[c], l.srel, l.sop)
-			if !okf || !okl {
-				ok = false
-				break
-			}
-			cyc.first[c] = cycCursor{srel: f.srel, sop: f.sop, fpos: ff}
-			cyc.last[c] = cycCursor{srel: l.srel, sop: l.sop, fpos: lf}
-		}
-		if !ok {
-			return
+			cyc.first[c] = bounds[c*(G+1)+g0]
+			cyc.last[c] = bounds[c*(G+1)+g0+(m-1)*p]
 		}
 		t.cyc = cyc
 		return
 	}
 }
 
-// maxCycleSegments caps classes × generations, the size of the segment
-// table that cycle detection builds (24 bytes an entry, 96 MiB at the
-// cap). A template trace pace compiles has at most nine script classes,
-// one per boundary class (pace.templateClass), so it fits under the cap up
-// to 466,000 iterations, far beyond what a full-length compile and replay
-// can serve. A trace over the cap gets no cycle.
-const maxCycleSegments = 1 << 22
+// closesGen reports whether chunk c closes a collective generation. The
+// recorder closes a chunk after every collective, so a collective is
+// always its chunk's last op, and recorded chunks are never empty.
+func (t *Trace) closesGen(c int32) bool {
+	return t.chunkOps[t.cstart[c+1]-1].kind == topReduce
+}
 
 // rankGens counts the collective generations of one rank's script.
 func (t *Trace) rankGens(rank int32) int {
 	g := 0
 	for _, ch := range t.script[t.sstart[rank]:t.sstart[rank+1]] {
-		for _, o := range t.chunkOps[t.cstart[ch]:t.cstart[ch+1]] {
-			if o.kind == topReduce {
-				g++
-			}
+		if t.closesGen(ch) {
+			g++
 		}
 	}
 	return g
-}
-
-// segmentClasses splits each class representative's op stream into its
-// collective generations. It reports false when the classes disagree on
-// the generation count, which rules out a global cycle, and when classes ×
-// generations exceeds maxCycleSegments. The first class's generation
-// count sizes one flat table that every class fills its own stretch of.
-func (t *Trace) segmentClasses(reps []int32) ([][]cycSeg, bool) {
-	G := t.rankGens(reps[0])
-	if len(reps)*G > maxCycleSegments {
-		return nil, false
-	}
-	flat := make([]cycSeg, len(reps)*G)
-	segs := make([][]cycSeg, len(reps))
-	for c, r := range reps {
-		out := flat[c*G : c*G : (c+1)*G]
-		cur := cycSeg{}
-		h := uint64(1469598103934665603)
-		nops := int32(0)
-		s := t.script[t.sstart[r]:t.sstart[r+1]]
-		for si, ch := range s {
-			ops := t.chunkOps[t.cstart[ch]:t.cstart[ch+1]]
-			for oi := range ops {
-				o := &ops[oi]
-				h ^= uint64(uint32(o.arg0))
-				h *= 1099511628211
-				h ^= uint64(uint32(o.arg1))
-				h *= 1099511628211
-				h ^= uint64(uint32(o.arg2))
-				h *= 1099511628211
-				h ^= uint64(o.kind)
-				h *= 1099511628211
-				nops++
-				if o.kind == topReduce {
-					if len(out) == G {
-						return nil, false
-					}
-					cur.hash, cur.nops = h, nops
-					out = append(out, cur)
-					nsrel, nsop := int32(si), int32(oi+1)
-					if int(nsop) == len(ops) {
-						nsrel, nsop = int32(si+1), 0
-					}
-					cur = cycSeg{srel: nsrel, sop: nsop}
-					h = uint64(1469598103934665603)
-					nops = 0
-				}
-			}
-		}
-		if len(out) != G {
-			return nil, false
-		}
-		segs[c] = out
-	}
-	return segs, true
-}
-
-// verifyCycle confirms segment-level periodicity by full op comparison
-// (the scan above only compared hashes): every steady segment must equal
-// the segment one period later, for every class.
-func (t *Trace) verifyCycle(reps []int32, segs [][]cycSeg, g0, p, end int) bool {
-	var a, b opCursor
-	for c := range reps {
-		for g := g0; g+p < end; g++ {
-			sa, sb := &segs[c][g], &segs[c][g+p]
-			if sa.nops != sb.nops {
-				return false
-			}
-			a.init(t, reps[c], sa.srel, sa.sop)
-			b.init(t, reps[c], sb.srel, sb.sop)
-			for i := int32(0); i < sa.nops; i++ {
-				oa, ob := a.next(), b.next()
-				if oa == nil || ob == nil || *oa != *ob {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// fusedIndexAt maps a scalar op index within a rank's chunk to its fused
-// program index. Cycle starts always land on fused-op boundaries (the op
-// after a collective can never be mid-macro: macros do not span chunks or
-// collectives), so a miss means the cursor is corrupt.
-func (t *Trace) fusedIndexAt(rank, srel, sop int32) (int32, bool) {
-	s := t.script[t.sstart[rank]:t.sstart[rank+1]]
-	if srel < 0 || int(srel) >= len(s) {
-		return 0, false
-	}
-	ch := s[srel]
-	fo := t.fops[t.fstart[ch]:t.fstart[ch+1]]
-	scal := int32(0)
-	for i := range fo {
-		if scal == sop {
-			return int32(i), true
-		}
-		if scal > sop {
-			return 0, false
-		}
-		scal += fopWidth(&fo[i])
-	}
-	return 0, false
 }
 
 // --- trace accessors ---
@@ -781,11 +615,10 @@ func (r *Replayer) cycReposition(D float64, last bool) {
 		r.cycRec = cy.cycles - 1
 	}
 	for i := 0; i < t.n; i++ {
-		c := &cur[cy.classOf[i]]
 		k := &r.rk[i]
 		k.clock = D
-		k.spos = t.sstart[i] + c.srel
-		k.opos = c.fpos
+		k.spos = t.sstart[i] + cur[cy.classOf[i]]
+		k.opos = 0
 		k.fsub = 0
 		k.status = evReady
 		k.collResolved = false

@@ -111,6 +111,113 @@ func TestTraceCycleDetected(t *testing.T) {
 	}
 }
 
+// wavefrontClass is a class rule for wavefrontProgram and its marked
+// variants on px×py ranks: first, interior or last in each of x and y,
+// and rank%3, which the literal charge varies with.
+func wavefrontClass(px, py int) func(r int) int {
+	edge := func(i, n int) int {
+		switch {
+		case i == 0:
+			return 0
+		case i == n-1:
+			return 2
+		}
+		return 1
+	}
+	return func(r int) int { return 9*(r%3) + 3*edge(r/px, py) + edge(r%px, px) }
+}
+
+// TestTraceChunksCloseAtCollectives: the recorder closes a chunk after
+// every collective, so in a recording and in a class compile alike every
+// interned chunk holds at most one collective, as its last op, and no
+// chunk is longer than traceChunkOps. Each rank's k-th collective is then
+// the last op of its k-th closing chunk, which OpIndexOfReduce reads off.
+// And since every steady iteration of a wavefront reuses the same chunk
+// ids, its interned pool is the same size at 12 iterations as at 1,000.
+func TestTraceChunksCloseAtCollectives(t *testing.T) {
+	const px, py = 4, 3
+	class := wavefrontClass(px, py)
+	// Generations longer than a chunk: 300 charges between collectives.
+	long := func(c *Comm) error {
+		for it := 0; it < 4; it++ {
+			for i := 0; i < 300; i++ {
+				c.ChargeExact(1e-6 * float64(1+i%7))
+			}
+			c.Barrier()
+		}
+		return nil
+	}
+	compile := func(n int, class func(int) int, f func(c *Comm) error) *Trace {
+		t.Helper()
+		tr, err := CompileClasses(n, class, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	w, err := NewWorld(16, Options{Net: alphaBeta{alpha: 2e-5, beta: 1e-8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := w.RunRecorded(randomMarkedProgram(16, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]*Trace{
+		"recorded/wavefront": recordMarkedWavefront(t, alphaBeta{alpha: 2e-5, beta: 1e-8}, 12),
+		"recorded/random":    random,
+		"class/wavefront":    compile(px*py, class, markedWavefront(px, py, 12)),
+		"class/long":         compile(3, func(int) int { return 0 }, long),
+	}
+	for name, tr := range traces {
+		for c := 0; c+1 < len(tr.cstart); c++ {
+			ops := tr.chunkOps[tr.cstart[c]:tr.cstart[c+1]]
+			if len(ops) == 0 || len(ops) > traceChunkOps {
+				t.Fatalf("%s: chunk %d holds %d ops", name, c, len(ops))
+			}
+			for i := range ops[:len(ops)-1] {
+				if ops[i].kind == topReduce {
+					t.Fatalf("%s: chunk %d holds a collective at op %d of %d", name, c, i, len(ops))
+				}
+			}
+		}
+		for rank := 0; rank < tr.n; rank++ {
+			var reduces []int // op indices of the rank's collectives
+			i := 0
+			for _, c := range tr.script[tr.sstart[rank]:tr.sstart[rank+1]] {
+				for _, o := range tr.chunkOps[tr.cstart[c]:tr.cstart[c+1]] {
+					if o.kind == topReduce {
+						reduces = append(reduces, i)
+					}
+					i++
+				}
+			}
+			if g := tr.rankGens(int32(rank)); g != len(reduces) {
+				t.Fatalf("%s: rank %d counts %d generations, records %d collectives", name, rank, g, len(reduces))
+			}
+			for k := 0; k <= len(reduces); k++ {
+				want := -1
+				if k < len(reduces) {
+					want = reduces[k]
+				}
+				if got := tr.OpIndexOfReduce(rank, k); got != want {
+					t.Fatalf("%s: rank %d collective %d at op %d, want %d", name, rank, k, got, want)
+				}
+			}
+		}
+	}
+	if g := traces["class/long"].gens; g != 4 {
+		t.Fatalf("long generations: %d collectives, want 4", g)
+	}
+
+	short := traces["class/wavefront"]
+	long1000 := compile(px*py, class, markedWavefront(px, py, 1000))
+	if long1000.UniqueOps() != short.UniqueOps() || long1000.FusedUniqueOps() != short.FusedUniqueOps() {
+		t.Fatalf("interned ops grow with the horizon: %d/%d at 12 iterations, %d/%d at 1,000",
+			short.UniqueOps(), short.FusedUniqueOps(), long1000.UniqueOps(), long1000.FusedUniqueOps())
+	}
+}
+
 // TestTraceExtrapolationMatchesEvent is the equivalence matrix: a trace
 // recorded at a short horizon and replayed with ExtraCycles must produce
 // clocks and marks bit-identical to a full event-backend run of the long

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -574,6 +575,51 @@ func TestMetricsEndpoint(t *testing.T) {
 	s.ServeHTTP(hrec, hreq)
 	if hrec.Code != http.StatusOK || !strings.Contains(hrec.Body.String(), "ok") {
 		t.Errorf("healthz: %d %s", hrec.Code, hrec.Body.String())
+	}
+}
+
+// TestMetricsSeriesMatchRecord pins the /metrics exposition's shape: every
+// # TYPE line and every series name with its label set, in order, on a
+// server with every optional block (response cache, artifact store, shard
+// ring with one peer, a fitted platform). testdata/metrics_series.txt
+// records them with the sample values cut off; both latency histograms
+// (requests and artifact load/decode) render through one writer.
+func TestMetricsSeriesMatchRecord(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	s := newTestServer(t, func(c *Config) {
+		c.ArtifactStore = store
+		// Loopback peers with probing off: a proxy attempt is refused at
+		// once and the request falls back to local serving.
+		c.Peers = []string{"http://127.0.0.1:9", "http://127.0.0.1:7"}
+		c.SelfURL = "http://127.0.0.1:7"
+		c.ProbeInterval = -1
+	})
+	postJSON(t, s, "/v1/predict", `{"grid":{"nx":50,"ny":50,"nz":50},"array":{"px":1,"py":1}}`)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var got []string
+	for _, l := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			l = l[:strings.LastIndexByte(l, ' ')]
+		}
+		got = append(got, l)
+	}
+	raw, err := os.ReadFile("testdata/metrics_series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("/metrics line %d: %q, recorded %q (%d lines, %d recorded)", i+1, g, w, len(got), len(want))
+		}
 	}
 }
 

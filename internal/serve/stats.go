@@ -11,40 +11,31 @@ import (
 	"pacesweep/internal/breaker"
 	"pacesweep/internal/lru"
 	"pacesweep/internal/pace"
+	"pacesweep/internal/stats"
 )
 
-// latencyBounds are the fixed histogram bucket upper bounds in seconds; a
-// final implicit +Inf bucket catches the rest. Model evaluations span
-// ~microseconds (cache hit) to ~seconds (8000-rank template), so the
-// bounds are log-spaced across that range.
-var latencyBounds = [...]float64{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10}
+// latencyBounds are the request-latency histogram's bucket upper bounds
+// in seconds; a final implicit +Inf bucket catches the rest. Model
+// evaluations span ~microseconds (cache hit) to ~seconds (8000-rank
+// template), so the bounds are log-spaced across that range.
+var latencyBounds = stats.LatencyBounds{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10}
 
 // endpointStats is one endpoint's counter block. All fields are atomics:
-// the hot path must not take locks for bookkeeping.
+// the hot path must not take locks for bookkeeping. The latency
+// histogram's count is the endpoint's request count.
 type endpointStats struct {
-	requests     atomic.Uint64
-	errors       atomic.Uint64
-	cacheHits    atomic.Uint64 // responses served from the response cache
-	notModified  atomic.Uint64 // empty 304s served off If-None-Match
-	shed         atomic.Uint64 // 503s from admission control (queue full)
-	latencyNanos atomic.Uint64
-	buckets      [len(latencyBounds) + 1]atomic.Uint64
+	errors      atomic.Uint64
+	cacheHits   atomic.Uint64 // responses served from the response cache
+	notModified atomic.Uint64 // empty 304s served off If-None-Match
+	shed        atomic.Uint64 // 503s from admission control (queue full)
+	latency     stats.Histogram
 }
 
 func (e *endpointStats) observe(d time.Duration, isErr bool) {
-	e.requests.Add(1)
 	if isErr {
 		e.errors.Add(1)
 	}
-	e.latencyNanos.Add(uint64(d.Nanoseconds()))
-	sec := d.Seconds()
-	for i, bound := range latencyBounds {
-		if sec <= bound {
-			e.buckets[i].Add(1)
-			return
-		}
-	}
-	e.buckets[len(latencyBounds)].Add(1)
+	e.latency.Observe(&latencyBounds, d)
 }
 
 // serverStats aggregates the server's operational counters.
@@ -81,48 +72,31 @@ func (st *serverStats) observeSweepBatch(groups, points, maxGroup int) {
 	}
 }
 
-// BucketCount is one latency histogram bucket in the stats JSON
-// (cumulative, Prometheus-style: count of requests at or under LeSeconds).
-type BucketCount struct {
-	LeSeconds float64 `json:"le_seconds"` // +Inf encoded as 0 with Inf=true
-	Inf       bool    `json:"inf,omitempty"`
-	Count     uint64  `json:"count"`
-}
-
 // EndpointSnapshot is one endpoint's block in the stats JSON.
 type EndpointSnapshot struct {
-	Requests            uint64        `json:"requests"`
-	Errors              uint64        `json:"errors"`
-	CacheHits           uint64        `json:"cache_hits"`
-	NotModified         uint64        `json:"not_modified,omitempty"`
-	Shed                uint64        `json:"shed,omitempty"`
-	AvgLatencySeconds   float64       `json:"avg_latency_seconds"`
-	TotalLatencySeconds float64       `json:"total_latency_seconds"`
-	Latency             []BucketCount `json:"latency"`
+	Requests            uint64              `json:"requests"`
+	Errors              uint64              `json:"errors"`
+	CacheHits           uint64              `json:"cache_hits"`
+	NotModified         uint64              `json:"not_modified,omitempty"`
+	Shed                uint64              `json:"shed,omitempty"`
+	AvgLatencySeconds   float64             `json:"avg_latency_seconds"`
+	TotalLatencySeconds float64             `json:"total_latency_seconds"`
+	Latency             []stats.BucketCount `json:"latency"`
 }
 
 func (e *endpointStats) snapshot() EndpointSnapshot {
+	h := e.latency.Snapshot(&latencyBounds)
 	out := EndpointSnapshot{
-		Requests:    e.requests.Load(),
-		Errors:      e.errors.Load(),
-		CacheHits:   e.cacheHits.Load(),
-		NotModified: e.notModified.Load(),
-		Shed:        e.shed.Load(),
+		Requests:            h.Count,
+		Errors:              e.errors.Load(),
+		CacheHits:           e.cacheHits.Load(),
+		NotModified:         e.notModified.Load(),
+		Shed:                e.shed.Load(),
+		TotalLatencySeconds: h.TotalSeconds,
+		Latency:             h.Buckets,
 	}
-	out.TotalLatencySeconds = float64(e.latencyNanos.Load()) / 1e9
 	if out.Requests > 0 {
 		out.AvgLatencySeconds = out.TotalLatencySeconds / float64(out.Requests)
-	}
-	cum := uint64(0)
-	for i := range e.buckets {
-		cum += e.buckets[i].Load()
-		b := BucketCount{Count: cum}
-		if i < len(latencyBounds) {
-			b.LeSeconds = latencyBounds[i]
-		} else {
-			b.Inf = true
-		}
-		out.Latency = append(out.Latency, b)
 	}
 	return out
 }
@@ -349,21 +323,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "%s{endpoint=%q} %d\n", c.name, ep, c.value(st.Endpoints[ep]))
 		}
 	}
-	// Full Prometheus histogram convention: _bucket series plus the _sum
-	// and _count series that rate()/avg queries depend on.
-	fmt.Fprintf(w, "# TYPE paceserve_request_seconds histogram\n")
-	for _, ep := range sortedKeys(st.Endpoints) {
-		snap := st.Endpoints[ep]
-		for _, b := range snap.Latency {
-			le := fmt.Sprintf("%g", b.LeSeconds)
-			if b.Inf {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "paceserve_request_seconds_bucket{endpoint=%q,le=%q} %d\n", ep, le, b.Count)
-		}
-		fmt.Fprintf(w, "paceserve_request_seconds_sum{endpoint=%q} %g\n", ep, snap.TotalLatencySeconds)
-		fmt.Fprintf(w, "paceserve_request_seconds_count{endpoint=%q} %d\n", ep, snap.Requests)
+	endpoints := sortedKeys(st.Endpoints)
+	labels := make([]string, len(endpoints))
+	latency := make([]stats.HistogramSnapshot, len(endpoints))
+	for i, ep := range endpoints {
+		e := st.Endpoints[ep]
+		labels[i] = fmt.Sprintf("endpoint=%q", ep)
+		latency[i] = stats.HistogramSnapshot{Count: e.Requests, TotalSeconds: e.TotalLatencySeconds, Buckets: e.Latency}
 	}
+	writeHistograms(w, "paceserve_request_seconds", labels, latency)
 
 	if st.ResponseCache != nil {
 		writeCacheMetrics(w, "paceserve_response_cache", []string{""}, []lru.Stats{*st.ResponseCache})
@@ -393,8 +361,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE paceserve_artifact_quarantined_total counter\npaceserve_artifact_quarantined_total %d\n", a.Quarantined)
 		fmt.Fprintf(w, "# TYPE paceserve_artifact_temps_swept_total counter\npaceserve_artifact_temps_swept_total %d\n", a.TempsSwept)
 		fmt.Fprintf(w, "# TYPE paceserve_artifact_bytes_on_disk gauge\npaceserve_artifact_bytes_on_disk %d\n", a.BytesOnDisk)
-		writeArtifactHistogram(w, "paceserve_artifact_load_seconds", a.Load)
-		writeArtifactHistogram(w, "paceserve_artifact_decode_seconds", a.Decode)
+		writeHistograms(w, "paceserve_artifact_load_seconds", []string{""}, []stats.HistogramSnapshot{a.Load})
+		writeHistograms(w, "paceserve_artifact_decode_seconds", []string{""}, []stats.HistogramSnapshot{a.Decode})
 	}
 	if sh := st.Shard; sh != nil {
 		fmt.Fprintf(w, "# TYPE paceserve_shard_members gauge\npaceserve_shard_members %d\n", len(sh.Members))
@@ -479,19 +447,27 @@ func writePeerMetrics(w http.ResponseWriter, peers []PeerSnapshot) {
 	}
 }
 
-// writeArtifactHistogram renders one artifact-store latency histogram in
-// full Prometheus convention (_bucket, _sum, _count).
-func writeArtifactHistogram(w http.ResponseWriter, name string, h artifact.HistogramSnapshot) {
+// writeHistograms renders latency histograms in full Prometheus
+// convention (_bucket series plus the _sum and _count series that
+// rate()/avg queries depend on) under one # TYPE line. labels holds each
+// histogram's label pairs, "" for none.
+func writeHistograms(w http.ResponseWriter, name string, labels []string, hs []stats.HistogramSnapshot) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, b := range h.Buckets {
-		le := fmt.Sprintf("%g", b.LeSeconds)
-		if b.Inf {
-			le = "+Inf"
+	for i, h := range hs {
+		lead, set := "", ""
+		if labels[i] != "" {
+			lead, set = labels[i]+",", "{"+labels[i]+"}"
 		}
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, b.Count)
+		for _, b := range h.Buckets {
+			le := fmt.Sprintf("%g", b.LeSeconds)
+			if b.Inf {
+				le = "+Inf"
+			}
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, lead, le, b.Count)
+		}
+		fmt.Fprintf(w, "%s_sum%s %g\n", name, set, h.TotalSeconds)
+		fmt.Fprintf(w, "%s_count%s %d\n", name, set, h.Count)
 	}
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.TotalSeconds)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 }
 
 // writeCacheMetrics renders one sharded-LRU counter block over parallel
